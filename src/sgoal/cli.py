@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -149,8 +147,11 @@ def _eps_list(values: dict) -> list[float]:
         token = token.strip()
         if not token:
             continue
-        eps = float(token)
-        if eps <= 0:
+        try:
+            eps = float(token)
+        except ValueError as exc:
+            raise ConfigError(f"bad eps threshold {token!r}") from exc
+        if not eps > 0:
             raise ConfigError("eps thresholds must be positive")
         out.append(eps)
     if not out:
@@ -210,15 +211,6 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
     raise ConfigError(f"unknown algorithm {values['algorithm']!r} (expected sa or es)")
 
 
-def _thread_count(replicates: int) -> int:
-    raw = os.environ.get("SGOAL_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"SGOAL_THREADS must be an integer, got {raw!r}") from exc
-    return min(cap, replicates)
-
-
 def _format(value: float) -> str:
     return f"{value:.17g}"
 
@@ -253,19 +245,12 @@ def cmd_run(values: dict) -> int:
     base_seed = values["seed"]
     budget = values["budget"]
 
-    def one(i: int):
-        seed = base_seed + i
+    traces = []
+    for seed in range(base_seed, base_seed + replicates):
         algo = build_algorithm(values, problem=base.problem.copy())
         result = run_algorithm(algo, max_iters(budget), seed=seed)
         _write_trace_csv(out_dir / f"trace_{seed}.csv", result.trace)
-        return result.trace
-
-    workers = _thread_count(replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(one, range(replicates)))
-    else:
-        traces = [one(i) for i in range(replicates)]
+        traces.append(result.trace)
 
     stacked = np.stack([t.d for t in traces])
     summary = {

@@ -334,8 +334,9 @@ def run_sgoal(
     """Run the generic population-iteration loop.
 
     Applies ``next_pop`` to the population until ``end(pop, t)`` is true,
-    recording the trace at t = 0 and after every step.  Identical seeds
-    and configuration produce bit-identical traces.
+    advancing the schedule once after every step, and records the trace
+    at t = 0 and after every step.  Identical seeds and configuration
+    produce bit-identical traces.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -370,6 +371,7 @@ def run_sgoal(
     record(t)
     while not end(pop, t):
         members = next_pop.sample(pop.members, schedule, rng)
+        schedule.tick()
         pop = Population(tuple(members), np.array([fitness_of(m) for m in members]))
         t += 1
         record(t)
@@ -398,8 +400,10 @@ class Algorithm:
     """A ready-to-run optimizer: problem, initializer, kernel, schedule.
 
     ``chain_kernel`` is the one-step kernel used for exact finite-space
-    verification (None when the algorithm runs on a continuous space or
-    has no exact realization).
+    verification.  It is ``next_pop`` itself unless given: only the
+    elitist annealer passes its own, because its run carries a best-so-far
+    point that its arity-1 greedy chain leaves out.  A kernel without a
+    matrix (a continuous space) cannot be verified.
     """
 
     name: str
@@ -411,6 +415,10 @@ class Algorithm:
     fitness_of: Callable[[Any], float] | None = None
     param_fn: Callable[[Population, ScheduleState], float] | None = None
     chain_kernel: Kernel | None = None
+
+    def __post_init__(self) -> None:
+        if self.chain_kernel is None:
+            self.chain_kernel = self.next_pop
 
 
 def run_algorithm(

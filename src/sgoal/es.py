@@ -8,12 +8,14 @@ comma replacement keeps children only (lambda >= mu required).
 
 On finite spaces the strategy machinery collapses: a child is a draw from
 the mutation proposal of a uniformly picked parent (rho = 1), which keeps
-every state reachable and makes the plus-mode chain exactly analyzable.
+every state reachable.  The generation is then built from the kernel
+algebra, ``compose(proj[first mu] . sort(pool), join(parent projections
+[plus only] + lambda children))``, and that one kernel both runs and is
+verified; the plus-mode chain is exactly analyzable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -22,8 +24,8 @@ import numpy as np
 
 from .core import Algorithm, ContinuousBox, FiniteSet, Population, Problem
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, ScheduleState
-from .mutation import FiniteProposal
+from .kernels import Kernel, ScheduleState, compose, dense_rows, join, projection, sort_kernel
+from .mutation import proposal_kernel
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,6 @@ class ESConfig:
 
     def tau_for(self, dim: int) -> float:
         return self.tau if self.tau is not None else 1.0 / math.sqrt(2.0 * dim)
-
-
-def pick_parents(members: Sequence[Any], rho: int, rng: np.random.Generator) -> tuple:
-    """rho uniform draws from the population, with replacement."""
-    members = tuple(members)
-    if rho > len(members):
-        raise ConfigError("cannot pick more parents than the population holds")
-    idx = rng.integers(0, len(members), size=rho)
-    return tuple(members[int(i)] for i in idx)
 
 
 def _recombine_vectors(vectors: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -151,8 +144,9 @@ def next_sub_pop(
     state: ScheduleState,
     rng: np.random.Generator,
 ) -> ESIndividual:
-    """One child: marriage, recombination, strategy update, mutation, evaluation."""
-    parents = pick_parents(members, config.rho, rng)
+    """One child: marriage (rho uniform draws with replacement),
+    recombination, strategy update, mutation, evaluation."""
+    parents = [members[int(i)] for i in rng.integers(0, len(members), size=config.rho)]
     y, s = recombine(parents, config.recomb_y, config.recomb_s, rng)
     tau = config.tau_for(y.size)
     s_new = update_strategies(s, tau, config.sigma_min, config.sigma_max, rng)
@@ -209,157 +203,44 @@ def replace_es(
     return tuple(ordered[:mu])
 
 
-def _next_sub_pop_finite(
-    problem: Problem,
-    members: Sequence[Any],
-    proposal: FiniteProposal,
-    rng: np.random.Generator,
-) -> Any:
-    (parent,) = pick_parents(members, 1, rng)
-    return proposal.sample(parent, rng)
+def child_kernel(problem: Problem, config: ESConfig) -> Kernel:
+    """mu -> 1 finite-space child: the proposal draw of a uniformly picked
+    parent.  Its rows are the mean of the parents' proposal rows, which
+    list every state in the same order."""
+    proposal = proposal_kernel(problem.space.points, config.mutation)
+    mu = config.mu
+
+    def sample_fn(members, state, rng):
+        return proposal.sample((members[int(rng.integers(mu))],), state, rng)
+
+    def matrix_fn(space, state, idx):
+        _, mass = proposal.rows(space, state, space.digits(idx, mu).ravel())
+        return dense_rows(mass.reshape(idx.size, mu, -1).mean(axis=1))
+
+    return Kernel(mu, 1, sample_fn, matrix_fn, name="es-child")
 
 
 def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
-    """Per-generation kernel: variate then replace, then advance the clock."""
-    finite = isinstance(problem.space, FiniteSet)
-    if finite:
+    """Per-generation kernel: variate then replace.
+
+    On a finite space it is the composition of the plus/comma survivor
+    selection with the join of the carried parents and lambda children,
+    and carries the exact matrix.  Sampling leaves the schedule alone.
+    """
+    if isinstance(problem.space, FiniteSet):
         if config.rho != 1:
             raise ConfigError("finite-space strategies support rho = 1 only")
-        proposal = FiniteProposal(problem.space.points, config.mutation)
-
-        def sample_fn(members, state, rng):
-            children = tuple(
-                _next_sub_pop_finite(problem, members, proposal, rng)
-                for _ in range(config.lam)
-            )
-            out = replace_es(problem, members, children, config.mode)
-            state.tick()
-            return out
-
-    else:
-
-        def sample_fn(members, state, rng):
-            children = variate_es(problem, members, config, state, rng)
-            out = replace_es(problem, members, children, config.mode)
-            state.tick()
-            return out
-
-    return Kernel(config.mu, config.mu, sample_fn, name=f"es-next-pop-{config.mode}")
-
-
-def _finite_mixture_rows(problem: Problem, config: ESConfig, space) -> np.ndarray:
-    """Per-population-state child distribution: uniform parent pick, then
-    the proposal row of that parent."""
-    proposal = FiniteProposal(problem.space.points, config.mutation)
-    rows = np.stack([proposal.row(x) for x in space.points])
-    out = np.zeros((space.n_tuples(config.mu), len(space)))
-    for r, pop in enumerate(space.tuples(config.mu)):
-        out[r] = np.mean([rows[space.index(p)] for p in pop], axis=0)
-    return out
-
-
-def es_next_sub_pop_kernel(problem: Problem, config: ESConfig) -> Kernel:
-    """Single-child kernel of a finite-space strategy, with exact rows."""
-    if not isinstance(problem.space, FiniteSet):
-        raise ConfigError("the exact child kernel requires a finite space")
-    if config.rho != 1:
-        raise ConfigError("finite-space strategies support rho = 1 only")
-    proposal = FiniteProposal(problem.space.points, config.mutation)
+        mu = config.mu
+        carried = [projection(mu, [i]) for i in range(mu)] if config.mode == "plus" else []
+        pool = len(carried) + config.lam
+        survivors = compose(projection(pool, range(mu)), sort_kernel(problem, pool))
+        return compose(survivors, join(carried + [child_kernel(problem, config)] * config.lam))
 
     def sample_fn(members, state, rng):
-        return (_next_sub_pop_finite(problem, members, proposal, rng),)
-
-    def matrix_fn(space, state):
-        if space.points != problem.space.points:
-            raise UsageError("kernel and enumeration must share the same point order")
-        return _finite_mixture_rows(problem, config, space)
-
-    return Kernel(config.mu, 1, sample_fn, matrix_fn, name="es-next-sub-pop")
-
-
-def es_variate_kernel(problem: Problem, config: ESConfig, cap: int = 4096) -> Kernel:
-    """lambda-children variation kernel of a finite-space strategy.
-
-    The exact matrix is the lambda-fold product of the per-child mixture
-    row (children are i.i.d. given the parents).
-    """
-    if not isinstance(problem.space, FiniteSet):
-        raise ConfigError("the exact variation kernel requires a finite space")
-    if config.rho != 1:
-        raise ConfigError("finite-space strategies support rho = 1 only")
-    proposal = FiniteProposal(problem.space.points, config.mutation)
-    lam = config.lam
-
-    def sample_fn(members, state, rng):
-        return tuple(
-            _next_sub_pop_finite(problem, members, proposal, rng) for _ in range(lam)
-        )
-
-    def matrix_fn(space, state):
-        if space.points != problem.space.points:
-            raise UsageError("kernel and enumeration must share the same point order")
-        if len(space) ** lam > cap:
-            raise UsageError(
-                f"{len(space)}^{lam} child tuples exceed the exact-enumeration "
-                f"cap {cap}; use a smaller instance"
-            )
-        mixtures = _finite_mixture_rows(problem, config, space)
-        rows = []
-        for r in range(space.n_tuples(config.mu)):
-            row = mixtures[r]
-            for _ in range(lam - 1):
-                row = np.kron(row, mixtures[r])
-            rows.append(row)
-        return np.vstack(rows)
-
-    return Kernel(config.mu, lam, sample_fn, matrix_fn, name="es-variate")
-
-
-def es_chain_kernel(problem: Problem, config: ESConfig, cap: int = 4096) -> Kernel:
-    """Exact one-step kernel of a finite-space strategy.
-
-    Children are i.i.d. draws from the parent-mixture proposal, and
-    replacement is deterministic, so the matrix row of a population state
-    enumerates all |space|^lambda child tuples with product probabilities.
-    Sampling does not advance the schedule.
-    """
-    if not isinstance(problem.space, FiniteSet):
-        raise ConfigError("exact chain extraction requires a finite space")
-    if config.rho != 1:
-        raise ConfigError("finite-space strategies support rho = 1 only")
-    proposal = FiniteProposal(problem.space.points, config.mutation)
-    mu, lam = config.mu, config.lam
-
-    def sample_fn(members, state, rng):
-        children = tuple(
-            _next_sub_pop_finite(problem, members, proposal, rng) for _ in range(lam)
-        )
+        children = variate_es(problem, members, config, state, rng)
         return replace_es(problem, members, children, config.mode)
 
-    def matrix_fn(space, state):
-        if space.points != problem.space.points:
-            raise UsageError("kernel and enumeration must share the same point order")
-        n = len(space)
-        if n**lam > cap:
-            raise UsageError(
-                f"{n}^{lam} child tuples exceed the exact-enumeration cap {cap}; "
-                "use a smaller instance"
-            )
-        m = np.zeros((space.n_tuples(mu), space.n_tuples(mu)))
-        child_tuples = list(itertools.product(range(n), repeat=lam))
-        mixtures = _finite_mixture_rows(problem, config, space)
-        for r, pop in enumerate(space.tuples(mu)):
-            mix = mixtures[r]
-            for combo in child_tuples:
-                p = 1.0
-                for c in combo:
-                    p *= mix[c]
-                children = tuple(space.points[c] for c in combo)
-                survivors = replace_es(problem, pop, children, config.mode)
-                m[r, space.tuple_index(survivors)] += p
-        return m
-
-    return Kernel(mu, mu, sample_fn, matrix_fn, name=f"es-chain-{config.mode}")
+    return Kernel(config.mu, config.mu, sample_fn, name=f"es-next-pop-{config.mode}")
 
 
 def init_es_population(
@@ -389,11 +270,6 @@ def mean_sigma(pop: Population) -> float:
 def make_es(problem: Problem, config: ESConfig) -> Algorithm:
     """Assemble the evolution strategy for ``run_algorithm``."""
     finite = isinstance(problem.space, FiniteSet)
-
-    chain = None
-    if finite and config.rho == 1:
-        chain = es_chain_kernel(problem, config)
-
     return Algorithm(
         name=f"es-{config.mode}",
         problem=problem,
@@ -403,5 +279,4 @@ def make_es(problem: Problem, config: ESConfig) -> Algorithm:
         schedule_factory=ScheduleState,
         fitness_of=None if finite else (lambda m: m.f),
         param_fn=None if finite else (lambda pop, state: mean_sigma(pop)),
-        chain_kernel=chain,
     )

@@ -7,12 +7,15 @@ below (sequential composition, independent join, coordinate projection,
 fitness sorting) propagate both the sampler and the matrix.
 
 Matrix convention: distributions are row vectors, so applying kernel K1
-and then K2 multiplies as ``M1 @ M2``.
+and then K2 multiplies as ``M1 @ M2``.  Inside the combinators a matrix
+travels as fixed-width sparse rows, and a deterministic kernel as a map
+between tuple indices; ``exact_matrix`` builds the dense matrix once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -24,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core import Problem
 
 ROW_SUM_TOL = 1e-12
+JOIN_WIDTH_CAP = 4096  # joint outcomes per input tuple that ``join`` enumerates
+BLOCK_ENTRIES = 1 << 14  # dense matrix entries ``exact_matrix`` fills per block
 
 
 class ScheduleState:
@@ -73,6 +78,7 @@ class FiniteSpace:
         if len(self._index) != len(pts):
             raise UsageError("finite-space points must be distinct")
         self._tuples: dict[int, tuple] = {}
+        self._fitness: dict["Problem", np.ndarray] = {}
 
     @classmethod
     def from_problem(cls, problem: "Problem") -> "FiniteSpace":
@@ -107,22 +113,51 @@ class FiniteSpace:
             idx = idx * len(self.points) + self.index(m)
         return idx
 
+    def digits(self, idx: np.ndarray, arity: int) -> np.ndarray:
+        """Point indices of the tuple indices ``idx``, along a new last axis."""
+        powers = len(self.points) ** np.arange(arity - 1, -1, -1)
+        return np.asarray(idx)[..., None] // powers % len(self.points)
+
+    def encode(self, digits: np.ndarray) -> np.ndarray:
+        """Tuple indices of point-index arrays; the inverse of ``digits``."""
+        powers = len(self.points) ** np.arange(digits.shape[-1] - 1, -1, -1)
+        return (digits * powers).sum(axis=-1)
+
+    def fitness(self, problem: "Problem") -> np.ndarray:
+        """Objective value of every point, in enumeration order."""
+        if problem not in self._fitness:
+            self._fitness[problem] = np.array([problem.evaluate(p) for p in self.points])
+        return self._fitness[problem]
+
+
+Rows = tuple  # (cols, mass): two (k, w) arrays, output tuple indices and masses
+
+
+def dense_rows(mass: np.ndarray) -> Rows:
+    """Sparse rows that list every output state, one column per entry of ``mass``."""
+    return np.broadcast_to(np.arange(mass.shape[1]), mass.shape), mass
+
 
 @dataclass(frozen=True)
 class Kernel:
     """A time-indexed stochastic operation on tuples of points.
 
-    ``sample_fn(members, state, rng)`` draws one output tuple;
-    ``matrix_fn(space, state)``, when present, returns the exact
-    row-stochastic matrix over input/output tuple states of the given
-    finite base space.
+    ``sample_fn(members, state, rng)`` draws one output tuple.  On a finite
+    base space the exact matrix comes from one of two realizations:
+    ``matrix_fn(space, state, idx)`` returns the rows of the input tuple
+    states ``idx`` as sparse rows ``(cols, mass)``, two ``(len(idx), w)``
+    arrays of output tuple indices and their masses (a repeated column
+    adds up); a deterministic kernel gives ``index_fn(space, idx)``
+    instead, the output tuple index of every input tuple index in the
+    integer array ``idx``, which may have any shape.
     """
 
     arity_in: int
     arity_out: int
     sample_fn: Callable[[tuple, ScheduleState, np.random.Generator], tuple]
-    matrix_fn: Callable[[FiniteSpace, ScheduleState], np.ndarray] | None = None
+    matrix_fn: Callable[[FiniteSpace, ScheduleState, np.ndarray], Rows] | None = None
     name: str = "kernel"
+    index_fn: Callable[[FiniteSpace, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.arity_in < 1 or self.arity_out < 1:
@@ -144,22 +179,44 @@ class Kernel:
 
     @property
     def has_matrix(self) -> bool:
-        return self.matrix_fn is not None
+        return self.matrix_fn is not None or self.index_fn is not None
+
+    def rows(self, space: FiniteSpace, state: ScheduleState, idx: np.ndarray) -> Rows:
+        """Sparse rows ``(cols, mass)`` of the input tuple states ``idx``."""
+        if self.index_fn is not None:
+            cols = self.index_fn(space, idx)[:, None]
+            return cols, np.ones(cols.shape)
+        if self.matrix_fn is None:
+            raise UsageError(f"{self.name} has no exact matrix realization")
+        return self.matrix_fn(space, state, idx)
 
     def exact_matrix(
         self, space: FiniteSpace, state: ScheduleState | None = None
     ) -> np.ndarray:
-        if self.matrix_fn is None:
-            raise UsageError(f"{self.name} has no exact matrix realization")
+        """The dense row-stochastic matrix, filled in blocks of input rows."""
         if state is None:
             state = ScheduleState()
-        m = np.asarray(self.matrix_fn(space, state), dtype=float)
-        expected = (space.n_tuples(self.arity_in), space.n_tuples(self.arity_out))
-        if m.shape != expected:
-            raise UsageError(
-                f"{self.name}: matrix shape {m.shape} does not match tuple "
-                f"spaces {expected}"
-            )
+        n_in = space.n_tuples(self.arity_in)
+        n_out = space.n_tuples(self.arity_out)
+        m = np.empty((n_in, n_out))
+        step = max(1, BLOCK_ENTRIES // n_out)
+        for start in range(0, n_in, step):
+            idx = np.arange(start, min(start + step, n_in))
+            cols, mass = self.rows(space, state, idx)
+            if (
+                cols.shape != mass.shape
+                or cols.shape[0] != idx.size
+                or cols.size == 0
+                or cols.min() < 0
+                or cols.max() >= n_out
+            ):
+                raise UsageError(
+                    f"{self.name}: rows of shape {cols.shape} do not map tuple "
+                    f"spaces {(n_in, n_out)}"
+                )
+            flat = (cols + n_out * np.arange(idx.size)[:, None]).ravel()
+            block = np.bincount(flat, weights=mass.ravel(), minlength=idx.size * n_out)
+            m[start : start + idx.size] = block.reshape(idx.size, n_out)
         check_row_stochastic(m, name=self.name)
         return m
 
@@ -184,7 +241,9 @@ def check_row_stochastic(m: np.ndarray, tol: float = ROW_SUM_TOL, name: str = "m
 def compose(k2: Kernel, k1: Kernel) -> Kernel:
     """Sequential composition: apply ``k1`` first, then ``k2``.
 
-    The exact matrix, when both factors have one, is ``M1 @ M2``.
+    The exact matrix, when both factors have one, is ``M1 @ M2``: a
+    deterministic ``k2`` remaps the columns of ``k1``'s rows, otherwise
+    each entry of a ``k1`` row fans out into the ``k2`` row it lands on.
     """
     if k1.arity_out != k2.arity_in:
         raise ConfigError(
@@ -195,11 +254,27 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
     def sample_fn(members, state, rng):
         return k2.sample(k1.sample(members, state, rng), state, rng)
 
-    matrix_fn = None
-    if k1.has_matrix and k2.has_matrix:
+    matrix_fn = index_fn = None
+    if k1.index_fn is not None and k2.index_fn is not None:
 
-        def matrix_fn(space, state):
-            return k1.exact_matrix(space, state) @ k2.exact_matrix(space, state)
+        def index_fn(space, idx):
+            return k2.index_fn(space, k1.index_fn(space, idx))
+
+    elif k2.index_fn is not None and k1.has_matrix:
+
+        def matrix_fn(space, state, idx):
+            cols, mass = k1.rows(space, state, idx)
+            return k2.index_fn(space, cols), mass
+
+    elif k1.has_matrix and k2.has_matrix:
+
+        def matrix_fn(space, state, idx):
+            cols1, mass1 = k1.rows(space, state, idx)
+            cols2, mass2 = k2.rows(space, state, cols1.ravel())
+            return (
+                cols2.reshape(idx.size, -1),
+                (mass1.reshape(-1, 1) * mass2).reshape(idx.size, -1),
+            )
 
     return Kernel(
         arity_in=k1.arity_in,
@@ -207,6 +282,7 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
         sample_fn=sample_fn,
         matrix_fn=matrix_fn,
         name=f"({k2.name} . {k1.name})",
+        index_fn=index_fn,
     )
 
 
@@ -215,7 +291,7 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
 
     Every component reads the same input tuple and contributes one output
     coordinate; the joint matrix row is the Kronecker product of the
-    component rows.
+    component rows, so its width is the product of theirs.
     """
     kernels = list(kernels)
     if not kernels:
@@ -235,15 +311,19 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     matrix_fn = None
     if all(k.has_matrix for k in kernels):
 
-        def matrix_fn(space, state):
-            parts = [k.exact_matrix(space, state) for k in kernels]
-            rows = []
-            for r in range(space.n_tuples(arity_in)):
-                row = parts[0][r]
-                for p in parts[1:]:
-                    row = np.kron(row, p[r])
-                rows.append(row)
-            return np.vstack(rows)
+        def matrix_fn(space, state, idx):
+            parts = [k.rows(space, state, idx) for k in kernels]
+            width = math.prod(cols.shape[1] for cols, _ in parts)
+            if width > JOIN_WIDTH_CAP:
+                raise UsageError(
+                    f"{width} joint outcomes per input tuple exceed the "
+                    f"exact-enumeration cap {JOIN_WIDTH_CAP}; use a smaller instance"
+                )
+            cols, mass = parts[0]
+            for c, p in parts[1:]:
+                cols = (cols[:, :, None] * len(space) + c[:, None, :]).reshape(idx.size, -1)
+                mass = (mass[:, :, None] * p[:, None, :]).reshape(idx.size, -1)
+            return cols, mass
 
     return Kernel(
         arity_in=arity_in,
@@ -252,15 +332,6 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
         matrix_fn=matrix_fn,
         name="join(" + ", ".join(k.name for k in kernels) + ")",
     )
-
-
-def _deterministic_matrix(space, arity_in, arity_out, transform):
-    n_in = space.n_tuples(arity_in)
-    n_out = space.n_tuples(arity_out)
-    m = np.zeros((n_in, n_out))
-    for r, members in enumerate(space.tuples(arity_in)):
-        m[r, space.tuple_index(transform(members))] = 1.0
-    return m
 
 
 def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
@@ -272,17 +343,15 @@ def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
         if i < 0 or i >= arity_in:
             raise ConfigError(f"projection index {i} out of range for arity {arity_in}")
 
-    def transform(members):
-        return tuple(members[i] for i in indices)
+    def index_fn(space, idx):
+        return space.encode(space.digits(idx, arity_in)[..., list(indices)])
 
     return Kernel(
         arity_in=arity_in,
         arity_out=len(indices),
-        sample_fn=lambda members, state, rng: transform(members),
-        matrix_fn=lambda space, state: _deterministic_matrix(
-            space, arity_in, len(indices), transform
-        ),
+        sample_fn=lambda members, state, rng: tuple(members[i] for i in indices),
         name=f"proj{list(indices)}",
+        index_fn=index_fn,
     )
 
 
@@ -298,18 +367,22 @@ def sort_kernel(problem: "Problem", arity: int) -> Kernel:
     """
     if arity < 1:
         raise ConfigError("sort arity must be >= 1")
+    sign = 1.0 if problem.relation.value == "minimize" else -1.0
 
-    def transform(members):
-        if problem.relation.value == "minimize":
-            return tuple(sorted(members, key=problem.evaluate))
-        return tuple(sorted(members, key=lambda m: -problem.evaluate(m)))
+    def sample_fn(members, state, rng):
+        return tuple(sorted(members, key=lambda m: sign * problem.evaluate(m)))
+
+    def index_fn(space, idx):
+        digits = space.digits(idx, arity)
+        order = np.argsort(sign * space.fitness(problem)[digits], axis=-1, kind="stable")
+        return space.encode(np.take_along_axis(digits, order, axis=-1))
 
     return Kernel(
         arity_in=arity,
         arity_out=arity,
-        sample_fn=lambda members, state, rng: transform(members),
-        matrix_fn=lambda space, state: _deterministic_matrix(space, arity, arity, transform),
+        sample_fn=sample_fn,
         name=f"sort{arity}",
+        index_fn=index_fn,
     )
 
 

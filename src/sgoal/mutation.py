@@ -13,83 +13,62 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ConfigError, UsageError
+from .kernels import Kernel, dense_rows
 
 
-class FiniteProposal:
-    """Proposal over an enumerated point set.
+def _validate(rows: np.ndarray) -> None:
+    if np.any(rows <= 0):
+        raise ConfigError(
+            "finite-space mutation needs strictly positive mass on every state"
+        )
+    if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
+        raise ConfigError("mutation rows must sum to 1")
+
+
+def proposal_kernel(points: Sequence[Any], spec=None) -> Kernel:
+    """The 1 -> 1 proposal kernel over an enumerated point set.
 
     ``spec`` is None for the uniform distribution, a probability vector
     for a state-independent proposal, or a row-stochastic square matrix
-    of per-state proposals.  All mass must be strictly positive.
+    of per-state proposals.  All mass must be strictly positive, so every
+    row lists all states: its columns are ``0..n-1`` in order.
     """
-
-    def __init__(self, points: Sequence[Any], spec=None) -> None:
-        self.points = tuple(points)
-        n = len(self.points)
-        if n == 0:
-            raise UsageError("proposal needs a nonempty point set")
-        self._index: dict | None = None
-        if spec is None:
-            self.kind = "uniform"
-            self.vector = None
-            self.matrix = None
-            return
+    points = tuple(points)
+    n = len(points)
+    if n == 0:
+        raise UsageError("proposal needs a nonempty point set")
+    vector = matrix = None
+    if spec is not None:
         arr = np.asarray(spec, dtype=float)
         if arr.ndim == 1:
             if arr.size != n:
                 raise ConfigError("mutation vector length must match the space size")
-            self._validate(arr[None, :])
-            self.kind = "vector"
-            self.vector = arr / arr.sum()
-            self.matrix = None
+            _validate(arr[None, :])
+            vector = arr / arr.sum()
         elif arr.ndim == 2:
             if arr.shape != (n, n):
                 raise ConfigError("mutation matrix must be square over the space")
-            self._validate(arr)
-            self.kind = "matrix"
-            self.vector = None
-            self.matrix = arr / arr.sum(axis=1, keepdims=True)
+            _validate(arr)
+            matrix = arr / arr.sum(axis=1, keepdims=True)
+            index = {p: i for i, p in enumerate(points)}
         else:
             raise ConfigError("mutation must be a probability vector or matrix")
 
-    @staticmethod
-    def _validate(rows: np.ndarray) -> None:
-        if np.any(rows <= 0):
-            raise ConfigError(
-                "finite-space mutation needs strictly positive mass on every state"
-            )
-        if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise ConfigError("mutation rows must sum to 1")
+    def sample_fn(members, state, rng):
+        (x,) = members
+        if vector is not None:
+            return (points[int(rng.choice(n, p=vector))],)
+        if matrix is not None:
+            return (points[int(rng.choice(n, p=matrix[index[x]]))],)
+        return (points[int(rng.integers(n))],)
 
-    def index(self, x: Any) -> int:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
-        try:
-            return self._index[x]
-        except KeyError as exc:
-            raise UsageError(f"point {x!r} not in the finite space") from exc
+    def matrix_fn(space, state, idx):
+        if space.points != points:
+            raise UsageError("kernel and enumeration must share the same point order")
+        if vector is not None:
+            return dense_rows(np.broadcast_to(vector, (idx.size, n)))
+        if matrix is not None:
+            return dense_rows(matrix[idx])
+        return dense_rows(np.full((idx.size, n), 1.0 / n))
 
-    def sample(self, x: Any, rng: np.random.Generator) -> Any:
-        n = len(self.points)
-        if self.kind == "uniform":
-            return self.points[int(rng.integers(n))]
-        if self.kind == "vector":
-            return self.points[int(rng.choice(n, p=self.vector))]
-        return self.points[int(rng.choice(n, p=self.matrix[self.index(x)]))]
-
-    def row(self, x: Any) -> np.ndarray:
-        """Exact proposal distribution from state ``x`` (length |space|)."""
-        n = len(self.points)
-        if self.kind == "uniform":
-            return np.full(n, 1.0 / n)
-        if self.kind == "vector":
-            return self.vector
-        return self.matrix[self.index(x)]
-
-    @property
-    def min_mass(self) -> float:
-        if self.kind == "uniform":
-            return 1.0 / len(self.points)
-        if self.kind == "vector":
-            return float(self.vector.min())
-        return float(self.matrix.min())
+    return Kernel(1, 1, sample_fn, matrix_fn, name="proposal")

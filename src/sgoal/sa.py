@@ -1,12 +1,15 @@
 """Simulated annealing as a variation + replacement kernel with cooling.
 
-The run-time algorithm follows the classic Metropolis loop; in elitist
-mode the population carries the best point found so far next to the
-Metropolis walker, so the reported closeness never worsens.  For exact
-verification on finite spaces, ``sa_chain_kernel`` realizes the one-step
-kernel as a matrix: the elitist variant keeps the better of the
-candidate/incumbent pair (sort the pair, project the head), which is the
-replacement whose eps-neighborhoods are absorbing.
+The run-time algorithm follows the classic Metropolis loop: a proposal
+kernel draws a candidate, and a 2 -> 1 Metropolis kernel keeps candidate
+or incumbent at the schedule's temperature, so the non-elitist loop is
+``compose(metropolis, join([proposal, identity(1)]))``, the same kernel
+that is verified on finite spaces.  In elitist mode the population
+carries the best point found so far next to the Metropolis walker, so the
+reported closeness never worsens; its verified chain is the arity-1
+greedy chain ``compose(proj[0] . sort2, join([proposal, identity(1)]))``,
+which keeps the better of candidate and incumbent and whose
+eps-neighborhoods are absorbing.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from typing import Any
 
 import numpy as np
 
-from .core import Algorithm, ContinuousBox, FiniteSet, Population, Problem
-from .errors import ConfigError, UsageError
-from .kernels import Kernel, ScheduleState
-from .mutation import FiniteProposal
+from .core import Algorithm, FiniteSet, Population, Problem
+from .errors import ConfigError
+from .kernels import Kernel, ScheduleState, compose, identity, join, projection, sort_kernel
+from .mutation import proposal_kernel
 
 
 @dataclass(frozen=True)
@@ -105,20 +108,18 @@ class SAConfig:
             raise ConfigError("neighborhood sigma must be positive")
 
 
-def finite_proposal(problem: Problem, config: SAConfig) -> FiniteProposal:
-    if not isinstance(problem.space, FiniteSet):
-        raise UsageError("finite proposal requires a finite space")
-    return FiniteProposal(problem.space.points, config.mutation)
-
-
-def variate_sa(problem: Problem, x: Any, config: SAConfig, rng: np.random.Generator) -> Any:
-    """Propose a neighbor: Gaussian step reflected into the box, or a draw
-    from the finite-space mutation distribution."""
+def sa_proposal(problem: Problem, config: SAConfig) -> Kernel:
+    """The 1 -> 1 proposal: the finite-space proposal kernel, or on a box
+    an isotropic Gaussian step reflected into the box (no matrix)."""
     space = problem.space
-    if isinstance(space, ContinuousBox):
-        step = config.sigma * rng.standard_normal(space.dim)
-        return space.reflect(np.asarray(x, dtype=float) + step)
-    return finite_proposal(problem, config).sample(x, rng)
+    if isinstance(space, FiniteSet):
+        return proposal_kernel(space.points, config.mutation)
+
+    def step(members, state, rng):
+        x = np.asarray(members[0], dtype=float)
+        return (space.reflect(x + config.sigma * rng.standard_normal(space.dim)),)
+
+    return Kernel(1, 1, step, name="gaussian-step")
 
 
 def metropolis_accept(
@@ -142,16 +143,19 @@ def metropolis_accept(
 
 
 def acceptance_probability(
-    problem: Problem, f_candidate: float, f_incumbent: float, temperature: float
-) -> float:
-    """Exact acceptance probability of ``metropolis_accept``."""
-    if problem.better(f_candidate, f_incumbent):
-        return 1.0
-    if f_candidate == f_incumbent:
-        return 1.0 if temperature > 0.0 else 0.0
+    problem: Problem, f_candidate, f_incumbent, temperature: float
+) -> np.ndarray:
+    """Exact acceptance probability of ``metropolis_accept``, elementwise
+    over arrays of candidate and incumbent fitness values."""
+    f_cand = np.asarray(f_candidate, dtype=float)
+    f_inc = np.asarray(f_incumbent, dtype=float)
     if temperature <= 0.0:
-        return 0.0
-    return math.exp(-abs(f_candidate - f_incumbent) / temperature)
+        return np.where(problem.better(f_cand, f_inc), 1.0, 0.0)
+    # math.exp as in metropolis_accept: np.exp differs from it in the last
+    # bit on some inputs.  It runs once per distinct fitness difference.
+    x, inverse = np.unique(-np.abs(f_cand - f_inc) / temperature, return_inverse=True)
+    worse = np.array([math.exp(v) for v in x])[inverse].reshape(f_cand.shape)
+    return np.where(problem.better_eq(f_cand, f_inc), 1.0, worse)
 
 
 def replace_sa(
@@ -181,16 +185,23 @@ def replace_sa(
     return chosen, next_best
 
 
-def _proposer(problem: Problem, config: SAConfig):
-    space = problem.space
-    if isinstance(space, ContinuousBox):
+def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
+    """2 -> 1 replacement: (candidate, incumbent) -> the Metropolis survivor
+    at the schedule's current temperature."""
 
-        def propose(x, rng):
-            return space.reflect(np.asarray(x, dtype=float) + config.sigma * rng.standard_normal(space.dim))
+    def temperature(state):
+        return state.params.get("T", config.schedule.t0)
 
-        return propose
-    proposal = FiniteProposal(space.points, config.mutation)
-    return proposal.sample
+    def sample_fn(members, state, rng):
+        return (replace_sa(problem, *members, temperature(state), rng),)
+
+    def matrix_fn(space, state, idx):
+        pairs = space.digits(idx, 2)
+        f = space.fitness(problem)[pairs]
+        accept = acceptance_probability(problem, f[:, 0], f[:, 1], temperature(state))
+        return pairs, np.stack([accept, 1.0 - accept], axis=1)
+
+    return Kernel(2, 1, sample_fn, matrix_fn, name="metropolis")
 
 
 def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
@@ -199,98 +210,21 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     Non-elitist: a single Metropolis walker (arity 1).  Elitist: the
     walker plus the best-so-far point (arity 2), so closeness is read
     from the best member.  Sampling reads T from the schedule state and
-    then advances it (cooling and t+1).
+    leaves the schedule alone; the run loop advances it.
     """
-    propose = _proposer(problem, config)
-
-    if config.elitist:
-
-        def sample_fn(members, state, rng):
-            current, best_pt = members
-            candidate = propose(current, rng)
-            nxt, nxt_best = replace_sa(
-                problem, candidate, current, state.params["T"], rng,
-                elitist=True, best=best_pt,
-            )
-            state.tick()
-            return (nxt, nxt_best)
-
-        return Kernel(2, 2, sample_fn, name="sa-next-pop-elitist")
+    proposal = sa_proposal(problem, config)
+    if not config.elitist:
+        return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
 
     def sample_fn(members, state, rng):
-        (current,) = members
-        candidate = propose(current, rng)
-        nxt = replace_sa(problem, candidate, current, state.params["T"], rng)
-        state.tick()
-        return (nxt,)
+        current, best_pt = members
+        candidate = proposal.sample_fn((current,), state, rng)[0]
+        return replace_sa(
+            problem, candidate, current, state.params["T"], rng,
+            elitist=True, best=best_pt,
+        )
 
-    return Kernel(1, 1, sample_fn, name="sa-next-pop")
-
-
-def sa_variate_kernel(problem: Problem, config: SAConfig) -> Kernel:
-    """Variation-only kernel on a finite space, with exact proposal rows."""
-    if not isinstance(problem.space, FiniteSet):
-        raise ConfigError("the exact variation kernel requires a finite space")
-    proposal = FiniteProposal(problem.space.points, config.mutation)
-
-    def sample_fn(members, state, rng):
-        (x,) = members
-        return (proposal.sample(x, rng),)
-
-    def matrix_fn(space, state):
-        if space.points != problem.space.points:
-            raise UsageError("kernel and enumeration must share the same point order")
-        return np.stack([proposal.row(x) for x in space.points])
-
-    return Kernel(1, 1, sample_fn, matrix_fn, name="sa-variate")
-
-
-def sa_chain_kernel(problem: Problem, config: SAConfig) -> Kernel:
-    """One-step kernel of the annealing chain on a finite space.
-
-    The elitist variant keeps the better of candidate and incumbent
-    (candidate wins ties, matching stable pair-sorting); the non-elitist
-    variant applies the Metropolis rule at the schedule's current
-    temperature.  The exact matrix enumerates every proposal outcome
-    directly, staying O(|space|^2).  Sampling does not advance the
-    schedule: this kernel is the step-t transition, not the loop.
-    """
-    if not isinstance(problem.space, FiniteSet):
-        raise ConfigError("exact chain extraction requires a finite space")
-    proposal = FiniteProposal(problem.space.points, config.mutation)
-
-    def sample_fn(members, state, rng):
-        (x,) = members
-        candidate = proposal.sample(x, rng)
-        if config.elitist:
-            keep = problem.better_eq(problem.evaluate(candidate), problem.evaluate(x))
-            return (candidate if keep else x,)
-        temperature = state.params.get("T", config.schedule.t0)
-        f_cand = problem.evaluate(candidate)
-        f_inc = problem.evaluate(x)
-        ok = metropolis_accept(problem, f_cand, f_inc, temperature, rng)
-        return (candidate if ok else x,)
-
-    def matrix_fn(space, state):
-        if space.points != problem.space.points:
-            raise UsageError("kernel and enumeration must share the same point order")
-        n = len(space)
-        m = np.zeros((n, n))
-        temperature = state.params.get("T", config.schedule.t0)
-        fitness = [problem.evaluate(x) for x in space.points]
-        for i, x in enumerate(space.points):
-            row = proposal.row(x)
-            for j in range(n):
-                if config.elitist:
-                    accept = 1.0 if problem.better_eq(fitness[j], fitness[i]) else 0.0
-                else:
-                    accept = acceptance_probability(problem, fitness[j], fitness[i], temperature)
-                m[i, j] += row[j] * accept
-                m[i, i] += row[j] * (1.0 - accept)
-        return m
-
-    name = "sa-chain-elitist" if config.elitist else "sa-chain"
-    return Kernel(1, 1, sample_fn, matrix_fn, name=name)
+    return Kernel(2, 2, sample_fn, name="sa-next-pop-elitist")
 
 
 def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
@@ -307,7 +241,10 @@ def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
         members = (x0, x0) if config.elitist else (x0,)
         return Population.evaluated(members, problem)
 
-    chain = sa_chain_kernel(problem, config) if isinstance(problem.space, FiniteSet) else None
+    chain = None
+    if config.elitist:
+        keep_better = compose(projection(2, [0]), sort_kernel(problem, 2))
+        chain = compose(keep_better, join([sa_proposal(problem, config), identity(1)]))
 
     return Algorithm(
         name="sa-elitist" if config.elitist else "sa",

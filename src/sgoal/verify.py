@@ -180,7 +180,7 @@ def extract_chain(
     (non-stationary algorithms yield distinct matrices), and marks the
     near-optimal states by their closeness classification.
     """
-    if algo.chain_kernel is None:
+    if not algo.chain_kernel.has_matrix:
         raise ConfigError(
             f"{algo.name} has no exact chain kernel (continuous space or "
             "unsupported configuration)"

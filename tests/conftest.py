@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sgoal.core import FiniteSet, Problem, Relation
-from sgoal.kernels import FiniteSpace, Kernel, ScheduleState
+from sgoal.es import replace_es
+from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, dense_rows
+from sgoal.sa import acceptance_probability
 
 
 @pytest.fixture
@@ -32,8 +34,8 @@ def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:
         row = matrix[space.index(x)]
         return (space.points[int(rng.choice(len(space), p=row))],)
 
-    def matrix_fn(sp, state):
-        return matrix
+    def matrix_fn(sp, state, idx):
+        return dense_rows(matrix[idx])
 
     return Kernel(1, 1, sample_fn, matrix_fn, name="matrix-kernel")
 
@@ -52,6 +54,60 @@ def transition_counts(kernel, space, start_members, n_samples, rng, state=None):
         out = kernel.sample(start_members, state, rng)
         counts[space.tuple_index(out)] += 1
     return counts
+
+
+def proposal_rows(n: int, mutation=None) -> np.ndarray:
+    """Oracle: the (n, n) proposal matrix of a mutation spec, built directly."""
+    if mutation is None:
+        return np.full((n, n), 1.0 / n)
+    arr = np.asarray(mutation, dtype=float)
+    if arr.ndim == 1:
+        return np.tile(arr / arr.sum(), (n, 1))
+    return arr / arr.sum(axis=1, keepdims=True)
+
+
+def brute_sa_matrix(problem, mutation, elitist: bool, temperature: float) -> np.ndarray:
+    """Oracle: enumerate every (state, proposal) pair of the arity-1 annealer.
+
+    Elitist keeps the candidate when it is at least as good; otherwise the
+    candidate passes with ``acceptance_probability``.  A rejection stays put.
+    """
+    points = problem.space.points
+    n = len(points)
+    rows = proposal_rows(n, mutation)
+    m = np.zeros((n, n))
+    for i, x in enumerate(points):
+        f_x = problem.evaluate(x)
+        for j, c in enumerate(points):
+            f_c = problem.evaluate(c)
+            if elitist:
+                accept = 1.0 if problem.better_eq(f_c, f_x) else 0.0
+            else:
+                accept = float(acceptance_probability(problem, f_c, f_x, temperature))
+            m[i, j] += rows[i, j] * accept
+            m[i, i] += rows[i, j] * (1.0 - accept)
+    return m
+
+
+def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.ndarray:
+    """Oracle: enumerate every child tuple of every population through ``replace_es``.
+
+    Each child is the proposal draw of a uniformly picked parent, so its
+    distribution is the mean of the parents' proposal rows.
+    """
+    space = FiniteSpace(problem.space.points)
+    n = len(space)
+    rows = proposal_rows(n, mutation)
+    m = np.zeros((n**mu, n**mu))
+    for r, pop in enumerate(space.tuples(mu)):
+        mix = np.mean([rows[space.index(p)] for p in pop], axis=0)
+        for combo in itertools.product(range(n), repeat=lam):
+            p = 1.0
+            for c in combo:
+                p *= mix[c]
+            children = tuple(space.points[c] for c in combo)
+            m[r, space.tuple_index(replace_es(problem, pop, children, mode))] += p
+    return m
 
 
 def brute_tournament_probs(fitness, relation: Relation, m: int) -> np.ndarray:

@@ -96,12 +96,11 @@ def test_criterion_2_lemma_bound_nonstationary_random_instances():
     report(2, f"100 random non-stationary chains, worst margin {worst_margin:.3e} ({elapsed:.2f}s)")
 
 
-def _conformance_case(algo, samples_total):
+def _conformance_case(algo, kernel, samples_total):
     chain = extract_chain(algo, eps=0.5, t_max=1)
     matrix = chain.matrices[0]
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= EXACT)
     space = FiniteSpace.from_problem(algo.problem)
-    kernel = algo.chain_kernel
     per_row = samples_total // len(chain.states)
     rng = np.random.default_rng(314159)
     schedule = algo.schedule_factory()
@@ -115,17 +114,29 @@ def _conformance_case(algo, samples_total):
 
 
 def test_criterion_3_algorithm_to_chain_conformance():
+    # The strategy and the non-elitist annealer run the very kernel that is
+    # verified, so their running next_pop is sampled.  The elitist annealer
+    # runs a (walker, best) pair; its verified chain is the arity-1 greedy
+    # chain.  The cooling schedule also checks that sampling never ticks it:
+    # the samples must fit the t = 0 matrix.
     bench = make_benchmark("onemax", 4)
     sa_algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
-    worst_sa = _conformance_case(sa_algo, 100_000)
+    worst_sa = _conformance_case(sa_algo, sa_algo.chain_kernel, 100_000)
+    hot_algo = make_sa(
+        bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.5), elitist=False)
+    )
+    assert hot_algo.chain_kernel is hot_algo.next_pop
+    worst_hot = _conformance_case(hot_algo, hot_algo.next_pop, 100_000)
     es_algo = make_es(
         bench.problem.copy(), ESConfig(mu=1, rho=1, lam=1, mode="plus")
     )
-    worst_es = _conformance_case(es_algo, 100_000)
+    assert es_algo.chain_kernel is es_algo.next_pop
+    worst_es = _conformance_case(es_algo, es_algo.next_pop, 100_000)
     report(
         3,
         "10^5 sampled transitions match exact rows per chi-square: "
-        f"worst p-values sa={worst_sa:.3f} es={worst_es:.3f}",
+        f"worst p-values sa={worst_sa:.3f} sa-metropolis={worst_hot:.3f} "
+        f"es={worst_es:.3f}",
     )
 
 

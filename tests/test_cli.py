@@ -94,16 +94,6 @@ class TestRunCommand:
             d = np.array([float(r.split(",")[1]) for r in rows])
             assert np.all(np.diff(d) <= 0.0)
 
-    def test_thread_cap_keeps_outputs_identical(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, SA_CFG)
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        monkeypatch.delenv("SGOAL_THREADS", raising=False)
-        main(["run", "--config", cfg, "--out", str(out1)])
-        monkeypatch.setenv("SGOAL_THREADS", "3")
-        main(["run", "--config", cfg, "--out", str(out2)])
-        for name in ("trace_11.csv", "summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, SA_CFG)
         out = tmp_path / "out"
@@ -114,6 +104,11 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, SA_CFG)
         assert main(["run", "--config", cfg, "bogus=1"]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_bad_eps_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SA_CFG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "eps=abc"]) == 2
+        assert "bad eps threshold" in capsys.readouterr().err
 
     def test_bad_algorithm_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SA_CFG)
@@ -161,6 +156,11 @@ class TestVerifyCommand:
         data = json.loads((out / "bound.json").read_text())
         assert len(data["per_t"]) == 1
         assert data["per_t"][0]["min_mass"] == pytest.approx(data["delta"], abs=1e-12)
+
+    def test_bad_eps_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, ES_CFG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "eps=abc"]) == 2
+        assert "bad eps threshold" in capsys.readouterr().err
 
     def test_state_cap_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, ES_CFG)

@@ -3,29 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from conftest import line_problem
+from conftest import brute_es_matrix, line_problem, proposal_rows, transition_counts
 
 from sgoal.bench import make_benchmark
-from sgoal.core import max_iters, run_algorithm
+from sgoal.core import ContinuousBox, Problem, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import (
     ESConfig,
     ESIndividual,
-    es_chain_kernel,
+    child_kernel,
     es_next_pop,
-    es_next_sub_pop_kernel,
-    es_variate_kernel,
     init_es_population,
     make_es,
     mutate_y,
     next_sub_pop,
-    pick_parents,
     recombine,
     replace_es,
     update_strategies,
     variate_es,
 )
 from sgoal.kernels import FiniteSpace, ScheduleState, compose, join, projection, sort_kernel
+from sgoal.sa import SAConfig, geometric, make_sa
+from sgoal.stats import chisquare_gof
 from sgoal.verify import check_premises, extract_chain
 
 
@@ -63,34 +62,46 @@ class TestTypes:
         assert config.tau_for(8) == pytest.approx(1.0 / math.sqrt(16.0))
 
 
+SKEWED3 = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+
+
 class TestPickParents:
-    def test_single_parent_identity(self, rng):
-        a = individual([1.0], [1.0])
-        assert pick_parents((a,), 1, rng) == (a,)
+    def test_single_parent_identity(self):
+        # mu = 1: the child row is the proposal row of the only parent
+        problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
+        config = ESConfig(mu=1, rho=1, lam=1, mutation=SKEWED3)
+        m = child_kernel(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        assert np.allclose(m, proposal_rows(3, SKEWED3), atol=1e-12)
 
     def test_uniform_frequencies(self):
-        rng = np.random.default_rng(31)
-        members = ("p0", "p1")
-        counts = {m: 0 for m in members}
-        n = 20_000
-        for _ in range(n):
-            (pick,) = pick_parents(members, 1, rng)
-            counts[pick] += 1
-        assert abs(counts["p0"] / n - 0.5) < 0.02
+        # the sampled parent pick must be uniform for the mean-row matrix to hold
+        problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
+        kernel = child_kernel(problem, ESConfig(mu=2, rho=1, lam=1, mutation=SKEWED3))
+        space = FiniteSpace(problem.space.points)
+        row = kernel.exact_matrix(space)[space.tuple_index((0, 2))]
+        assert np.allclose(row, [0.45, 0.1, 0.45], atol=1e-12)
+        counts = transition_counts(kernel, space, (0, 2), 20_000, np.random.default_rng(31))
+        assert chisquare_gof(counts, row, alpha=0.001).passed
 
     def test_ordered_pairs_quarter_each(self):
+        # rho = 2 draws with replacement: (a,a), (a,b), (b,a), (b,b) a quarter each,
+        # seen through intermediate recombination as a / midpoint / b
         rng = np.random.default_rng(32)
-        members = ("a", "b")
-        counts = np.zeros(4)
-        n = 40_000
+        box = ContinuousBox(np.array([-5.0]), np.array([5.0]))
+        problem = Problem(box, lambda v: 0.0)
+        config = ESConfig(mu=2, rho=2, lam=1, tau=0.0, recomb_y="intermediate",
+                          sigma_min=1e-9, sigma_max=1e-9)
+        parents = (individual([0.0], [1e-9]), individual([1.0], [1e-9]))
+        counts = np.zeros(3)
+        n = 20_000
         for _ in range(n):
-            x, y = pick_parents(members, 2, rng)
-            counts[2 * (x == "b") + (y == "b")] += 1
-        assert np.all(np.abs(counts / n - 0.25) < 0.02)
+            child = next_sub_pop(problem, parents, config, ScheduleState(), rng)
+            counts[int(round(child.y[0] * 2.0))] += 1
+        assert np.all(np.abs(counts / n - [0.25, 0.5, 0.25]) < 0.02)
 
-    def test_rho_cannot_exceed_population(self, rng):
+    def test_rho_cannot_exceed_population(self):
         with pytest.raises(ConfigError):
-            pick_parents(("only",), 2, rng)
+            ESConfig(mu=1, rho=2, lam=1)
 
 
 class TestRecombine:
@@ -288,13 +299,15 @@ class TestReplace:
 
 class TestFiniteKernels:
     def test_variate_matrix_equals_join_of_children(self):
+        # two i.i.d. children: each row is the Kronecker square of the mean parent row
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
-        config = ESConfig(mu=2, rho=1, lam=2)
+        config = ESConfig(mu=2, rho=1, lam=2, mutation=SKEWED3)
         space = FiniteSpace(problem.space.points)
-        direct = es_variate_kernel(problem, config).exact_matrix(space)
-        joined = join(
-            [es_next_sub_pop_kernel(problem, config) for _ in range(2)]
-        ).exact_matrix(space)
+        rows = proposal_rows(3, SKEWED3)
+        direct = np.stack([
+            np.kron(mix, mix) for mix in (rows[list(pop)].mean(axis=0) for pop in space.tuples(2))
+        ])
+        joined = join([child_kernel(problem, config)] * 2).exact_matrix(space)
         assert np.allclose(direct, joined, atol=1e-12)
 
     def test_chain_equals_full_algebra_composition(self):
@@ -302,36 +315,41 @@ class TestFiniteKernels:
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         config = ESConfig(mu=1, rho=1, lam=1, mode="plus")
         space = FiniteSpace(problem.space.points)
-        direct = es_chain_kernel(problem, config).exact_matrix(space)
-        carry = projection(1, [0])
-        child = es_next_sub_pop_kernel(problem, config)
+        direct = brute_es_matrix(problem, 1, 1, "plus")
         algebra = compose(
             compose(projection(2, [0]), sort_kernel(problem, 2)),
-            join([carry, child]),
+            join([projection(1, [0]), child_kernel(problem, config)]),
         ).exact_matrix(space)
         assert np.allclose(direct, algebra, atol=1e-12)
+        algo = make_es(problem, config)
+        assert algo.chain_kernel is algo.next_pop
+        assert np.array_equal(algo.next_pop.exact_matrix(space), algebra)
 
     def test_chain_mu2_lambda2_composition(self):
         problem = line_problem([1.0, 0.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=2, mode="plus")
         space = FiniteSpace(problem.space.points)
-        direct = es_chain_kernel(problem, config).exact_matrix(space)
-        parts = [projection(2, [0]), projection(2, [1])] + [
-            es_next_sub_pop_kernel(problem, config) for _ in range(2)
-        ]
+        direct = brute_es_matrix(problem, 2, 2, "plus")
+        parts = [projection(2, [0]), projection(2, [1])] + [child_kernel(problem, config)] * 2
         algebra = compose(
             compose(projection(4, [0, 1]), sort_kernel(problem, 4)),
             join(parts),
         ).exact_matrix(space)
         assert np.allclose(direct, algebra, atol=1e-12)
+        assert np.array_equal(es_next_pop(problem, config).exact_matrix(space), algebra)
 
     def test_child_distribution_has_uniform_floor(self):
         problem = line_problem([3.0, 1.0, 2.0, 0.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=1)
-        m = es_next_sub_pop_kernel(problem, config).exact_matrix(
-            FiniteSpace(problem.space.points)
-        )
+        m = child_kernel(problem, config).exact_matrix(FiniteSpace(problem.space.points))
         assert np.all(m >= 0.25 - 1e-12)  # uniform mutation over 4 states
+
+    def test_child_tuple_cap(self):
+        # 32^3 child tuples per population exceed the enumeration cap
+        bench = make_benchmark("onemax", 5)
+        algo = make_es(bench.problem.copy(), ESConfig(mu=1, rho=1, lam=3, mode="plus"))
+        with pytest.raises(UsageError, match="exact-enumeration cap"):
+            extract_chain(algo, eps=0.5)
 
     def test_finite_requires_rho_one(self):
         problem = line_problem([1.0, 2.0])
@@ -384,10 +402,19 @@ class TestRuns:
                 assert np.all(m.s >= 1e-3) and np.all(m.s <= 2.0)
 
     def test_schedule_clock_advances_once_per_generation(self):
-        bench = make_benchmark("sphere", 2)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=2, rho=1, lam=3))
-        state = algo.schedule_factory()
+        # sampling a kernel is the step-t transition only; the run loop ticks
         rng = np.random.default_rng(45)
-        members = algo.init(rng).members
-        algo.next_pop.sample(members, state, rng)
-        assert state.t == 1
+        bench = make_benchmark("sphere", 2)
+        es = make_es(bench.problem.copy(), ESConfig(mu=2, rho=1, lam=3))
+        sa = [
+            make_sa(make_benchmark("onemax", 3).problem.copy(),
+                    SAConfig(schedule=geometric(4.0, 0.5), elitist=elitist))
+            for elitist in (True, False)
+        ]
+        for algo in [es] + sa:
+            state = algo.schedule_factory()
+            algo.next_pop.sample(algo.init(rng).members, state, rng)
+            assert state.t == 0
+        for algo in sa:
+            trace = run_algorithm(algo, max_iters(6), seed=0).trace
+            assert np.array_equal(trace.param, [4.0 * 0.5**t for t in range(7)])

@@ -10,6 +10,7 @@ from sgoal.kernels import (
     Kernel,
     ScheduleState,
     compose,
+    dense_rows,
     identity,
     iterate_nonstationary,
     iterated_products,
@@ -281,7 +282,7 @@ class TestKernelValidation:
         k = Kernel(
             1, 1,
             lambda members, state, rng: members,
-            lambda space, state: np.array([[0.5, 0.4], [0.0, 1.0]]),
+            lambda space, state, idx: dense_rows(np.array([[0.5, 0.4], [0.0, 1.0]])[idx]),
         )
         with pytest.raises(UsageError):
             k.exact_matrix(space2)

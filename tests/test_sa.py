@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import line_problem
+from conftest import brute_sa_matrix, line_problem
 
 from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
@@ -20,11 +21,10 @@ from sgoal.sa import (
     make_sa,
     metropolis_accept,
     replace_sa,
-    sa_chain_kernel,
-    sa_variate_kernel,
-    variate_sa,
+    sa_proposal,
 )
 from sgoal.stats import binomial_se
+from sgoal.verify import extract_chain
 
 
 class TestCooling:
@@ -79,7 +79,7 @@ class TestVariate:
     def test_uniform_mutation_rows(self):
         problem = line_problem([0, 1, 2, 3, 4], f_star=0.0)
         config = SAConfig(schedule=geometric(1.0))
-        kernel = sa_variate_kernel(problem, config)
+        kernel = sa_proposal(problem, config)
         m = kernel.exact_matrix(FiniteSpace(problem.space.points))
         assert np.allclose(m, 0.2, atol=1e-12)
 
@@ -91,15 +91,16 @@ class TestVariate:
         problem = line_problem([0, 1, 2])
         config = SAConfig(schedule=geometric(1.0), mutation=[0.5, 0.5, 0.0])
         with pytest.raises(ConfigError):
-            variate_sa(problem, 0, config, np.random.default_rng(0))
+            sa_proposal(problem, config)
 
     def test_continuous_step_reflects_into_box(self):
         bench = make_benchmark("sphere", 2)
         config = SAConfig(schedule=geometric(1.0), sigma=50.0)
         rng = np.random.default_rng(5)
+        proposal = sa_proposal(bench.problem, config)
         x = bench.problem.space.upper.copy()  # start on the boundary
         for _ in range(100):
-            x = variate_sa(bench.problem, x, config, rng)
+            (x,) = proposal.sample((x,), ScheduleState(), rng)
             assert bench.problem.space.contains(x)
 
 
@@ -196,32 +197,42 @@ class TestRuns:
 
 class TestChainKernel:
     def test_elitist_chain_equals_algebra_composition(self):
-        # direct enumeration vs join/sort/projection combinators, 5 states
+        # brute-force enumeration vs join/sort/projection combinators, 5 states,
+        # uniform and state-dependent proposals
         problem = line_problem([3.0, 1.0, 4.0, 1.0, 5.0], f_star=1.0)
-        config = SAConfig(schedule=geometric(1.0))
         space = FiniteSpace(problem.space.points)
-        direct = sa_chain_kernel(problem, config).exact_matrix(space)
-        algebra = compose(
-            compose(projection(2, [0]), sort_kernel(problem, 2)),
-            join([sa_variate_kernel(problem, config), identity(1)]),
-        ).exact_matrix(space)
-        assert np.allclose(direct, algebra, atol=1e-12)
+        skewed = [[0.5, 0.2, 0.1, 0.1, 0.1], [0.1, 0.1, 0.6, 0.1, 0.1], [0.2] * 5,
+                  [0.05, 0.05, 0.05, 0.05, 0.8], [0.3, 0.1, 0.2, 0.2, 0.2]]
+        for mutation in (None, skewed):
+            config = SAConfig(schedule=geometric(1.0), mutation=mutation)
+            direct = brute_sa_matrix(problem, mutation, elitist=True, temperature=1.0)
+            chain = make_sa(problem, config).chain_kernel
+            explicit = compose(
+                compose(projection(2, [0]), sort_kernel(problem, 2)),
+                join([sa_proposal(problem, config), identity(1)]),
+            )
+            assert np.allclose(chain.exact_matrix(space), direct, atol=1e-12)
+            assert np.array_equal(chain.exact_matrix(space), explicit.exact_matrix(space))
 
     def test_nonelitist_chain_matches_metropolis_mixture(self):
         problem = line_problem([0.0, 1.0], f_star=0.0)
         config = SAConfig(schedule=fixed(1.0), elitist=False)
+        algo = make_sa(problem, config)
+        assert algo.chain_kernel is algo.next_pop
         state = ScheduleState()
         state.register("T", 1.0)
-        m = sa_chain_kernel(problem, config).exact_matrix(FiniteSpace((0, 1)), state)
+        m = algo.chain_kernel.exact_matrix(FiniteSpace((0, 1)), state)
         a = math.exp(-1.0)
         expected = np.array([[1.0 - 0.5 * a, 0.5 * a], [0.5, 0.5]])
         assert np.allclose(m, expected, atol=1e-12)
+        assert np.allclose(m, brute_sa_matrix(problem, None, False, 1.0), atol=1e-12)
 
     def test_delta_equals_eps_mass_for_uniform_mutation(self):
         # uniform proposals: one-step mass into the eps set is its size share
         problem = line_problem([0.0, 0.2, 1.0, 2.0], f_star=0.0)
         config = SAConfig(schedule=geometric(1.0))
-        m = sa_chain_kernel(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        chain = make_sa(problem, config).chain_kernel
+        m = chain.exact_matrix(FiniteSpace(problem.space.points))
         eps_states = [0, 1]  # closeness < 0.5
         outside = [2, 3]
         into = m[:, eps_states].sum(axis=1)
@@ -230,8 +241,25 @@ class TestChainKernel:
 
     def test_chain_requires_finite_space(self):
         bench = make_benchmark("sphere", 2)
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
+        assert not algo.chain_kernel.has_matrix
         with pytest.raises(ConfigError):
-            sa_chain_kernel(bench.problem, SAConfig(schedule=geometric(1.0)))
+            extract_chain(algo, eps=0.5)
+
+    def test_onemax_d10_matrix_peak_memory(self):
+        # 1024 states: the composed kernel never holds more than a few blocks
+        # next to the 8 MB dense output
+        problem = make_benchmark("onemax", 10).problem
+        chain = make_sa(problem, SAConfig(schedule=geometric(1.0))).chain_kernel
+        space = FiniteSpace.from_problem(problem)
+        tracemalloc.start()
+        try:
+            m = chain.exact_matrix(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (1024, 1024)
+        assert peak < 3 * m.nbytes
 
 
 class TestAcceptanceBands:
