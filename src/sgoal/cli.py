@@ -233,14 +233,14 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 
 def cmd_run(values: dict) -> int:
-    out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for key in ("algorithm", "problem", "dim"):
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
     base = make_benchmark(values["problem"], values["dim"])
     build_algorithm(values, problem=base.problem.copy())  # full validation up front
     eps_list = _eps_list(values)
+    out_dir = Path(values["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     replicates = values["replicates"]
     base_seed = values["seed"]
     budget = values["budget"]
@@ -276,10 +276,10 @@ def cmd_run(values: dict) -> int:
 
 
 def cmd_verify(values: dict) -> int:
-    out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     algo = build_algorithm(values)
     eps = _eps_list(values)[0]
+    out_dir = Path(values["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     t_max = values["verify.t_max"]
     chain = extract_chain(algo, eps, t_max=t_max)
     report = check_bound(chain, t_max)

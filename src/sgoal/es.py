@@ -214,7 +214,7 @@ def child_kernel(problem: Problem, config: ESConfig) -> Kernel:
         return proposal.sample((members[int(rng.integers(mu))],), state, rng)
 
     def matrix_fn(space, state, idx):
-        _, mass = proposal.rows(space, state, space.digits(idx, mu).ravel())
+        _, mass = proposal.matrix_fn(space, state, space.digits(idx, mu).ravel())
         return dense_rows(mass.reshape(idx.size, mu, -1).mean(axis=1))
 
     return Kernel(mu, 1, sample_fn, matrix_fn, name="es-child")

@@ -8,8 +8,8 @@ fitness sorting) propagate both the sampler and the matrix.
 
 Matrix convention: distributions are row vectors, so applying kernel K1
 and then K2 multiplies as ``M1 @ M2``.  Inside the combinators a matrix
-travels as fixed-width sparse rows, and a deterministic kernel as a map
-between tuple indices; ``exact_matrix`` builds the dense matrix once.
+travels as fixed-width sparse rows (width one for a deterministic
+kernel); ``exact_matrix`` builds the dense matrix once.
 """
 
 from __future__ import annotations
@@ -143,13 +143,11 @@ class Kernel:
     """A time-indexed stochastic operation on tuples of points.
 
     ``sample_fn(members, state, rng)`` draws one output tuple.  On a finite
-    base space the exact matrix comes from one of two realizations:
-    ``matrix_fn(space, state, idx)`` returns the rows of the input tuple
-    states ``idx`` as sparse rows ``(cols, mass)``, two ``(len(idx), w)``
-    arrays of output tuple indices and their masses (a repeated column
-    adds up); a deterministic kernel gives ``index_fn(space, idx)``
-    instead, the output tuple index of every input tuple index in the
-    integer array ``idx``, which may have any shape.
+    base space ``matrix_fn(space, state, idx)`` realizes the exact matrix:
+    it returns the rows of the input tuple states ``idx`` as sparse rows
+    ``(cols, mass)``, two ``(len(idx), w)`` arrays of output tuple indices
+    and their masses (a repeated column adds up).  A deterministic kernel
+    gives width-1 rows of mass one.
     """
 
     arity_in: int
@@ -157,7 +155,6 @@ class Kernel:
     sample_fn: Callable[[tuple, ScheduleState, np.random.Generator], tuple]
     matrix_fn: Callable[[FiniteSpace, ScheduleState, np.ndarray], Rows] | None = None
     name: str = "kernel"
-    index_fn: Callable[[FiniteSpace, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.arity_in < 1 or self.arity_out < 1:
@@ -179,21 +176,14 @@ class Kernel:
 
     @property
     def has_matrix(self) -> bool:
-        return self.matrix_fn is not None or self.index_fn is not None
-
-    def rows(self, space: FiniteSpace, state: ScheduleState, idx: np.ndarray) -> Rows:
-        """Sparse rows ``(cols, mass)`` of the input tuple states ``idx``."""
-        if self.index_fn is not None:
-            cols = self.index_fn(space, idx)[:, None]
-            return cols, np.ones(cols.shape)
-        if self.matrix_fn is None:
-            raise UsageError(f"{self.name} has no exact matrix realization")
-        return self.matrix_fn(space, state, idx)
+        return self.matrix_fn is not None
 
     def exact_matrix(
         self, space: FiniteSpace, state: ScheduleState | None = None
     ) -> np.ndarray:
         """The dense row-stochastic matrix, filled in blocks of input rows."""
+        if self.matrix_fn is None:
+            raise UsageError(f"{self.name} has no exact matrix realization")
         if state is None:
             state = ScheduleState()
         n_in = space.n_tuples(self.arity_in)
@@ -202,7 +192,7 @@ class Kernel:
         step = max(1, BLOCK_ENTRIES // n_out)
         for start in range(0, n_in, step):
             idx = np.arange(start, min(start + step, n_in))
-            cols, mass = self.rows(space, state, idx)
+            cols, mass = self.matrix_fn(space, state, idx)
             if (
                 cols.shape != mass.shape
                 or cols.shape[0] != idx.size
@@ -241,9 +231,8 @@ def check_row_stochastic(m: np.ndarray, tol: float = ROW_SUM_TOL, name: str = "m
 def compose(k2: Kernel, k1: Kernel) -> Kernel:
     """Sequential composition: apply ``k1`` first, then ``k2``.
 
-    The exact matrix, when both factors have one, is ``M1 @ M2``: a
-    deterministic ``k2`` remaps the columns of ``k1``'s rows, otherwise
-    each entry of a ``k1`` row fans out into the ``k2`` row it lands on.
+    The exact matrix, when both factors have one, is ``M1 @ M2``: each
+    entry of a ``k1`` row fans out into the ``k2`` row it lands on.
     """
     if k1.arity_out != k2.arity_in:
         raise ConfigError(
@@ -254,23 +243,12 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
     def sample_fn(members, state, rng):
         return k2.sample(k1.sample(members, state, rng), state, rng)
 
-    matrix_fn = index_fn = None
-    if k1.index_fn is not None and k2.index_fn is not None:
-
-        def index_fn(space, idx):
-            return k2.index_fn(space, k1.index_fn(space, idx))
-
-    elif k2.index_fn is not None and k1.has_matrix:
+    matrix_fn = None
+    if k1.has_matrix and k2.has_matrix:
 
         def matrix_fn(space, state, idx):
-            cols, mass = k1.rows(space, state, idx)
-            return k2.index_fn(space, cols), mass
-
-    elif k1.has_matrix and k2.has_matrix:
-
-        def matrix_fn(space, state, idx):
-            cols1, mass1 = k1.rows(space, state, idx)
-            cols2, mass2 = k2.rows(space, state, cols1.ravel())
+            cols1, mass1 = k1.matrix_fn(space, state, idx)
+            cols2, mass2 = k2.matrix_fn(space, state, cols1.ravel())
             return (
                 cols2.reshape(idx.size, -1),
                 (mass1.reshape(-1, 1) * mass2).reshape(idx.size, -1),
@@ -282,7 +260,6 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
         sample_fn=sample_fn,
         matrix_fn=matrix_fn,
         name=f"({k2.name} . {k1.name})",
-        index_fn=index_fn,
     )
 
 
@@ -312,7 +289,7 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     if all(k.has_matrix for k in kernels):
 
         def matrix_fn(space, state, idx):
-            parts = [k.rows(space, state, idx) for k in kernels]
+            parts = [k.matrix_fn(space, state, idx) for k in kernels]
             width = math.prod(cols.shape[1] for cols, _ in parts)
             if width > JOIN_WIDTH_CAP:
                 raise UsageError(
@@ -343,15 +320,16 @@ def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
         if i < 0 or i >= arity_in:
             raise ConfigError(f"projection index {i} out of range for arity {arity_in}")
 
-    def index_fn(space, idx):
-        return space.encode(space.digits(idx, arity_in)[..., list(indices)])
+    def matrix_fn(space, state, idx):
+        cols = space.encode(space.digits(idx, arity_in)[:, list(indices)])
+        return cols[:, None], np.ones((idx.size, 1))
 
     return Kernel(
         arity_in=arity_in,
         arity_out=len(indices),
         sample_fn=lambda members, state, rng: tuple(members[i] for i in indices),
+        matrix_fn=matrix_fn,
         name=f"proj{list(indices)}",
-        index_fn=index_fn,
     )
 
 
@@ -372,17 +350,18 @@ def sort_kernel(problem: "Problem", arity: int) -> Kernel:
     def sample_fn(members, state, rng):
         return tuple(sorted(members, key=lambda m: sign * problem.evaluate(m)))
 
-    def index_fn(space, idx):
+    def matrix_fn(space, state, idx):
         digits = space.digits(idx, arity)
-        order = np.argsort(sign * space.fitness(problem)[digits], axis=-1, kind="stable")
-        return space.encode(np.take_along_axis(digits, order, axis=-1))
+        order = np.argsort(sign * space.fitness(problem)[digits], axis=1, kind="stable")
+        cols = space.encode(np.take_along_axis(digits, order, axis=1))
+        return cols[:, None], np.ones((idx.size, 1))
 
     return Kernel(
         arity_in=arity,
         arity_out=arity,
         sample_fn=sample_fn,
+        matrix_fn=matrix_fn,
         name=f"sort{arity}",
-        index_fn=index_fn,
     )
 
 

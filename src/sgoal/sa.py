@@ -2,9 +2,10 @@
 
 The run-time algorithm follows the classic Metropolis loop: a proposal
 kernel draws a candidate, and a 2 -> 1 Metropolis kernel keeps candidate
-or incumbent at the schedule's temperature, so the non-elitist loop is
-``compose(metropolis, join([proposal, identity(1)]))``, the same kernel
-that is verified on finite spaces.  In elitist mode the population
+or incumbent at the schedule's temperature.  On a finite space the
+non-elitist loop is ``compose(metropolis, join([proposal, identity(1)]))``,
+the same kernel that is verified; on a box it proposes and replaces in
+one step.  In elitist mode the population
 carries the best point found so far next to the Metropolis walker, so the
 reported closeness never worsens; its verified chain is the arity-1
 greedy chain ``compose(proj[0] . sort2, join([proposal, identity(1)]))``,
@@ -207,14 +208,22 @@ def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
 def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     """The per-generation kernel run by the annealing loop.
 
-    Non-elitist: a single Metropolis walker (arity 1).  Elitist: the
+    Non-elitist: a single Metropolis walker (arity 1), composed from the
+    proposal and Metropolis kernels on a finite space.  Elitist: the
     walker plus the best-so-far point (arity 2), so closeness is read
     from the best member.  Sampling reads T from the schedule state and
     leaves the schedule alone; the run loop advances it.
     """
     proposal = sa_proposal(problem, config)
     if not config.elitist:
-        return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
+        if isinstance(problem.space, FiniteSet):
+            return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
+
+        def step(members, state, rng):
+            candidate = proposal.sample_fn(members, state, rng)[0]
+            return (replace_sa(problem, candidate, members[0], state.params["T"], rng),)
+
+        return Kernel(1, 1, step, name="sa-next-pop")
 
     def sample_fn(members, state, rng):
         current, best_pt = members

@@ -114,6 +114,13 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, SA_CFG)
         assert main(["run", "--config", cfg, "algorithm=tabu"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_config_error_creates_no_output_dir(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, SA_CFG)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "algorithm=tabu"]) == 2
+        assert not out.exists()
+
     def test_missing_required_key_exits_2(self, tmp_path):
         assert main(["run", "algorithm=sa", "problem=onemax"]) == 2
 
