@@ -303,7 +303,10 @@ _SCHEMES = {
 
 
 def cmd_select_test(args) -> int:
-    fitness = np.array([float(v) for v in args.fitness.split(",") if v.strip() != ""])
+    try:
+        fitness = np.array([float(v) for v in args.fitness.split(",") if v.strip() != ""])
+    except ValueError as exc:
+        raise UsageError(f"fitness values must be numbers: {args.fitness!r}") from exc
     if fitness.size == 0:
         raise UsageError("empty fitness vector")
     relation = Relation.parse(args.relation)

@@ -6,12 +6,13 @@ mutate the step sizes log-normally, then perturb the object parameters
 with the fresh step sizes.  Plus replacement pools parents and children;
 comma replacement keeps children only (lambda >= mu required).
 
-On finite spaces the strategy machinery collapses: a child is a draw from
-the mutation proposal of a uniformly picked parent (rho = 1), which keeps
-every state reachable.  The generation is then built from the kernel
-algebra, ``compose(proj[first mu] . sort(pool), join(parent projections
-[plus only] + lambda children))``, and that one kernel both runs and is
-verified; the plus-mode chain is exactly analyzable.
+On finite spaces the strategy machinery collapses (rho = 1): a child is
+the proposal after uniform selection, ``compose(proposal,
+selection_kernel(uniform, mu))``, which keeps every state reachable.  The
+generation is then built from the kernel algebra, ``compose(proj[first
+mu] . sort(pool), join(parent projections [plus only] + lambda
+children))``, and that one kernel both runs and is verified; the
+plus-mode chain is exactly analyzable.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 
 from .core import Algorithm, ContinuousBox, FiniteSet, Population, Problem
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, ScheduleState, compose, dense_rows, join, projection, sort_kernel
+from .kernels import Kernel, ScheduleState, compose, join, projection, sort_kernel
 from .mutation import proposal_kernel
+from .selection import selection_kernel, uniform
 
 
 @dataclass(frozen=True)
@@ -203,23 +205,6 @@ def replace_es(
     return tuple(ordered[:mu])
 
 
-def child_kernel(problem: Problem, config: ESConfig) -> Kernel:
-    """mu -> 1 finite-space child: the proposal draw of a uniformly picked
-    parent.  Its rows are the mean of the parents' proposal rows, which
-    list every state in the same order."""
-    proposal = proposal_kernel(problem.space.points, config.mutation)
-    mu = config.mu
-
-    def sample_fn(members, state, rng):
-        return proposal.sample((members[int(rng.integers(mu))],), state, rng)
-
-    def matrix_fn(space, state, idx):
-        _, mass = proposal.matrix_fn(space, state, space.digits(idx, mu).ravel())
-        return dense_rows(mass.reshape(idx.size, mu, -1).mean(axis=1))
-
-    return Kernel(mu, 1, sample_fn, matrix_fn, name="es-child")
-
-
 def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
     """Per-generation kernel: variate then replace.
 
@@ -232,9 +217,13 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
             raise ConfigError("finite-space strategies support rho = 1 only")
         mu = config.mu
         carried = [projection(mu, [i]) for i in range(mu)] if config.mode == "plus" else []
+        child = compose(
+            proposal_kernel(problem.space.points, config.mutation),
+            selection_kernel(problem, uniform(), mu),
+        )
         pool = len(carried) + config.lam
         survivors = compose(projection(pool, range(mu)), sort_kernel(problem, pool))
-        return compose(survivors, join(carried + [child_kernel(problem, config)] * config.lam))
+        return compose(survivors, join(carried + [child] * config.lam))
 
     def sample_fn(members, state, rng):
         children = variate_es(problem, members, config, state, rng)

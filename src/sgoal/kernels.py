@@ -138,6 +138,13 @@ def dense_rows(mass: np.ndarray) -> Rows:
     return np.broadcast_to(np.arange(mass.shape[1]), mass.shape), mass
 
 
+def _scatter_rows(cols: np.ndarray, mass: np.ndarray, n_out: int) -> np.ndarray:
+    """The dense ``(k, n_out)`` rows of sparse rows; repeated columns add up in order."""
+    k = cols.shape[0]
+    flat = (cols + n_out * np.arange(k)[:, None]).ravel()
+    return np.bincount(flat, weights=mass.ravel(), minlength=k * n_out).reshape(k, n_out)
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A time-indexed stochastic operation on tuples of points.
@@ -204,9 +211,7 @@ class Kernel:
                     f"{self.name}: rows of shape {cols.shape} do not map tuple "
                     f"spaces {(n_in, n_out)}"
                 )
-            flat = (cols + n_out * np.arange(idx.size)[:, None]).ravel()
-            block = np.bincount(flat, weights=mass.ravel(), minlength=idx.size * n_out)
-            m[start : start + idx.size] = block.reshape(idx.size, n_out)
+            m[start : start + idx.size] = _scatter_rows(cols, mass, n_out)
         check_row_stochastic(m, name=self.name)
         return m
 
@@ -232,7 +237,8 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
     """Sequential composition: apply ``k1`` first, then ``k2``.
 
     The exact matrix, when both factors have one, is ``M1 @ M2``: each
-    entry of a ``k1`` row fans out into the ``k2`` row it lands on.
+    entry of a ``k1`` row fans out into the ``k2`` row it lands on.  A
+    composed row wider than the output space is folded into a dense row.
     """
     if k1.arity_out != k2.arity_in:
         raise ConfigError(
@@ -249,10 +255,12 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
         def matrix_fn(space, state, idx):
             cols1, mass1 = k1.matrix_fn(space, state, idx)
             cols2, mass2 = k2.matrix_fn(space, state, cols1.ravel())
-            return (
-                cols2.reshape(idx.size, -1),
-                (mass1.reshape(-1, 1) * mass2).reshape(idx.size, -1),
-            )
+            cols = cols2.reshape(idx.size, -1)
+            mass = (mass1.reshape(-1, 1) * mass2).reshape(idx.size, -1)
+            n_out = space.n_tuples(k2.arity_out)
+            if cols.shape[1] > n_out:
+                return dense_rows(_scatter_rows(cols, mass, n_out))
+            return cols, mass
 
     return Kernel(
         arity_in=k1.arity_in,

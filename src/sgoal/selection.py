@@ -1,8 +1,11 @@
-"""Selection schemes with exact probabilities and mechanism samplers.
+"""Selection schemes as Markov kernels.
 
-Each scheme exposes both the exact per-individual selection probability
-vector and a sampler that simulates the actual mechanism (not the exact
-vector), so the two can be cross-checked statistically.
+Each scheme has an exact per-individual selection probability vector
+(``exact_probs``) and one sampler that simulates the actual mechanism
+(``select_many``), so the two can be cross-checked statistically.
+``selection_kernel`` turns a scheme into an arity -> 1 kernel over a
+tuple of points: its sampler is the mechanism, and its exact rows put
+each member's selection probability on that member's point.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Population, Relation
+from .core import Population, Problem, Relation
 from .errors import UsageError
-
-PROB_TOL = 1e-12
-
+from .kernels import Kernel
 
 @dataclass(frozen=True)
 class SelectionScheme:
@@ -98,6 +99,8 @@ def _roulette_rates(scheme: SelectionScheme, f: np.ndarray, relation: Relation) 
         rates = f.astype(float).copy()
     else:  # proportional default
         rates = ranking_rates(f, relation)
+    if not np.all(np.isfinite(rates)):
+        raise UsageError("selection rates must be finite")
     if np.any(rates < 0):
         raise UsageError("selection rates must be nonnegative")
     if rates.sum() <= 0:
@@ -149,38 +152,6 @@ def exact_probs(scheme: SelectionScheme, fitness, relation: Relation) -> np.ndar
     return _tournament_probs(f, relation, scheme.m)
 
 
-def select_one(
-    scheme: SelectionScheme, pop, relation: Relation, rng: np.random.Generator
-) -> int:
-    """Draw one index by simulating the scheme's mechanism."""
-    f = _as_fitness(pop)
-    lam = f.size
-    if lam == 1:
-        return 0
-    if scheme.kind == "uniform":
-        return int(rng.integers(lam))
-    if scheme.kind in ("roulette", "proportional", "ranking"):
-        probs = exact_probs(scheme, f, relation)
-        return int(rng.choice(lam, p=probs))
-    entrants = rng.integers(0, lam, size=scheme.m)
-    rates = ranking_rates(f[entrants], relation)
-    pick = rng.random() * rates.sum()
-    return int(entrants[int(np.searchsorted(np.cumsum(rates), pick, side="right"))])
-
-
-def select_group(
-    scheme: SelectionScheme,
-    pop,
-    mu: int,
-    relation: Relation,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """mu independent draws of select_one (with replacement)."""
-    if mu < 1:
-        raise UsageError("group size must be >= 1")
-    return tuple(select_one(scheme, pop, relation, rng) for _ in range(mu))
-
-
 def select_many(
     scheme: SelectionScheme,
     pop,
@@ -188,7 +159,7 @@ def select_many(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized batch of independent mechanism draws (for statistics)."""
+    """Vectorized batch of independent mechanism draws."""
     f = _as_fitness(pop)
     lam = f.size
     if size < 1:
@@ -209,3 +180,26 @@ def select_many(
     picks = rng.random(size) * cum[:, -1]
     slot = (picks[:, None] >= cum).sum(axis=1)
     return entrants[np.arange(size), slot]
+
+
+def selection_kernel(problem: Problem, scheme: SelectionScheme, arity: int) -> Kernel:
+    """arity -> 1: the member of the input tuple that the scheme selects.
+
+    The sampler runs the mechanism on the members' fitness.  A matrix row
+    lists the tuple's points with their exact probabilities (a point that
+    occurs twice adds up); they are computed once per fitness pattern.
+    """
+
+    def sample_fn(members, state, rng):
+        fitness = [problem.evaluate(m) for m in members]
+        return (members[int(select_many(scheme, fitness, problem.relation, 1, rng)[0])],)
+
+    def matrix_fn(space, state, idx):
+        digits = space.digits(idx, arity)
+        patterns, inverse = np.unique(
+            space.fitness(problem)[digits], axis=0, return_inverse=True
+        )
+        probs = np.stack([exact_probs(scheme, f, problem.relation) for f in patterns])
+        return digits, probs[inverse.ravel()]
+
+    return Kernel(arity, 1, sample_fn, matrix_fn, name=f"select-{scheme.kind}")

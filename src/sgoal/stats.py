@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import UsageError
 
@@ -63,9 +62,11 @@ def chisquare_gof(
         # everything pooled into one cell: nothing to test
         return GofResult(statistic=0.0, dof=0, pvalue=1.0, alpha=alpha)
 
+    from scipy.stats import chi2  # deferred: importing scipy.stats costs most of a CLI start
+
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     dof = counts.size - 1
-    pvalue = float(sps.chi2.sf(statistic, dof))
+    pvalue = float(chi2.sf(statistic, dof))
     return GofResult(statistic=statistic, dof=dof, pvalue=pvalue, alpha=alpha)
 
 

@@ -128,6 +128,24 @@ def brute_tournament_probs(fitness, relation: Relation, m: int) -> np.ndarray:
     return probs
 
 
+def brute_selection_probs(scheme, fitness, relation: Relation) -> np.ndarray:
+    """Oracle: selection probabilities from each scheme's definition.
+
+    Tournament enumerates its entrant tuples; the other schemes normalize
+    their rates (proportional defaults to ranking rates).
+    """
+    f = np.asarray(fitness, dtype=float)
+    if scheme.kind == "tournament":
+        return brute_tournament_probs(f, relation, scheme.m)
+    if scheme.kind == "uniform":
+        rates = np.ones(f.size)
+    elif scheme.kind == "roulette":
+        rates = f.copy()
+    else:
+        rates = np.array([1.0 + sum(relation.better(v, g) for g in f) for v in f])
+    return rates / rates.sum()
+
+
 def fold_into(value: float, lo: float, hi: float) -> float:
     """Oracle for box reflection: fold one coordinate step by step."""
     v = float(value)

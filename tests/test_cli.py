@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,3 +208,24 @@ class TestSelectTest:
 
     def test_bad_fitness_exits_2(self):
         assert main(["select-test", "--scheme", "uniform", "--fitness", ""]) == 2
+
+    def test_non_numeric_fitness_exits_2(self, capsys):
+        assert main(["select-test", "--scheme", "ranking", "--fitness", "1,abc"]) == 2
+        assert "fitness values must be numbers" in capsys.readouterr().err
+
+    def test_infinite_roulette_rate_exits_2(self, capsys):
+        code = main([
+            "select-test", "--scheme", "roulette", "--fitness", "1,inf", "--relation", "max",
+        ])
+        assert code == 2
+        assert "selection rates must be finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.stats is imported only when a chi-square p-value is computed
+    probe = "import sys, sgoal.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

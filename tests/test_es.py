@@ -11,7 +11,6 @@ from sgoal.errors import ConfigError, UsageError
 from sgoal.es import (
     ESConfig,
     ESIndividual,
-    child_kernel,
     es_next_pop,
     init_es_population,
     make_es,
@@ -23,7 +22,9 @@ from sgoal.es import (
     variate_es,
 )
 from sgoal.kernels import FiniteSpace, ScheduleState, compose, join, projection, sort_kernel
+from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, geometric, make_sa
+from sgoal.selection import selection_kernel, uniform
 from sgoal.stats import chisquare_gof
 from sgoal.verify import check_premises, extract_chain
 
@@ -65,23 +66,44 @@ class TestTypes:
 SKEWED3 = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 
 
+def es_child(problem, config):
+    """The finite-space child: the proposal after uniform selection of a parent."""
+    return compose(
+        proposal_kernel(problem.space.points, config.mutation),
+        selection_kernel(problem, uniform(), config.mu),
+    )
+
+
 class TestPickParents:
     def test_single_parent_identity(self):
         # mu = 1: the child row is the proposal row of the only parent
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         config = ESConfig(mu=1, rho=1, lam=1, mutation=SKEWED3)
-        m = child_kernel(problem, config).exact_matrix(FiniteSpace(problem.space.points))
-        assert np.allclose(m, proposal_rows(3, SKEWED3), atol=1e-12)
+        m = es_child(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        assert np.array_equal(m, proposal_rows(3, SKEWED3))
 
     def test_uniform_frequencies(self):
         # the sampled parent pick must be uniform for the mean-row matrix to hold
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
-        kernel = child_kernel(problem, ESConfig(mu=2, rho=1, lam=1, mutation=SKEWED3))
+        kernel = es_child(problem, ESConfig(mu=2, rho=1, lam=1, mutation=SKEWED3))
         space = FiniteSpace(problem.space.points)
         row = kernel.exact_matrix(space)[space.tuple_index((0, 2))]
         assert np.allclose(row, [0.45, 0.1, 0.45], atol=1e-12)
         counts = transition_counts(kernel, space, (0, 2), 20_000, np.random.default_rng(31))
         assert chisquare_gof(counts, row, alpha=0.001).passed
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_parent_pick_stream(self, mu):
+        # one rng.integers(mu) parent pick (no draw for mu = 1), then the proposal draw
+        problem = line_problem([3.0, 1.0, 2.0, 0.0])
+        parents = (3, 1, 2)[:mu]
+        kernel = es_child(problem, ESConfig(mu=mu, rho=1, lam=1))
+        rng, replay = np.random.default_rng(47), np.random.default_rng(47)
+        for _ in range(50):
+            child = kernel.sample(parents, ScheduleState(), rng)
+            if mu > 1:
+                replay.integers(mu)
+            assert child == (int(replay.integers(4)),)
 
     def test_ordered_pairs_quarter_each(self):
         # rho = 2 draws with replacement: (a,a), (a,b), (b,a), (b,b) a quarter each,
@@ -307,7 +329,7 @@ class TestFiniteKernels:
         direct = np.stack([
             np.kron(mix, mix) for mix in (rows[list(pop)].mean(axis=0) for pop in space.tuples(2))
         ])
-        joined = join([child_kernel(problem, config)] * 2).exact_matrix(space)
+        joined = join([es_child(problem, config)] * 2).exact_matrix(space)
         assert np.allclose(direct, joined, atol=1e-12)
 
     def test_chain_equals_full_algebra_composition(self):
@@ -318,7 +340,7 @@ class TestFiniteKernels:
         direct = brute_es_matrix(problem, 1, 1, "plus")
         algebra = compose(
             compose(projection(2, [0]), sort_kernel(problem, 2)),
-            join([projection(1, [0]), child_kernel(problem, config)]),
+            join([projection(1, [0]), es_child(problem, config)]),
         ).exact_matrix(space)
         assert np.allclose(direct, algebra, atol=1e-12)
         algo = make_es(problem, config)
@@ -330,7 +352,7 @@ class TestFiniteKernels:
         config = ESConfig(mu=2, rho=1, lam=2, mode="plus")
         space = FiniteSpace(problem.space.points)
         direct = brute_es_matrix(problem, 2, 2, "plus")
-        parts = [projection(2, [0]), projection(2, [1])] + [child_kernel(problem, config)] * 2
+        parts = [projection(2, [0]), projection(2, [1])] + [es_child(problem, config)] * 2
         algebra = compose(
             compose(projection(4, [0, 1]), sort_kernel(problem, 4)),
             join(parts),
@@ -341,7 +363,7 @@ class TestFiniteKernels:
     def test_child_distribution_has_uniform_floor(self):
         problem = line_problem([3.0, 1.0, 2.0, 0.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=1)
-        m = child_kernel(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        m = es_child(problem, config).exact_matrix(FiniteSpace(problem.space.points))
         assert np.all(m >= 0.25 - 1e-12)  # uniform mutation over 4 states
 
     def test_child_tuple_cap(self):

@@ -85,6 +85,21 @@ class TestCompose:
         with pytest.raises(ConfigError):
             compose(projection(2, [0]), projection(3, [0, 1, 2]))
 
+    def test_wide_rows_fold_into_dense_rows_in_order(self):
+        # a composed row never lists more columns than the output space has states
+        rng = np.random.default_rng(6)
+        sp = FiniteSpace(tuple(range(3)))
+        m1, m2 = random_stochastic(rng, 3), random_stochastic(rng, 3)
+        composed = compose(matrix_kernel(m2, sp), matrix_kernel(m1, sp))
+        cols, mass = composed.matrix_fn(sp, ScheduleState(), np.arange(3))
+        expected = np.zeros((3, 3))
+        for i in range(3):
+            for j in range(3):
+                expected[i] += m1[i, j] * m2[j]
+        assert cols.shape == (3, 3)
+        assert np.array_equal(mass, expected)
+        assert np.array_equal(composed.exact_matrix(sp), expected)
+
 
 class TestJoin:
     def test_single_kernel_join_is_that_kernel(self, space2):

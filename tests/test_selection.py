@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_tournament_probs
+from conftest import brute_selection_probs, brute_tournament_probs, line_problem, transition_counts
 
 from sgoal.core import Relation
-from sgoal.errors import UsageError
+from sgoal.errors import ConfigError, UsageError
+from sgoal.kernels import FiniteSpace, ScheduleState, compose, identity, join
 from sgoal.selection import (
     SelectionScheme,
     exact_probs,
@@ -12,9 +15,8 @@ from sgoal.selection import (
     ranking,
     ranking_rates,
     roulette,
-    select_group,
     select_many,
-    select_one,
+    selection_kernel,
     tournament,
     uniform,
 )
@@ -130,26 +132,32 @@ class TestErrors:
         with pytest.raises(UsageError):
             exact_probs(uniform(), np.array([1.0, float("nan")]), MIN)
 
+    def test_non_finite_rate_rejected(self):
+        with pytest.raises(UsageError, match="finite"):
+            exact_probs(roulette(), np.array([1.0, float("inf")]), MAX)
+        with pytest.raises(UsageError, match="finite"):
+            exact_probs(proportional(rate_fn=lambda v: float("nan")), np.array([1.0, 2.0]), MIN)
+
 
 class TestSampling:
     def test_singleton_always_zero(self, rng):
-        assert select_one(uniform(), np.array([3.0]), MIN, rng) == 0
-        assert select_one(tournament(3), np.array([3.0]), MIN, rng) == 0
+        problem = line_problem([3.0])
+        for scheme in (uniform(), tournament(3)):
+            kernel = selection_kernel(problem, scheme, 1)
+            assert kernel.sample((0,), ScheduleState(), rng) == (0,)
+            assert np.all(select_many(scheme, np.array([3.0]), MIN, 10, rng) == 0)
 
     def test_select_one_uniform_frequencies(self):
-        rng = np.random.default_rng(11)
-        counts = np.zeros(2)
-        n = 20_000
-        for _ in range(n):
-            counts[select_one(uniform(), np.array([1.0, 2.0]), MIN, rng)] += 1
+        # one draw of the uniform kernel from the tuple (1, 0)
+        kernel = selection_kernel(line_problem([1.0, 2.0]), uniform(), 2)
+        counts = transition_counts(kernel, FiniteSpace((0, 1)), (1, 0), 10_000,
+                                   np.random.default_rng(11))
         assert chisquare_gof(counts, [0.5, 0.5], alpha=0.001).passed
 
     def test_select_one_ranking_frequencies(self):
-        rng = np.random.default_rng(12)
-        f = np.array([1.0, 2.0, 3.0])
-        counts = np.zeros(3)
-        for _ in range(20_000):
-            counts[select_one(ranking(), f, MIN, rng)] += 1
+        kernel = selection_kernel(line_problem([1.0, 2.0, 3.0]), ranking(), 3)
+        counts = transition_counts(kernel, FiniteSpace((0, 1, 2)), (0, 1, 2), 10_000,
+                                   np.random.default_rng(12))
         assert chisquare_gof(counts, [0.5, 1 / 3, 1 / 6], alpha=0.001).passed
 
     @pytest.mark.parametrize(
@@ -165,12 +173,11 @@ class TestSampling:
         assert result.passed, f"{scheme.kind}: p={result.pvalue}"
 
     def test_select_many_tournament_mechanism_matches_scalar(self):
-        # same law for the scalar and the vectorized tournament paths
-        f = np.array([3.0, 1.0, 2.0])
+        # the kernel's one-draw path and a select_many batch follow one law
+        f = [3.0, 1.0, 2.0]
         rng = np.random.default_rng(14)
-        scalar_counts = np.zeros(3)
-        for _ in range(20_000):
-            scalar_counts[select_one(tournament(2), f, MIN, rng)] += 1
+        kernel = selection_kernel(line_problem(f), tournament(2), 3)
+        scalar_counts = transition_counts(kernel, FiniteSpace((0, 1, 2)), (0, 1, 2), 10_000, rng)
         vector_counts = np.bincount(
             select_many(tournament(2), f, MIN, 20_000, rng), minlength=3
         )
@@ -179,34 +186,90 @@ class TestSampling:
         assert chisquare_gof(vector_counts, probs, alpha=0.001).passed
 
 
+SCHEMES = [uniform(), proportional(), ranking(), roulette(), tournament(1),
+           tournament(2), tournament(3)]
+
+
+@st.composite
+def selection_instances(draw):
+    """(problem, scheme, arity) on 2-5 points with tied fitness values;
+    roulette maximizes positive values."""
+    n = draw(st.integers(2, 5))
+    scheme = draw(st.sampled_from(SCHEMES))
+    if scheme.kind == "roulette":
+        relation, pool = MAX, [0.5, 1.0, 2.5]
+    else:
+        relation, pool = draw(st.sampled_from([MIN, MAX])), [-1.0, 0.0, 2.5]
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return line_problem(values, relation=relation), scheme, draw(st.integers(1, 4))
+
+
+class TestSelectionKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(selection_instances())
+    def test_rows_equal_brute_force(self, instance):
+        # every row puts the definition's probabilities on the tuple's points
+        problem, scheme, arity = instance
+        space = FiniteSpace(problem.space.points)
+        f = space.fitness(problem)
+        by_pattern = {}
+        oracle = np.zeros((space.n_tuples(arity), len(space)))
+        for r, members in enumerate(space.tuples(arity)):
+            pattern = tuple(f[list(members)])
+            if pattern not in by_pattern:
+                by_pattern[pattern] = brute_selection_probs(scheme, pattern, problem.relation)
+            np.add.at(oracle[r], list(members), by_pattern[pattern])
+        kernel = selection_kernel(problem, scheme, arity)
+        for built in (kernel, compose(identity(1), kernel)):
+            assert np.max(np.abs(built.exact_matrix(space) - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scheme", SCHEMES, ids=lambda s: s.kind + (str(s.m) if s.kind == "tournament" else "")
+    )
+    def test_sampler_fits_own_row(self, scheme):
+        problem = line_problem([2.0, 0.5, 1.0, 3.0], relation=MAX)
+        space = FiniteSpace(problem.space.points)
+        kernel = selection_kernel(problem, scheme, 3)
+        m = kernel.exact_matrix(space)
+        rng = np.random.default_rng(18)
+        for members in ((0, 1, 2), (3, 3, 1), (2, 0, 2)):
+            counts = transition_counts(kernel, space, members, 3_000, rng)
+            result = chisquare_gof(counts, m[space.tuple_index(members)], alpha=0.001)
+            assert result.passed, f"{scheme.kind} {members}: p={result.pvalue}"
+
+
 class TestSelectGroup:
     def test_single_draw_reduces_to_select_one(self):
-        rng = np.random.default_rng(15)
-        group = select_group(uniform(), np.array([1.0, 2.0]), 1, MIN, rng)
-        assert len(group) == 1 and group[0] in (0, 1)
+        kernel = selection_kernel(line_problem([1.0, 2.0]), uniform(), 2)
+        assert join([kernel]) is kernel
+        out = kernel.sample((0, 1), ScheduleState(), np.random.default_rng(15))
+        assert len(out) == 1 and out[0] in (0, 1)
 
-    def test_group_size_validated(self, rng):
-        with pytest.raises(UsageError):
-            select_group(uniform(), np.array([1.0]), 0, MIN, rng)
+    def test_group_size_validated(self):
+        with pytest.raises(ConfigError):
+            join([])
+        with pytest.raises(ConfigError):
+            selection_kernel(line_problem([1.0]), uniform(), 0)
 
     def test_uniform_pairs_quarter_each(self):
-        rng = np.random.default_rng(16)
-        counts = np.zeros(4)
-        n = 40_000
-        for _ in range(n):
-            i, j = select_group(uniform(), np.array([1.0, 2.0]), 2, MIN, rng)
-            counts[2 * i + j] += 1
-        assert chisquare_gof(counts, [0.25] * 4, alpha=0.001).passed
+        problem = line_problem([1.0, 2.0])
+        pair = join([selection_kernel(problem, uniform(), 2)] * 2)
+        space = FiniteSpace(problem.space.points)
+        row = pair.exact_matrix(space)[space.tuple_index((0, 1))]
+        assert np.array_equal(row, [0.25] * 4)
+        counts = transition_counts(pair, space, (0, 1), 8_000, np.random.default_rng(16))
+        assert chisquare_gof(counts, row, alpha=0.001).passed
 
     def test_pair_frequencies_factorize(self):
-        # independence of the two coordinates under ranking selection
-        rng = np.random.default_rng(17)
-        f = np.array([1.0, 2.0, 3.0])
-        p = exact_probs(ranking(), f, MIN)
-        joint = np.zeros((3, 3))
-        n = 60_000
-        for _ in range(n):
-            i, j = select_group(ranking(), f, 2, MIN, rng)
-            joint[i, j] += 1
-        expected = np.outer(p, p).ravel()
-        assert chisquare_gof(joint.ravel(), expected, alpha=0.001).passed
+        # two selections from one tuple are independent: the join row is the
+        # outer product of the two selection rows, exactly
+        problem = line_problem([1.0, 2.0, 3.0])
+        space = FiniteSpace(problem.space.points)
+        sel = selection_kernel(problem, ranking(), 3)
+        pair = join([sel, sel])
+        single = sel.exact_matrix(space)
+        joint = pair.exact_matrix(space)
+        outer = np.einsum("ri,rj->rij", single, single).reshape(joint.shape)
+        assert np.max(np.abs(joint - outer)) <= 1e-12
+        counts = transition_counts(pair, space, (0, 1, 2), 20_000, np.random.default_rng(17))
+        assert chisquare_gof(counts, joint[space.tuple_index((0, 1, 2))], alpha=0.001).passed
