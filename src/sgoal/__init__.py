@@ -33,7 +33,6 @@ from .kernels import (
     ScheduleState,
     compose,
     identity,
-    iterate_nonstationary,
     iterated_products,
     join,
     load_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "closeness",
     "compose",
     "identity",
-    "iterate_nonstationary",
     "iterated_products",
     "join",
     "load_matrix",

@@ -377,40 +377,23 @@ def sort_kernel(problem: "Problem", arity: int) -> Kernel:
 # Iterated products of (possibly time-varying) transition matrices.
 
 
-def _validated_square(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
+def iterated_products(matrices: Sequence[np.ndarray], t_max: int) -> list[np.ndarray]:
+    """Time-ordered t-step matrices M_1 M_2 ... M_t for t = 1..t_max.
+
+    Row i of the t-th product is the law of X_t given X_0 = i when the
+    step-s kernel is M_s (Isaacson & Madsen 1976).  A single matrix is
+    reused for every step (stationary chain); otherwise the sequence
+    must cover ``t_max`` steps.
+    """
     if not matrices:
         raise UsageError("need at least one transition matrix")
-    out = []
-    size = None
-    for m in matrices:
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise UsageError("transition matrices must be square")
-        if size is None:
-            size = m.shape[0]
-        elif m.shape[0] != size:
-            raise UsageError("all transition matrices must share one state space")
-        check_row_stochastic(m)
-        out.append(m)
-    return out
-
-
-def iterated_products(
-    matrices: Sequence[np.ndarray], t_max: int, order: str = "recursion"
-) -> list[np.ndarray]:
-    """Ordered products P_1..P_{t_max} of a kernel sequence.
-
-    ``order="recursion"`` follows the non-stationary case split
-    P_t = M_t @ P_{t-1} (the step-t kernel applied at the outer step);
-    ``order="composition"`` is the opposite reading P_t = P_{t-1} @ M_t.
-    A single matrix is reused for every step (stationary chain);
-    otherwise the sequence must cover ``t_max`` steps.
-    """
-    ms = _validated_square(matrices)
-    if order not in ("recursion", "composition"):
-        raise UsageError("order must be 'recursion' or 'composition'")
     if t_max < 1:
         raise UsageError("t_max must be >= 1")
+    ms = [np.asarray(m, dtype=float) for m in matrices]
+    for m in ms:
+        if m.ndim != 2 or m.shape != (ms[0].shape[0],) * 2:
+            raise UsageError("transition matrices must be square over one state space")
+        check_row_stochastic(m)
     if len(ms) == 1:
         ms = ms * t_max
     elif len(ms) < t_max:
@@ -419,30 +402,8 @@ def iterated_products(
         )
     out = [ms[0]]
     for t in range(1, t_max):
-        prev = out[-1]
-        out.append(ms[t] @ prev if order == "recursion" else prev @ ms[t])
+        out.append(out[-1] @ ms[t])
     return out
-
-
-def iterate_nonstationary(
-    matrices: Sequence[np.ndarray],
-    x: int,
-    targets: Sequence[int],
-    t: int | None = None,
-    order: str = "recursion",
-) -> float:
-    """Probability of landing in ``targets`` after ``t`` steps from state ``x``."""
-    ms = _validated_square(matrices)
-    if t is None:
-        t = len(ms)
-    targets = np.asarray(sorted(set(int(i) for i in targets)), dtype=int)
-    size = ms[0].shape[0]
-    if x < 0 or x >= size:
-        raise UsageError("start state out of range")
-    if targets.size and (targets.min() < 0 or targets.max() >= size):
-        raise UsageError("target state out of range")
-    product = iterated_products(ms, t, order=order)[-1]
-    return float(product[x, targets].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +425,13 @@ def load_matrix(path) -> np.ndarray:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise UsageError("matrix file must start with 'rows cols'")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    values = [float(v) for v in tokens[2:]]
-    if len(values) != rows * cols:
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+        values = np.array(tokens[2:], dtype=float)
+    except ValueError as exc:
+        raise UsageError(f"matrix file {path}: {exc}") from None
+    if min(rows, cols) < 0 or values.size != rows * cols:
         raise UsageError(
-            f"matrix file promises {rows}x{cols} entries but carries {len(values)}"
+            f"matrix file {path} promises {rows}x{cols} entries but carries {values.size}"
         )
-    return np.array(values, dtype=float).reshape(rows, cols)
+    return values.reshape(rows, cols)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import Algorithm, EpsClass, Population, classify_eps
 from .errors import ConfigError, UsageError
-from .kernels import FiniteSpace, check_row_stochastic, iterated_products
+from .kernels import FiniteSpace, check_row_stochastic
+from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
 STATE_CAP = 4096
@@ -136,12 +137,15 @@ def check_bound(
 ) -> BoundReport:
     """Exact t-step masses on the near-optimal set against 1-(1-delta)^t.
 
-    Uses the ordered product recursion (the step-t kernel applied at the
-    outer step).  ``delta`` defaults to the tightest value the matrices
-    support; a supplied override must itself satisfy the reachability
-    premise (0 < delta <= extracted minimum).  When the premises fail,
-    the report still carries the computed masses so the failure is
-    inspectable, but nothing is asserted.
+    The kernels act in time order: the t-step mass from state i is entry
+    i of ``M_1 M_2 ... M_t 1_eps``, computed by matrix-vector products
+    only.  A stationary chain takes one product per step
+    (``v_t = M v_{t-1}``); a non-stationary one takes one backward pass
+    ``M_1 (M_2 (... (M_t 1_eps)))`` per t.  ``delta`` defaults to the
+    tightest value the matrices support; a supplied override must itself
+    satisfy the reachability premise (0 < delta <= extracted minimum).
+    When the premises fail, the report still carries the computed masses
+    so the failure is inspectable, but nothing is asserted.
     """
     if t_max < 1:
         raise UsageError("t_max must be >= 1")
@@ -153,11 +157,20 @@ def check_bound(
             f"supplied delta {delta} is not supported by the matrices "
             f"(extracted minimum {extracted})"
         )
-    mask = chain.eps_mask()
+    ms = chain.matrices
+    if 1 < len(ms) < t_max:
+        raise UsageError(f"non-stationary sequence has {len(ms)} kernels but t_max={t_max}")
+    eps = chain.eps_mask().astype(float)
+    v = eps
     per_t = []
-    products = iterated_products(chain.matrices, t_max, order="recursion")
-    for t, product in enumerate(products, start=1):
-        min_mass = float(product[:, mask].sum(axis=1).min())
+    for t in range(1, t_max + 1):
+        if len(ms) == 1:
+            v = ms[0] @ v
+        else:
+            v = eps
+            for m in reversed(ms[:t]):
+                v = m @ v
+        min_mass = float(v.min())
         bound = 1.0 - (1.0 - delta) ** t
         per_t.append(BoundRow(t=t, min_mass=min_mass, bound=bound, margin=min_mass - bound))
     return BoundReport(

@@ -12,7 +12,6 @@ from sgoal.kernels import (
     compose,
     dense_rows,
     identity,
-    iterate_nonstationary,
     iterated_products,
     join,
     load_matrix,
@@ -233,18 +232,28 @@ class TestSamplingConformance:
 class TestIteratedProducts:
     def test_t1_is_the_first_kernel(self):
         m = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert iterate_nonstationary([m], 1, [0], t=1) == 0.5
+        (product,) = iterated_products([m], 1)
+        assert np.array_equal(product, m)
 
     def test_stationary_square_by_hand(self):
         m = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert iterate_nonstationary([m], 1, [0], t=2) == pytest.approx(0.75, abs=1e-12)
+        product = iterated_products([m], 2)[-1]
+        assert product[1, 0] == pytest.approx(0.75, abs=1e-12)
 
-    @pytest.mark.parametrize("order", ["recursion", "composition"])
-    def test_nonstationary_hand_product(self, order):
+    def test_nonstationary_hand_product(self):
         m1 = np.array([[1.0, 0.0], [0.3, 0.7]])
         m2 = np.array([[1.0, 0.0], [0.6, 0.4]])
-        value = iterate_nonstationary([m1, m2], 1, [0], t=2, order=order)
-        assert value == pytest.approx(0.72, abs=1e-12)
+        product = iterated_products([m1, m2], 2)[-1]
+        assert product[1, 0] == pytest.approx(0.72, abs=1e-12)
+
+    def test_products_are_time_ordered(self):
+        # M_1 moves 2 -> 1, M_2 moves 1 -> 0: only M_1 M_2 carries 2 to 0
+        m1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        m2 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        products = iterated_products([m1, m2], 2)
+        assert np.array_equal(products[0], m1)
+        assert np.array_equal(products[1], m1 @ m2)
+        assert products[1][2, 0] == 1.0
 
     def test_constant_sequence_equals_repeated_compose(self, space2):
         m = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -255,7 +264,7 @@ class TestIteratedProducts:
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            iterate_nonstationary([np.eye(2), np.eye(3)], 0, [0])
+            iterated_products([np.eye(2), np.eye(3)], 1)
 
     def test_sequence_shorter_than_horizon(self):
         m = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -264,7 +273,7 @@ class TestIteratedProducts:
 
     def test_not_row_stochastic_rejected(self):
         with pytest.raises(UsageError):
-            iterate_nonstationary([np.array([[0.5, 0.4], [0.0, 1.0]])], 0, [0])
+            iterated_products([np.array([[0.5, 0.4], [0.0, 1.0]])], 1)
 
 
 class TestMatrixIO:
@@ -281,6 +290,24 @@ class TestMatrixIO:
         path.write_text("2 2\n0.5 0.5 1.0\n")
         with pytest.raises(UsageError):
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n0.5 0.5 1.0 x\n", "2 two\n0.5 0.5 1.0 0.0\n", "-1 -2\n0.5 0.5\n"],
+        ids=["entry", "header", "negative"],
+    )
+    def test_malformed_file_rejected_by_name(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(UsageError, match="bad.txt"):
+            load_matrix(path)
+
+    def test_special_values_parse_like_float(self, tmp_path):
+        tokens = ["inf", "-inf", "nan", "-0", "5e-324", "1e400", "0.1", "1.0000000000000002"]
+        path = tmp_path / "m.txt"
+        path.write_text("2 4\n" + " ".join(tokens) + "\n")
+        expected = np.array([float(v) for v in tokens]).reshape(2, 4)
+        assert load_matrix(path).tobytes() == expected.tobytes()
 
 
 class TestKernelValidation:

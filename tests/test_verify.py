@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from sgoal.bench import make_benchmark
 from sgoal.core import max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import save_matrix
+from sgoal.kernels import iterated_products, save_matrix
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
+from sgoal.stats import binomial_se
 from sgoal.verify import (
     FiniteChain,
     chain_from_files,
@@ -99,6 +101,59 @@ class TestBound:
         assert report.per_t[1].min_mass == pytest.approx(0.72, abs=1e-12)
         assert report.per_t[1].bound == pytest.approx(1.0 - 0.7**2, abs=1e-12)
         assert report.verified()
+
+    def test_nonstationary_kernels_act_in_time_order(self):
+        # M_1 moves 2 -> 1, M_2 moves 1 -> 0: in time order every state is
+        # in eps = {0} after two steps; in reverse order state 2 never is
+        m1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        m2 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        report = check_bound(FiniteChain((0, 1, 2), {0}, (m1, m2)), 2)
+        assert [row.min_mass for row in report.per_t] == [0.0, 1.0]
+
+    def test_sequence_shorter_than_horizon(self):
+        m1 = np.array([[1.0, 0.0], [0.3, 0.7]])
+        m2 = np.array([[1.0, 0.0], [0.6, 0.4]])
+        with pytest.raises(UsageError):
+            check_bound(FiniteChain((0, 1), {0}, (m1, m2)), 3)
+
+    def test_cooling_annealer_matches_sampled_runs(self):
+        bench = make_benchmark("onemax", 6)
+        algo = make_sa(
+            bench.problem.copy(), SAConfig(schedule=geometric(3.0, 0.7), elitist=False)
+        )
+        t, runs = 8, 20_000
+        chain = extract_chain(algo, eps=0.5, t_max=t)
+        assert len(chain.matrices) == t
+        min_mass = check_bound(chain, t).per_t[-1].min_mass
+        start = chain.states[0]  # all zeros, a worst start
+        row = iterated_products(chain.matrices, t)[-1][0]
+        assert row[list(chain.eps_set)].sum() == pytest.approx(min_mass, abs=1e-12)
+        rng = np.random.default_rng(0)
+        hits = 0
+        for _ in range(runs):
+            schedule, members = algo.schedule_factory(), start
+            for _ in range(t):  # sample, then tick, as run_sgoal does
+                members = algo.next_pop.sample(members, schedule, rng)
+                schedule.tick()
+            hits += members == (bench.x_star,)
+        assert abs(hits / runs - min_mass) <= 3.0 * binomial_se(min_mass, runs)
+
+    def test_no_dense_product_is_formed(self):
+        # the closed-form elitist onemax d10 chain: uniform proposal, keep
+        # the candidate when it is no worse
+        fitness = np.array([bin(i).count("1") for i in range(1024)], dtype=float)
+        keep = fitness[None, :] >= fitness[:, None]
+        m = np.where(keep, 1.0 / 1024, 0.0)
+        m[np.diag_indices(1024)] = (1.0 + np.count_nonzero(~keep, axis=1)) / 1024
+        chain = FiniteChain(tuple(range(1024)), {1023}, (m,))
+        tracemalloc.start()
+        try:
+            report = check_bound(chain, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verified()
+        assert peak < m.nbytes
 
     @pytest.mark.parametrize("seed", range(10))
     def test_min_mass_monotone_for_absorbing_chains(self, seed):
