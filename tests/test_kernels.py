@@ -240,10 +240,15 @@ class TestIteratedProducts:
         product = iterated_products([m], 2)[-1]
         assert product[1, 0] == pytest.approx(0.75, abs=1e-12)
 
-    def test_nonstationary_hand_product(self):
+    @pytest.mark.parametrize("order", ["recursion", "composition"])
+    def test_nonstationary_hand_product(self, order, space2):
         m1 = np.array([[1.0, 0.0], [0.3, 0.7]])
         m2 = np.array([[1.0, 0.0], [0.6, 0.4]])
-        product = iterated_products([m1, m2], 2)[-1]
+        if order == "recursion":
+            product = iterated_products([m1, m2], 2)[-1]
+        else:
+            k1, k2 = matrix_kernel(m1, space2), matrix_kernel(m2, space2)
+            product = compose(k2, k1).exact_matrix(space2)
         assert product[1, 0] == pytest.approx(0.72, abs=1e-12)
 
     def test_products_are_time_ordered(self):
