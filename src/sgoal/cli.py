@@ -281,7 +281,7 @@ def cmd_verify(values: dict) -> int:
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     t_max = values["verify.t_max"]
-    chain = extract_chain(algo, eps, t_max=t_max)
+    chain = extract_chain(algo, eps, t_max=t_max, lump=True)
     report = check_bound(chain, t_max)
     write_bound_json(report, out_dir / "bound.json")
     write_bound_csv(report, out_dir / "bound.csv")
@@ -289,7 +289,7 @@ def cmd_verify(values: dict) -> int:
     print(
         f"delta={report.delta:.6g} absorbing={report.premise_absorbing} "
         f"reach={report.premise_reach} worst_margin={worst:.3e} "
-        f"verified={report.verified()}"
+        f"verified={report.verified()} states={report.states} lumped={report.lumped}"
     )
     return 0 if report.verified() else 1
 

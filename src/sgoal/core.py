@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -157,6 +157,15 @@ class Problem:
         if hit is not None:
             return hit
         value = float(self.objective(x))
+        self._check(x, value)
+        self._cache[key] = value
+        self.evals += 1
+        if self.best_seen_point is None or self.relation.better(value, self.best_seen_fitness):
+            self.best_seen_point = x
+            self.best_seen_fitness = value
+        return value
+
+    def _check(self, x: Any, value: float) -> None:
         if math.isnan(value):
             raise UsageError(f"objective returned NaN at {x!r}")
         if self.f_star is not None and self.relation.better(value, self.f_star):
@@ -164,12 +173,21 @@ class Problem:
                 f"objective value {value} beats declared optimum {self.f_star}; "
                 "f_star is mis-declared"
             )
-        self._cache[key] = value
-        self.evals += 1
-        if self.best_seen_point is None or self.relation.better(value, self.best_seen_fitness):
-            self.best_seen_point = x
-            self.best_seen_fitness = value
-        return value
+
+    def values(self, points: Sequence[Any]) -> np.ndarray:
+        """Objective values of ``points``, checked as ``evaluate`` checks them.
+
+        Neither the memo nor the counters change: a table over a whole
+        enumerated space would otherwise keep one memo entry per point.
+        """
+        values = np.fromiter(map(self.objective, points), dtype=float, count=len(points))
+        bad = np.isnan(values)
+        if self.f_star is not None:
+            bad |= self.relation.better(values, self.f_star)
+        if bad.any():
+            i = int(np.argmax(bad))
+            self._check(points[i], float(values[i]))
+        return values
 
     def better(self, a: float, b: float) -> bool:
         return self.relation.better(a, b)

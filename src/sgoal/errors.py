@@ -11,3 +11,7 @@ class UsageError(SgoalError):
 
 class ConfigError(SgoalError):
     """An algorithm, kernel, or experiment was assembled inconsistently."""
+
+
+class NotLumpable(UsageError):
+    """A kernel's rows do not lump onto the fitness classes of its space."""

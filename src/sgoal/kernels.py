@@ -21,12 +21,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NotLumpable, UsageError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Problem
 
 ROW_SUM_TOL = 1e-12
+LUMP_TOL = 1e-12  # the lumping certificate's tolerance on class masses
 JOIN_WIDTH_CAP = 4096  # joint outcomes per input tuple that ``join`` enumerates
 BLOCK_ENTRIES = 1 << 14  # dense matrix entries ``exact_matrix`` fills per block
 
@@ -73,10 +74,10 @@ class FiniteSpace:
         pts = tuple(points)
         if not pts:
             raise UsageError("finite space must contain at least one point")
-        self.points = pts
-        self._index = {p: i for i, p in enumerate(pts)}
-        if len(self._index) != len(pts):
+        if len(set(pts)) != len(pts):
             raise UsageError("finite-space points must be distinct")
+        self.points = pts
+        self._index: dict | None = None  # built on the first ``index`` call
         self._tuples: dict[int, tuple] = {}
         self._fitness: dict["Problem", np.ndarray] = {}
 
@@ -92,6 +93,8 @@ class FiniteSpace:
         return len(self.points)
 
     def index(self, point: Any) -> int:
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.points)}
         try:
             return self._index[point]
         except KeyError as exc:
@@ -126,8 +129,53 @@ class FiniteSpace:
     def fitness(self, problem: "Problem") -> np.ndarray:
         """Objective value of every point, in enumeration order."""
         if problem not in self._fitness:
-            self._fitness[problem] = np.array([problem.evaluate(p) for p in self.points])
+            self._fitness[problem] = problem.values(self.points)
         return self._fitness[problem]
+
+
+class ClassSpace(FiniteSpace):
+    """The fitness classes of a finite space: one point per distinct value.
+
+    The points are the problem's distinct objective values, ascending, and
+    ``fitness`` returns them.  A kernel that reads only positions and
+    ``space.fitness`` therefore realizes on a class space the chain lumped
+    onto tuples of classes (Kemeny & Snell, *Finite Markov Chains*, 6.3).
+    A kernel that reads which point it holds must lump its own rows with
+    ``lump``, which checks that they do lump.
+    """
+
+    def __init__(self, base: FiniteSpace, problem: "Problem") -> None:
+        values, self._first, self.labels = np.unique(
+            base.fitness(problem), return_index=True, return_inverse=True
+        )
+        super().__init__(values.tolist())
+        self.base = base
+        self.problem = problem
+        self._values = values
+
+    def fitness(self, problem: "Problem") -> np.ndarray:
+        if problem is not self.problem:
+            raise NotLumpable("a class space holds the fitness classes of one problem only")
+        return self._values
+
+    def lump(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(k, k)`` class rows of per-point rows over the base space.
+
+        ``rows`` holds one row per base point, or a single row that every
+        point shares.  The lumping certificate: every point of a class
+        must put the same mass, within ``LUMP_TOL``, on every target
+        class; otherwise this raises ``NotLumpable``.
+        """
+        lumped = _scatter_rows(np.broadcast_to(self.labels, rows.shape), rows, len(self))
+        if rows.shape[0] == 1:
+            return np.repeat(lumped, len(self), axis=0)
+        first = lumped[self._first]
+        worst = float(np.max(np.abs(lumped - first[self.labels])))
+        if worst > LUMP_TOL:
+            raise NotLumpable(
+                f"points of one fitness class put masses {worst:.3e} apart on one class"
+            )
+        return first
 
 
 Rows = tuple  # (cols, mass): two (k, w) arrays, output tuple indices and masses

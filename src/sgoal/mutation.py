@@ -13,7 +13,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, dense_rows
+from .kernels import ClassSpace, Kernel, dense_rows
 
 
 def _validate(rows: np.ndarray) -> None:
@@ -62,13 +62,24 @@ def proposal_kernel(points: Sequence[Any], spec=None) -> Kernel:
             return (points[int(rng.choice(n, p=matrix[index[x]]))],)
         return (points[int(rng.integers(n))],)
 
+    # One row per point for a matrix spec, else the single row every point shares.
+    if matrix is not None:
+        table = matrix
+    else:
+        table = (vector if vector is not None else np.full(n, 1.0 / n))[None, :]
+    lumped: list = [None, None]  # (class space, its certified class rows)
+
     def matrix_fn(space, state, idx):
+        if isinstance(space, ClassSpace):
+            if lumped[0] is not space:
+                if space.base.points != points:
+                    raise UsageError("kernel and enumeration must share the same point order")
+                lumped[:] = space, space.lump(table)
+            return dense_rows(lumped[1][idx])
         if space.points != points:
             raise UsageError("kernel and enumeration must share the same point order")
-        if vector is not None:
-            return dense_rows(np.broadcast_to(vector, (idx.size, n)))
         if matrix is not None:
             return dense_rows(matrix[idx])
-        return dense_rows(np.full((idx.size, n), 1.0 / n))
+        return dense_rows(np.broadcast_to(table, (idx.size, n)))
 
     return Kernel(1, 1, sample_fn, matrix_fn, name="proposal")

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Algorithm, EpsClass, Population, classify_eps
-from .errors import ConfigError, UsageError
-from .kernels import FiniteSpace, check_row_stochastic
+from .core import Algorithm, Problem, Relation
+from .errors import ConfigError, NotLumpable, UsageError
+from .kernels import ClassSpace, FiniteSpace, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
@@ -31,11 +31,13 @@ STATE_CAP = 4096
 @dataclass(frozen=True)
 class FiniteChain:
     """Enumerated population states, the near-optimal subset, and the
-    per-step transition matrices (a single matrix means stationary)."""
+    per-step transition matrices (a single matrix means stationary).
+    ``lumped`` marks states that are tuples of fitness classes."""
 
     states: tuple
     eps_set: frozenset
     matrices: tuple
+    lumped: bool = False
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -104,6 +106,8 @@ class BoundReport:
     premise_absorbing: bool
     premise_reach: bool
     per_t: tuple
+    states: int
+    lumped: bool
 
     @property
     def premises_hold(self) -> bool:
@@ -117,6 +121,8 @@ class BoundReport:
             "delta": self.delta,
             "premise_absorbing": self.premise_absorbing,
             "premise_reach": self.premise_reach,
+            "states": self.states,
+            "lumped": self.lumped,
             "per_t": [
                 {
                     "t": row.t,
@@ -178,6 +184,8 @@ def check_bound(
         premise_absorbing=absorbing,
         premise_reach=delta > 0.0,
         per_t=tuple(per_t),
+        states=chain.size,
+        lumped=chain.lumped,
     )
 
 
@@ -186,38 +194,60 @@ def extract_chain(
     eps: float,
     t_max: int = 1,
     cap: int = STATE_CAP,
+    lump: bool = False,
 ) -> FiniteChain:
     """Enumerate an algorithm's exact population chain on a finite space.
 
     Builds one transition matrix per step by advancing a fresh schedule
     (non-stationary algorithms yield distinct matrices), and marks the
-    near-optimal states by their closeness classification.
+    near-optimal states as ``classify_eps`` classifies them.
+
+    With ``lump=True`` the states are tuples of fitness classes (a
+    ``ClassSpace``) when the chain lumps onto them, and the full tuples
+    otherwise.  Every kernel must then read only positions and
+    ``space.fitness``, or lump its own rows as the proposal kernel does;
+    the proposal's lumping certificate decides between the two chains.
+    ``cap`` bounds the number of states actually built.
     """
-    if not algo.chain_kernel.has_matrix:
+    kernel = algo.chain_kernel
+    if not kernel.has_matrix:
         raise ConfigError(
             f"{algo.name} has no exact chain kernel (continuous space or "
             "unsupported configuration)"
         )
-    kernel = algo.chain_kernel
     if kernel.arity_in != kernel.arity_out:
         raise ConfigError("chain kernel must preserve population arity")
     problem = algo.problem
     space = FiniteSpace.from_problem(problem)
     n_states = space.n_tuples(kernel.arity_in)
+    why = ""
+    if lump:
+        classes = ClassSpace(space, problem)
+        n_classes = classes.n_tuples(kernel.arity_in)
+        if n_classes > cap:
+            raise UsageError(
+                f"{n_states} population states lump onto {n_classes} fitness-class "
+                f"states, which exceed the verification cap {cap}; use a smaller instance"
+            )
+        try:
+            return _enumerate_chain(algo, classes, eps, t_max)
+        except NotLumpable as exc:
+            why = f" (the chain does not lump onto fitness classes: {exc})"
     if n_states > cap:
         raise UsageError(
-            f"{n_states} population states exceed the verification cap {cap}; "
+            f"{n_states} population states exceed the verification cap {cap}{why}; "
             "use a smaller instance"
         )
-    states = space.tuples(kernel.arity_in)
-    eps_set = []
-    for idx, members in enumerate(states):
-        pop = Population.evaluated(members, problem)
-        if classify_eps(pop, problem, eps) is EpsClass.INSIDE:
-            eps_set.append(idx)
-    if not eps_set or len(eps_set) == len(states):
+    return _enumerate_chain(algo, space, eps, t_max)
+
+
+def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int) -> FiniteChain:
+    kernel = algo.chain_kernel
+    inside = eps_inside(space, algo.problem, eps, kernel.arity_in)
+    n_inside = int(inside.sum())
+    if n_inside in (0, inside.size):
         raise UsageError(
-            f"eps={eps} marks {len(eps_set)} of {len(states)} states as "
+            f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
     schedule = algo.schedule_factory()
@@ -227,7 +257,29 @@ def extract_chain(
         schedule.tick()
     if all(np.array_equal(matrices[0], m) for m in matrices[1:]):
         matrices = matrices[:1]  # stationary: one matrix serves every step
-    return FiniteChain(states=states, eps_set=frozenset(eps_set), matrices=tuple(matrices))
+    return FiniteChain(
+        states=space.tuples(kernel.arity_in),
+        eps_set=frozenset(np.flatnonzero(inside).tolist()),
+        matrices=tuple(matrices),
+        lumped=isinstance(space, ClassSpace),
+    )
+
+
+def eps_inside(space: FiniteSpace, problem: Problem, eps: float, arity: int) -> np.ndarray:
+    """Which tuple states of ``space`` ``classify_eps`` puts INSIDE.
+
+    Read from the fitness table, not from populations: a tuple's
+    closeness is its best member's, and closeness is monotone in fitness
+    (rounding included), so a tuple is inside iff one of its members is.
+    """
+    if not eps > 0:
+        raise UsageError("eps must be positive")
+    if problem.f_star is None:
+        raise UsageError("closeness requires a problem with a known optimum")
+    f = space.fitness(problem)
+    d = f - problem.f_star if problem.relation is Relation.MINIMIZE else problem.f_star - f
+    idx = np.arange(space.n_tuples(arity))
+    return (d < eps)[space.digits(idx, arity)].any(axis=1)
 
 
 def chain_from_files(matrix_paths: Sequence, eps_set) -> FiniteChain:

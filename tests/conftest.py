@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sgoal.core import FiniteSet, Problem, Relation
 from sgoal.es import replace_es
@@ -23,6 +24,26 @@ def line_problem(values, relation=Relation.MINIMIZE, f_star=None):
     values = [float(v) for v in values]
     space = FiniteSet(tuple(range(len(values))))
     return Problem(space, lambda i: values[i], relation, f_star=f_star)
+
+
+@st.composite
+def instances(draw):
+    """(problem, mutation spec) on a 2-6 point line problem with tied fitness
+    values, either relation, and a uniform, vector or matrix proposal."""
+    n = draw(st.integers(2, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    relation = draw(st.sampled_from([Relation.MINIMIZE, Relation.MAXIMIZE]))
+    kind = draw(st.sampled_from(["uniform", "vector", "matrix"]))
+    weights = st.floats(0.05, 1.0)
+    if kind == "uniform":
+        mutation = None
+    elif kind == "vector":
+        v = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+        mutation = v / v.sum()
+    else:
+        m = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+        mutation = m / m.sum(axis=1, keepdims=True)
+    return line_problem(values, relation=relation), mutation
 
 
 def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:

@@ -172,9 +172,23 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "eps=abc"]) == 2
         assert "bad eps threshold" in capsys.readouterr().err
 
-    def test_state_cap_exits_2(self, tmp_path):
+    def test_state_cap_exits_2(self, tmp_path, capsys):
+        # even the quotient is over the cap: 17^3 = 4913 class states > 4096
         cfg = write_cfg(tmp_path, ES_CFG)
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "dim=13"]) == 2
+        args = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "dim=16", "es.mu=3"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{2**48} population states lump onto 4913 fitness-class states" in err
+
+    def test_quotient_under_the_cap_verifies(self, tmp_path, capsys):
+        # 8192 full states, 14 fitness classes
+        cfg = write_cfg(tmp_path, ES_CFG)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "dim=13"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("states=14 lumped=True")
+        data = json.loads((out / "bound.json").read_text())
+        assert data["states"] == 14 and data["lumped"] is True
+        assert data["delta"] == pytest.approx(2.0**-13, abs=1e-12)
 
 
 class TestSelectTest:

@@ -9,33 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_es_matrix, brute_sa_matrix, line_problem
+from conftest import brute_es_matrix, brute_sa_matrix, instances
 
-from sgoal.core import Relation
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import FiniteSpace, ScheduleState
 from sgoal.sa import SAConfig, fixed, make_sa
 
 EXACT = 1e-12
-
-
-@st.composite
-def instances(draw):
-    """(problem, mutation spec) on a small space with tied fitness values."""
-    n = draw(st.integers(2, 6))
-    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
-    relation = draw(st.sampled_from([Relation.MINIMIZE, Relation.MAXIMIZE]))
-    kind = draw(st.sampled_from(["uniform", "vector", "matrix"]))
-    weights = st.floats(0.05, 1.0)
-    if kind == "uniform":
-        mutation = None
-    elif kind == "vector":
-        v = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
-        mutation = v / v.sum()
-    else:
-        m = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
-        mutation = m / m.sum(axis=1, keepdims=True)
-    return line_problem(values, relation=relation), mutation
 
 
 def assert_exact(m, oracle):

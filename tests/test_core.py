@@ -139,6 +139,29 @@ class TestProblem:
         with pytest.raises(UsageError):
             p.evaluate(0)
 
+    @pytest.mark.parametrize(
+        "objective, f_star, message",
+        [
+            (lambda i: float("nan") if i == 2 else 0.0, None, "NaN at 2"),
+            (lambda i: -1.0 if i == 1 else 0.0, 0.0, "beats declared optimum"),
+        ],
+    )
+    def test_values_check_like_evaluate(self, objective, f_star, message):
+        p = Problem(FiniteSet((0, 1, 2)), objective, f_star=f_star)
+        with pytest.raises(UsageError, match=message):
+            p.values((0, 1, 2))
+        with pytest.raises(UsageError, match=message):
+            for i in (0, 1, 2):
+                p.evaluate(i)
+
+    def test_values_leave_memo_and_counters_alone(self):
+        calls = []
+        p = Problem(FiniteSet((0, 1)), lambda i: calls.append(i) or float(i), f_star=0.0)
+        assert p.values((0, 1)).tolist() == [0.0, 1.0]
+        assert p.evals == 0 and p.best_seen_point is None
+        p.evaluate(1)
+        assert calls == [0, 1, 1]
+
 
 class TestBox:
     def test_bounds_must_be_ordered(self):

@@ -307,8 +307,11 @@ class TestReports:
         path = tmp_path / "bound.json"
         write_bound_json(report, path)
         data = json.loads(path.read_text())
-        assert set(data) == {"delta", "premise_absorbing", "premise_reach", "per_t"}
+        assert set(data) == {
+            "delta", "premise_absorbing", "premise_reach", "states", "lumped", "per_t"
+        }
         assert data["delta"] == 0.5
+        assert data["states"] == 2 and data["lumped"] is False
         assert len(data["per_t"]) == 3
         assert set(data["per_t"][0]) == {"t", "min_mass", "bound", "margin"}
 
