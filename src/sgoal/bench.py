@@ -1,4 +1,8 @@
-"""Desk-scale test problems with exactly known optima."""
+"""Desk-scale test problems with exactly known optima.
+
+The box objectives take one point, giving a float, or a (k, d) batch of
+points as rows, giving their k values.
+"""
 
 from __future__ import annotations
 
@@ -14,19 +18,25 @@ from .errors import UsageError
 MAX_BITS = 20  # finite spaces are fully enumerated: 2^bits states
 
 
-def sphere(x: np.ndarray) -> float:
+def _per_row(total):
+    """A float for one point, the (k,) array for a (k, d) batch."""
+    return total if total.ndim else float(total)
+
+
+def sphere(x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
+    return _per_row(np.sum(x * x, axis=-1))
 
 
-def rastrigin(x: np.ndarray) -> float:
+def rastrigin(x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return _per_row(10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1))
 
 
-def rosenbrock(x: np.ndarray) -> float:
+def rosenbrock(x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return _per_row(np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1))
 
 
 def onemax(bits) -> float:

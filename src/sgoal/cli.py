@@ -104,11 +104,12 @@ def _parse_bool(text: str) -> bool:
 def _coerce(key: str, raw: str):
     kind = _ALL_KEYS[key]
     try:
-        if kind is bool:
-            return _parse_bool(raw)
-        return kind(raw)
+        value = _parse_bool(raw) if kind is bool else kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict:
@@ -151,8 +152,8 @@ def _eps_list(values: dict) -> list[float]:
             eps = float(token)
         except ValueError as exc:
             raise ConfigError(f"bad eps threshold {token!r}") from exc
-        if not eps > 0:
-            raise ConfigError("eps thresholds must be positive")
+        if not 0 < eps < math.inf:
+            raise ConfigError("eps thresholds must be positive and finite")
         out.append(eps)
     if not out:
         raise ConfigError("at least one eps threshold is required")

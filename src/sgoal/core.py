@@ -123,9 +123,10 @@ def _point_key(x: Any):
 class Problem:
     """Search space plus objective plus optimization direction.
 
-    Evaluations are memoized per point and counted, so every distinct
-    point costs exactly one objective call and evaluation budgets are
-    comparable across algorithms.  When the true optimum ``f_star`` is
+    ``evaluate`` memoizes per point and counts, so every distinct point
+    costs exactly one objective call and evaluation budgets are comparable
+    across algorithms; ``evaluate_batch`` counts a box batch from one
+    objective call without the memo.  When the true optimum ``f_star`` is
     declared, any evaluation that beats it raises: that always means a
     mis-declared optimum.
 
@@ -181,13 +182,38 @@ class Problem:
         enumerated space would otherwise keep one memo entry per point.
         """
         values = np.fromiter(map(self.objective, points), dtype=float, count=len(points))
+        self._check_all(points, values)
+        return values
+
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """Objective values of the k rows of a (k, d) box batch, from one
+        objective call that must return k values.
+
+        Checked as ``evaluate`` checks, counted, and followed by
+        ``best_seen_*``; the memo is left alone, because every row of a
+        continuous batch is a new point.
+        """
+        values = np.asarray(self.objective(points), dtype=float)
+        if values.shape != (len(points),):
+            raise UsageError(
+                f"objective returned shape {values.shape} for a batch of "
+                f"{len(points)} points; box objectives map (k, d) rows to (k,) values"
+            )
+        self._check_all(points, values)
+        self.evals += len(values)
+        i = int(np.argmin(values) if self.relation is Relation.MINIMIZE else np.argmax(values))
+        if self.best_seen_point is None or self.relation.better(values[i], self.best_seen_fitness):
+            self.best_seen_point = points[i]
+            self.best_seen_fitness = float(values[i])
+        return values
+
+    def _check_all(self, points: Sequence[Any], values: np.ndarray) -> None:
         bad = np.isnan(values)
         if self.f_star is not None:
             bad |= self.relation.better(values, self.f_star)
         if bad.any():
             i = int(np.argmax(bad))
             self._check(points[i], float(values[i]))
-        return values
 
     def better(self, a: float, b: float) -> bool:
         return self.relation.better(a, b)

@@ -1,10 +1,15 @@
 """(mu/rho +, lambda) evolution strategies with self-adaptive step sizes.
 
-Each generation draws lambda children independently: pick rho parents
-uniformly with replacement, recombine object and strategy parameters,
-mutate the step sizes log-normally, then perturb the object parameters
-with the fresh step sizes.  Plus replacement pools parents and children;
-comma replacement keeps children only (lambda >= mu required).
+The lambda children of a generation are i.i.d. draws of one child, so on
+a box the whole generation is drawn at once, as (lambda, d) arrays: rho
+parent indices per child (uniform, with replacement), discrete or
+intermediate recombination of the parents' object and strategy rows, a
+log-normal step-size update with one global and d coordinate draws per
+child clamped into [sigma_min, sigma_max], Gaussian mutation with the
+fresh step sizes reflected into the box, and one objective call for all
+lambda children.  A stable argsort keeps the best mu: plus replacement
+pools parents before children, so ties favor parents; comma replacement
+keeps children only (lambda >= mu required).
 
 On finite spaces the strategy machinery collapses (rho = 1): a child is
 the proposal after uniform selection, ``compose(proposal,
@@ -51,6 +56,47 @@ class ESIndividual:
 
 
 @dataclass(frozen=True)
+class ESBatch:
+    """k individuals as rows: object parameters ``y`` and step sizes ``s``,
+    both (k, d), and fitness ``f``, (k,)."""
+
+    y: np.ndarray
+    s: np.ndarray
+    f: np.ndarray
+
+    @classmethod
+    def of(cls, members: Sequence[ESIndividual]) -> "ESBatch":
+        return cls(
+            np.stack([m.y for m in members]),
+            np.stack([m.s for m in members]),
+            np.array([m.f for m in members]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def __add__(self, other: "ESBatch") -> "ESBatch":
+        return ESBatch(
+            np.concatenate([self.y, other.y]),
+            np.concatenate([self.s, other.s]),
+            np.concatenate([self.f, other.f]),
+        )
+
+    def take(self, rows: np.ndarray) -> "ESBatch":
+        return ESBatch(self.y[rows], self.s[rows], self.f[rows])
+
+    def members(self) -> tuple:
+        """One ``ESIndividual`` per row.  The rows come from the checked
+        stages, so they skip the per-individual validation."""
+        out = []
+        for y, s, f in zip(self.y, self.s, self.f.tolist()):
+            member = object.__new__(ESIndividual)
+            member.__dict__.update(y=y, s=s, f=f)
+            out.append(member)
+        return tuple(out)
+
+
+@dataclass(frozen=True)
 class ESConfig:
     mu: int
     rho: int
@@ -73,8 +119,10 @@ class ESConfig:
             raise ConfigError("mode must be 'plus' or 'comma'")
         if self.mode == "comma" and self.lam < self.mu:
             raise ConfigError("comma replacement requires lambda >= mu")
-        if self.tau is not None and self.tau < 0:
-            raise ConfigError("tau must be nonnegative")
+        if self.tau is not None and not 0 <= self.tau < math.inf:
+            raise ConfigError("tau must be finite and nonnegative")
+        if not self.sigma_init > 0:
+            raise ConfigError("sigma_init must be positive")
         if not (0 < self.sigma_min <= self.sigma_max):
             raise ConfigError("need 0 < sigma_min <= sigma_max")
         for label, value in (("recomb_y", self.recomb_y), ("recomb_s", self.recomb_s)):
@@ -85,31 +133,26 @@ class ESConfig:
         return self.tau if self.tau is not None else 1.0 / math.sqrt(2.0 * dim)
 
 
-def _recombine_vectors(vectors: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
-    if vectors.shape[0] == 1:
-        return vectors[0].copy()
-    if mode == "intermediate":
-        return vectors.mean(axis=0)
-    picks = rng.integers(0, vectors.shape[0], size=vectors.shape[1])
-    return vectors[picks, np.arange(vectors.shape[1])]
-
-
 def recombine(
-    parents: Sequence[ESIndividual],
+    ys: np.ndarray,
+    ss: np.ndarray,
     recomb_y: str,
     recomb_s: str,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blend rho parents into one (y, s) pair; rho = 1 is the identity."""
-    parents = tuple(parents)
-    if not parents:
-        raise UsageError("recombination needs at least one parent")
-    ys = np.stack([p.y for p in parents])
-    ss = np.stack([p.s for p in parents])
-    return (
-        _recombine_vectors(ys, recomb_y, rng),
-        _recombine_vectors(ss, recomb_s, rng),
-    )
+    """Blend each child's rho parents, given as (k, rho, d) object and
+    strategy rows, into (k, d) rows; rho = 1 is the identity."""
+    return _recombine_rows(ys, recomb_y, rng), _recombine_rows(ss, recomb_s, rng)
+
+
+def _recombine_rows(rows: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
+    k, rho, d = rows.shape
+    if rho == 1:
+        return rows[:, 0]
+    if mode == "intermediate":
+        return rows.mean(axis=1)
+    picks = rng.integers(0, rho, size=(k, 1, d))  # a parent per child and coordinate
+    return np.take_along_axis(rows, picks, axis=1)[:, 0]
 
 
 def update_strategies(
@@ -119,98 +162,77 @@ def update_strategies(
     sigma_max: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Log-normal self-adaptation with one global and d coordinate draws,
-    clamped into [sigma_min, sigma_max]."""
+    """Log-normal self-adaptation of step-size rows: one global draw per row
+    and one per coordinate, clamped into [sigma_min, sigma_max]."""
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
+    if not np.all(s > 0):
         raise UsageError("step sizes must be strictly positive")
-    g = rng.standard_normal()
-    locals_ = rng.standard_normal(s.size)
-    return np.clip(s * np.exp(tau * g + tau * locals_), sigma_min, sigma_max)
+    g = rng.standard_normal(s.shape[:-1] + (1,))
+    local = rng.standard_normal(s.shape)
+    return np.clip(s * np.exp(tau * g + tau * local), sigma_min, sigma_max)
 
 
 def mutate_y(
     problem: Problem, y: np.ndarray, s_new: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gaussian object mutation with the fresh step sizes, reflected into the box."""
+    """Gaussian object mutation of each row with its fresh step sizes,
+    reflected into the box."""
     if not isinstance(problem.space, ContinuousBox):
         raise UsageError("object-parameter mutation applies to box spaces")
     y = np.asarray(y, dtype=float)
-    return problem.space.reflect(y + np.asarray(s_new) * rng.standard_normal(y.size))
+    return problem.space.reflect(y + s_new * rng.standard_normal(y.shape))
 
 
 def next_sub_pop(
     problem: Problem,
-    members: Sequence[ESIndividual],
+    parents: ESBatch,
     config: ESConfig,
-    state: ScheduleState,
     rng: np.random.Generator,
-) -> ESIndividual:
-    """One child: marriage (rho uniform draws with replacement),
-    recombination, strategy update, mutation, evaluation."""
-    parents = [members[int(i)] for i in rng.integers(0, len(members), size=config.rho)]
-    y, s = recombine(parents, config.recomb_y, config.recomb_s, rng)
-    tau = config.tau_for(y.size)
-    s_new = update_strategies(s, tau, config.sigma_min, config.sigma_max, rng)
-    y_new = mutate_y(problem, y, s_new, rng)
-    return ESIndividual(y_new, s_new, problem.evaluate(y_new))
+    k: int,
+) -> ESBatch:
+    """k i.i.d. children of the parent rows: marriage (rho uniform parent
+    indices per child, with replacement), recombination, strategy update,
+    mutation, and one batched evaluation."""
+    idx = rng.integers(0, len(parents), size=(k, config.rho))
+    y, s = recombine(parents.y[idx], parents.s[idx], config.recomb_y, config.recomb_s, rng)
+    s = update_strategies(s, config.tau_for(y.shape[1]), config.sigma_min, config.sigma_max, rng)
+    y = mutate_y(problem, y, s, rng)
+    return ESBatch(y, s, problem.evaluate_batch(y))
 
 
-def variate_es(
-    problem: Problem,
-    members: Sequence[ESIndividual],
-    config: ESConfig,
-    state: ScheduleState,
-    rng: np.random.Generator,
-) -> tuple:
-    """lambda independent children from the same parent population."""
-    return tuple(
-        next_sub_pop(problem, members, config, state, rng) for _ in range(config.lam)
-    )
+def _best_first(problem: Problem, fitness: np.ndarray) -> np.ndarray:
+    key = fitness if problem.relation.value == "minimize" else -fitness
+    return np.argsort(key, kind="stable")
 
 
-def _fitness_of(problem: Problem, member: Any) -> float:
-    if isinstance(member, ESIndividual):
-        return member.f
-    return problem.evaluate(member)
-
-
-def replace_es(
-    problem: Problem,
-    parents: Sequence[Any],
-    children: Sequence[Any],
-    mode: str,
-) -> tuple:
+def replace_es(problem: Problem, parents: Any, children: Any, mode: str) -> Any:
     """Deterministic survivor selection.
 
     Plus: stable-sort parents + children best-first and keep the first mu
     (parents precede children, so ties favor parents).  Comma: the same
-    over children only.
+    over children only.  Batches give a batch of survivor rows; tuples of
+    points, scored by ``problem.evaluate``, give a tuple.
     """
-    parents = tuple(parents)
-    children = tuple(children)
     mu = len(parents)
-    if mode == "plus":
-        pool = parents + children
-    elif mode == "comma":
-        if len(children) < mu:
-            raise ConfigError("comma replacement requires lambda >= mu")
-        pool = children
-    else:
+    if mode not in ("plus", "comma"):
         raise ConfigError("mode must be 'plus' or 'comma'")
-    if problem.relation.value == "minimize":
-        ordered = sorted(pool, key=lambda m: _fitness_of(problem, m))
-    else:
-        ordered = sorted(pool, key=lambda m: -_fitness_of(problem, m))
-    return tuple(ordered[:mu])
+    if mode == "comma" and len(children) < mu:
+        raise ConfigError("comma replacement requires lambda >= mu")
+    if isinstance(children, ESBatch):
+        pool = children if mode == "comma" else parents + children
+        return pool.take(_best_first(problem, pool.f)[:mu])
+    pool = tuple(children) if mode == "comma" else tuple(parents) + tuple(children)
+    order = _best_first(problem, np.array([problem.evaluate(m) for m in pool]))
+    return tuple(pool[i] for i in order[:mu])
 
 
 def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
-    """Per-generation kernel: variate then replace.
+    """Per-generation kernel: lambda children, then survivor selection.
 
     On a finite space it is the composition of the plus/comma survivor
     selection with the join of the carried parents and lambda children,
-    and carries the exact matrix.  Sampling leaves the schedule alone.
+    and carries the exact matrix.  On a box it draws the generation as
+    one batch.  Sampling leaves the schedule alone.
     """
     if isinstance(problem.space, FiniteSet):
         if config.rho != 1:
@@ -226,8 +248,9 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
         return compose(survivors, join(carried + [child] * config.lam))
 
     def sample_fn(members, state, rng):
-        children = variate_es(problem, members, config, state, rng)
-        return replace_es(problem, members, children, config.mode)
+        parents = ESBatch.of(members)
+        children = next_sub_pop(problem, parents, config, rng, config.lam)
+        return replace_es(problem, parents, children, config.mode).members()
 
     return Kernel(config.mu, config.mu, sample_fn, name=f"es-next-pop-{config.mode}")
 
@@ -235,25 +258,21 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
 def init_es_population(
     problem: Problem, config: ESConfig, rng: np.random.Generator
 ) -> Population:
-    """mu fresh individuals: uniform in the box with sigma_init step sizes,
-    or uniform finite states."""
+    """mu fresh individuals: uniform in the box with sigma_init step sizes
+    (clamped into [sigma_min, sigma_max]), or uniform finite states."""
     space = problem.space
     if isinstance(space, ContinuousBox):
-        members = []
+        y = rng.uniform(space.lower, space.upper, size=(config.mu, space.dim))
         sigma0 = min(max(config.sigma_init, config.sigma_min), config.sigma_max)
-        for _ in range(config.mu):
-            y = space.sample_uniform(rng)
-            ind = ESIndividual(y, np.full(space.dim, sigma0), problem.evaluate(y))
-            members.append(ind)
-        return Population(tuple(members), np.array([m.f for m in members]))
+        batch = ESBatch(y, np.full(y.shape, sigma0), problem.evaluate_batch(y))
+        return Population(batch.members(), batch.f)
     members = tuple(space.sample_uniform(rng) for _ in range(config.mu))
     return Population.evaluated(members, problem)
 
 
 def mean_sigma(pop: Population) -> float:
-    """Average step size across a population of individuals (NaN if none)."""
-    sigmas = [float(np.mean(m.s)) for m in pop.members if isinstance(m, ESIndividual)]
-    return float(np.mean(sigmas)) if sigmas else math.nan
+    """Mean step size over every coordinate of every member."""
+    return float(np.mean([m.s for m in pop.members]))
 
 
 def make_es(problem: Problem, config: ESConfig) -> Algorithm:

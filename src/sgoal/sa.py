@@ -44,18 +44,18 @@ class Cooling:
     c: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.t0 <= 0:
+        if not self.t0 > 0:
             raise ConfigError("initial temperature must be positive")
         if self.kind == "geometric":
             if not 0.0 < self.gamma < 1.0:
                 raise ConfigError("geometric cooling needs gamma in (0, 1)")
         elif self.kind == "linear":
-            if self.step <= 0:
+            if not self.step > 0:
                 raise ConfigError("linear cooling needs step > 0")
-            if self.floor < 0:
+            if not self.floor >= 0:
                 raise ConfigError("linear cooling floor must be >= 0")
         elif self.kind == "logarithmic":
-            if self.c <= 0:
+            if not self.c > 0:
                 raise ConfigError("logarithmic cooling needs c > 0")
         else:
             raise ConfigError(f"unknown cooling kind {self.kind!r}")
@@ -105,7 +105,7 @@ class SAConfig:
     elitist: bool = True
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError("neighborhood sigma must be positive")
 
 

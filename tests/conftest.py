@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -176,3 +177,33 @@ def fold_into(value: float, lo: float, hi: float) -> float:
         else:
             v = 2.0 * lo - v
     return v
+
+
+def reference_es_children(y, s, config, box, n: int, rng) -> tuple:
+    """Oracle: n box-strategy children drawn one at a time, coordinate by
+    coordinate, from the (mu, d) parent rows ``y`` and ``s``.
+
+    Per child: rho uniform parent picks, one global log-normal draw, then per
+    coordinate the recombined values, the clamped step size and the mutated
+    coordinate folded into the box.
+    """
+    mu, d = y.shape
+    tau = config.tau_for(d)
+    out_y, out_s = np.empty((n, d)), np.empty((n, d))
+
+    def blend(values, mode):
+        if mode == "intermediate":
+            return sum(values) / len(values)
+        return values[int(rng.integers(len(values)))]
+
+    for i in range(n):
+        picks = [int(rng.integers(mu)) for _ in range(config.rho)]
+        g = rng.standard_normal()
+        for j in range(d):
+            yj = blend([y[p, j] for p in picks], config.recomb_y)
+            sj = blend([s[p, j] for p in picks], config.recomb_s)
+            sj *= math.exp(tau * g + tau * rng.standard_normal())
+            sj = min(max(sj, config.sigma_min), config.sigma_max)
+            out_s[i, j] = sj
+            out_y[i, j] = fold_into(yj + sj * rng.standard_normal(), box.lower[j], box.upper[j])
+    return out_y, out_s

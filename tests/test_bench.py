@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgoal.bench import BENCHMARKS, make_benchmark, rastrigin, rosenbrock, sphere, trap5
 from sgoal.core import ContinuousBox, Relation
@@ -69,3 +72,21 @@ class TestNeverBeatsOptimum:
                 x = problem.space.sample_uniform(rng)
             value = problem.objective(x)
             assert not problem.relation.better(value, b.f_star)
+
+
+batches = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(-10.0, 10.0))
+)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("objective", [sphere, rastrigin, rosenbrock])
+    @settings(max_examples=60, deadline=None)
+    @given(x=batches)
+    def test_row_i_is_the_scalar_value_of_row_i(self, objective, x):
+        values = objective(x)
+        assert values.shape == (x.shape[0],)
+        for row, value in zip(x, values):
+            scalar = objective(row)
+            assert type(scalar) is float
+            assert abs(value - scalar) <= 1e-12 * max(1.0, abs(scalar))

@@ -110,8 +110,9 @@ class TestRunCommand:
 
     def test_bad_eps_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SA_CFG)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "eps=abc"]) == 2
-        assert "bad eps threshold" in capsys.readouterr().err
+        for eps, message in (("abc", "bad eps threshold"), ("inf", "positive and finite")):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), f"eps={eps}"]) == 2
+            assert message in capsys.readouterr().err
 
     def test_bad_algorithm_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SA_CFG)
@@ -122,6 +123,20 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, SA_CFG)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out), "algorithm=tabu"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ["sa.T0=nan", "sa.gamma=nan", "es.tau=nan", "es.tau=inf",
+         "es.sigma_init=nan", "es.sigma_init=-1"],
+    )
+    def test_non_finite_or_non_positive_setting_exits_2(self, tmp_path, capsys, override):
+        algorithm, key = override.split("=")[0].split(".")
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), f"algorithm={algorithm}", "problem=sphere",
+                "dim=2", override]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_required_key_exits_2(self, tmp_path):

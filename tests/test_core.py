@@ -163,6 +163,41 @@ class TestProblem:
         assert calls == [0, 1, 1]
 
 
+    def test_batch_is_one_call_counted_without_memo(self):
+        box = ContinuousBox(np.full(2, -1.0), np.full(2, 1.0))
+        calls = []
+
+        def objective(x):
+            calls.append(x.shape)
+            return np.sum(x * x, axis=-1)
+
+        p = Problem(box, objective, f_star=0.0)
+        first = np.array([[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
+        assert p.evaluate_batch(first).tolist() == [0.5, 0.25, 0.25]
+        assert calls == [(3, 2)] and p.evals == 3 and p._cache == {}
+        assert np.array_equal(p.best_seen_point, first[1]) and p.best_seen_fitness == 0.25
+        p.evaluate_batch(np.array([[-0.5, 0.0], [1.0, 0.0]]))  # a tie does not replace
+        assert np.array_equal(p.best_seen_point, first[1]) and p.evals == 5
+        p.evaluate_batch(np.array([[1.0, 0.0], [0.0, 0.25]]))
+        assert np.array_equal(p.best_seen_point, [0.0, 0.25]) and p.best_seen_fitness == 0.0625
+
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            (lambda x: np.full(len(x), np.nan), "NaN"),
+            (lambda x: np.full(len(x), -1.0), "mis-declared"),
+            (lambda x: 0.0, "shape"),
+            (lambda x: np.zeros((len(x), 1)), "shape"),
+        ],
+    )
+    def test_batch_checks(self, objective, message):
+        box = ContinuousBox(np.full(2, -1.0), np.full(2, 1.0))
+        p = Problem(box, objective, f_star=0.0)
+        with pytest.raises(UsageError, match=message):
+            p.evaluate_batch(np.zeros((4, 2)))
+        assert p.evals == 0
+
+
 class TestBox:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(UsageError):

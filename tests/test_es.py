@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_es_matrix, line_problem, proposal_rows, transition_counts
+from conftest import (
+    brute_es_matrix,
+    line_problem,
+    proposal_rows,
+    reference_es_children,
+    transition_counts,
+)
 
-from sgoal.bench import make_benchmark
+from sgoal.bench import make_benchmark, rastrigin, sphere
 from sgoal.core import ContinuousBox, Problem, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import (
+    ESBatch,
     ESConfig,
     ESIndividual,
     es_next_pop,
@@ -19,7 +26,6 @@ from sgoal.es import (
     recombine,
     replace_es,
     update_strategies,
-    variate_es,
 )
 from sgoal.kernels import FiniteSpace, ScheduleState, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
@@ -31,6 +37,16 @@ from sgoal.verify import check_premises, extract_chain
 
 def individual(y, s, f=0.0):
     return ESIndividual(np.asarray(y, float), np.asarray(s, float), f)
+
+
+def batch(y, s, f=None):
+    y = np.asarray(y, float)
+    f = np.zeros(len(y)) if f is None else np.asarray(f, float)
+    return ESBatch(y, np.asarray(s, float), f)
+
+
+def zero_objective(x):
+    return np.zeros(len(x))
 
 
 class TestTypes:
@@ -52,6 +68,12 @@ class TestTypes:
             dict(mu=1, rho=1, lam=1, sigma_min=0.0),
             dict(mu=1, rho=1, lam=1, sigma_min=2.0, sigma_max=1.0),
             dict(mu=1, rho=1, lam=1, recomb_y="blend"),
+            dict(mu=1, rho=1, lam=1, tau=math.nan),
+            dict(mu=1, rho=1, lam=1, tau=math.inf),
+            dict(mu=1, rho=1, lam=1, sigma_init=math.nan),
+            dict(mu=1, rho=1, lam=1, sigma_init=-1.0),
+            dict(mu=1, rho=1, lam=1, sigma_init=0.0),
+            dict(mu=1, rho=1, lam=1, sigma_min=math.nan),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -110,15 +132,13 @@ class TestPickParents:
         # seen through intermediate recombination as a / midpoint / b
         rng = np.random.default_rng(32)
         box = ContinuousBox(np.array([-5.0]), np.array([5.0]))
-        problem = Problem(box, lambda v: 0.0)
+        problem = Problem(box, zero_objective)
         config = ESConfig(mu=2, rho=2, lam=1, tau=0.0, recomb_y="intermediate",
                           sigma_min=1e-9, sigma_max=1e-9)
-        parents = (individual([0.0], [1e-9]), individual([1.0], [1e-9]))
-        counts = np.zeros(3)
+        parents = batch([[0.0], [1.0]], [[1e-9], [1e-9]])
         n = 20_000
-        for _ in range(n):
-            child = next_sub_pop(problem, parents, config, ScheduleState(), rng)
-            counts[int(round(child.y[0] * 2.0))] += 1
+        children = next_sub_pop(problem, parents, config, rng, n)
+        counts = np.bincount(np.rint(children.y[:, 0] * 2.0).astype(int), minlength=3)
         assert np.all(np.abs(counts / n - [0.25, 0.5, 0.25]) < 0.02)
 
     def test_rho_cannot_exceed_population(self):
@@ -127,85 +147,82 @@ class TestPickParents:
 
 
 class TestRecombine:
+    # parents arrive as (k, rho, d) rows: k children, rho parents each
     def test_single_parent_is_identity(self, rng):
-        parent = individual([1.0, 2.0], [0.5, 0.5])
-        y, s = recombine((parent,), "discrete", "intermediate", rng)
-        assert np.array_equal(y, parent.y)
-        assert np.array_equal(s, parent.s)
+        ys = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
+        ss = np.full(ys.shape, 0.5)
+        y, s = recombine(ys, ss, "discrete", "intermediate", rng)
+        assert np.array_equal(y, ys[:, 0])
+        assert np.array_equal(s, ss[:, 0])
 
     def test_intermediate_mean(self, rng):
-        a = individual([0.0, 0.0], [1.0, 1.0])
-        b = individual([2.0, 4.0], [3.0, 1.0])
-        y, s = recombine((a, b), "intermediate", "intermediate", rng)
-        assert np.array_equal(y, [1.0, 2.0])
-        assert np.array_equal(s, [2.0, 1.0])
+        ys = np.array([[[0.0, 0.0], [2.0, 4.0]]])
+        ss = np.array([[[1.0, 1.0], [3.0, 1.0]]])
+        y, s = recombine(ys, ss, "intermediate", "intermediate", rng)
+        assert np.array_equal(y, [[1.0, 2.0]])
+        assert np.array_equal(s, [[2.0, 1.0]])
 
     def test_discrete_copies_each_coordinate_uniformly(self):
         rng = np.random.default_rng(33)
-        a = individual([0.0], [1.0])
-        b = individual([1.0], [1.0])
         n = 30_000
-        from_a = 0
-        for _ in range(n):
-            y, _ = recombine((a, b), "discrete", "intermediate", rng)
-            from_a += int(y[0] == 0.0)
-        assert abs(from_a / n - 0.5) < 0.02
+        ys = np.broadcast_to([[0.0], [1.0]], (n, 2, 1))
+        y, _ = recombine(ys, np.ones(ys.shape), "discrete", "intermediate", rng)
+        assert abs(np.mean(y[:, 0] == 0.0) - 0.5) < 0.02
 
     def test_discrete_coordinates_independent(self):
         rng = np.random.default_rng(34)
-        a = individual([0.0, 0.0], [1.0, 1.0])
-        b = individual([1.0, 1.0], [1.0, 1.0])
-        mixed = 0
         n = 20_000
-        for _ in range(n):
-            y, _ = recombine((a, b), "discrete", "intermediate", rng)
-            mixed += int(y[0] != y[1])
-        assert abs(mixed / n - 0.5) < 0.02
+        ys = np.broadcast_to([[0.0, 0.0], [1.0, 1.0]], (n, 2, 2))
+        y, _ = recombine(ys, np.ones(ys.shape), "discrete", "intermediate", rng)
+        assert abs(np.mean(y[:, 0] != y[:, 1]) - 0.5) < 0.02
 
 
 class TestUpdateStrategies:
     def test_zero_tau_keeps_sigma(self, rng):
-        s = np.array([0.5, 2.0])
+        s = np.array([[0.5, 2.0], [1.0, 3.0]])
         out = update_strategies(s, 0.0, 1e-8, 1e3, rng)
         assert np.array_equal(out, s)
 
     def test_clamped_at_maximum(self):
         rng = np.random.default_rng(35)
-        s = np.array([1.0])
-        out = update_strategies(s, 50.0, 1e-8, 1.0, rng)
-        assert out[0] <= 1.0
+        out = update_strategies(np.ones((20_000, 1)), 50.0, 1e-8, 1.0, rng)
+        assert np.all(out <= 1.0)
 
     def test_positive_input_required(self, rng):
-        with pytest.raises(UsageError):
-            update_strategies(np.array([0.0]), 0.1, 1e-8, 1e3, rng)
+        for bad in (0.0, math.nan):
+            with pytest.raises(UsageError):
+                update_strategies(np.array([[1.0], [bad]]), 0.1, 1e-8, 1e3, rng)
 
     def test_median_ratio_near_one(self):
         # log-normal multiplier has median exp(0) = 1
         rng = np.random.default_rng(36)
-        ratios = np.empty(20_000)
-        s = np.array([1.0])
-        for i in range(ratios.size):
-            ratios[i] = update_strategies(s, 0.3, 1e-12, 1e12, rng)[0]
+        ratios = update_strategies(np.ones((20_000, 1)), 0.3, 1e-12, 1e12, rng)[:, 0]
         assert abs(np.median(ratios) - 1.0) < 0.02
 
     def test_outputs_within_bounds_always(self):
         rng = np.random.default_rng(37)
-        for _ in range(200):
-            out = update_strategies(np.array([1.0, 1.0, 1.0]), 2.0, 1e-2, 1e2, rng)
-            assert np.all(out >= 1e-2) and np.all(out <= 1e2)
+        out = update_strategies(np.ones((200, 3)), 2.0, 1e-2, 1e2, rng)
+        assert np.all(out >= 1e-2) and np.all(out <= 1e2)
+
+    def test_global_draw_shared_within_a_row(self):
+        # log s' = log s + tau * (g + z_j): one g per row, so two coordinates of
+        # a row correlate at var(g) / (var(g) + var(z)) = 1/2, across rows at 0
+        rng = np.random.default_rng(48)
+        logs = np.log(update_strategies(np.ones((20_000, 2)), 0.3, 1e-12, 1e12, rng))
+        within = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
+        across = np.corrcoef(logs[:-1, 0], logs[1:, 0])[0, 1]
+        assert abs(within - 0.5) < 0.03
+        assert abs(across) < 0.03
 
 
 class TestMutateY:
     def test_deviation_scale_matches_sigma(self):
-        # one call with a wide vector exercises the per-coordinate draws
-        from sgoal.core import ContinuousBox, Problem
-
         rng = np.random.default_rng(38)
         sigma = 0.01
-        y = np.zeros(100_000)
-        box = ContinuousBox(np.full(y.size, -5.12), np.full(y.size, 5.12))
-        p = Problem(box, lambda v: 0.0)
-        out = mutate_y(p, y, np.full(y.size, sigma), rng)
+        y = np.zeros((20_000, 5))
+        box = ContinuousBox(np.full(5, -5.12), np.full(5, 5.12))
+        p = Problem(box, zero_objective)
+        out = mutate_y(p, y, np.full(y.shape, sigma), rng)
         deviations = out - y
         assert abs(float(np.std(deviations)) - sigma) < 0.05 * sigma
         assert abs(float(np.mean(deviations))) <= 3.0 * sigma / math.sqrt(y.size)
@@ -213,10 +230,9 @@ class TestMutateY:
     def test_output_inside_box(self):
         bench = make_benchmark("sphere", 2)
         rng = np.random.default_rng(39)
-        y = bench.problem.space.upper.copy()
-        for _ in range(200):
-            out = mutate_y(bench.problem, y, np.array([50.0, 50.0]), rng)
-            assert bench.problem.space.contains(out)
+        y = np.tile(bench.problem.space.upper, (200, 1))
+        out = mutate_y(bench.problem, y, np.full(y.shape, 50.0), rng)
+        assert all(bench.problem.space.contains(row) for row in out)
 
 
 class TestNextSubPop:
@@ -226,30 +242,43 @@ class TestNextSubPop:
         config = ESConfig(mu=1, rho=1, lam=1, tau=0.0, sigma_init=1e-6,
                           sigma_min=1e-6, sigma_max=1e-6)
         rng = np.random.default_rng(40)
-        parent = individual([1.0, 1.0], [1e-6, 1e-6], problem.evaluate(np.array([1.0, 1.0])))
-        child = next_sub_pop(problem, (parent,), config, ScheduleState(), rng)
-        assert np.array_equal(child.s, parent.s)
-        assert np.all(np.abs(child.y - parent.y) < 1e-5 * 6)
+        parent = batch([[1.0, 1.0]], [[1e-6, 1e-6]], [2.0])
+        children = next_sub_pop(problem, parent, config, rng, 20_000)
+        assert np.all(children.s == 1e-6)
+        assert np.all(np.abs(children.y - 1.0) < 1e-5 * 6)
 
     def test_exactly_one_evaluation_per_call(self):
-        bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        # k children cost k evaluations and one objective call
+        shapes = []
+
+        def objective(x):
+            shapes.append(np.shape(x))
+            return sphere(x)
+
+        space = make_benchmark("sphere", 2).problem.space
+        problem = Problem(space, objective, f_star=0.0)
         config = ESConfig(mu=1, rho=1, lam=1)
         rng = np.random.default_rng(41)
         pop = init_es_population(problem, config, rng)
         before = problem.evals
-        next_sub_pop(problem, pop.members, config, ScheduleState(), rng)
-        assert problem.evals == before + 1
+        children = next_sub_pop(problem, ESBatch.of(pop.members), config, rng, 7)
+        assert problem.evals == before + 7
+        assert shapes == [(1, 2), (7, 2)]
+        assert np.array_equal(children.f, sphere(children.y))
 
     def test_variate_with_single_child_reduces_to_next_sub_pop(self):
+        # lambda = 1, comma: the one survivor is the next_sub_pop child
         bench = make_benchmark("sphere", 2)
         problem = bench.problem.copy()
-        config = ESConfig(mu=2, rho=1, lam=1)
-        rng = np.random.default_rng(46)
-        pop = init_es_population(problem, config, rng)
-        children = variate_es(problem, pop.members, config, ScheduleState(), rng)
-        assert len(children) == 1
-        assert isinstance(children[0], ESIndividual)
+        config = ESConfig(mu=1, rho=1, lam=1, mode="comma")
+        pop = init_es_population(problem, config, np.random.default_rng(0))
+        rng, replay = np.random.default_rng(46), np.random.default_rng(46)
+        (survivor,) = es_next_pop(problem, config).sample(pop.members, ScheduleState(), rng)
+        child = next_sub_pop(problem, ESBatch.of(pop.members), config, replay, 1)
+        assert isinstance(survivor, ESIndividual)
+        assert np.array_equal(survivor.y, child.y[0])
+        assert np.array_equal(survivor.s, child.s[0])
+        assert survivor.f == child.f[0]
 
     def test_variate_evaluates_lambda_times(self):
         bench = make_benchmark("sphere", 2)
@@ -258,8 +287,8 @@ class TestNextSubPop:
         rng = np.random.default_rng(42)
         pop = init_es_population(problem, config, rng)
         before = problem.evals
-        children = variate_es(problem, pop.members, config, ScheduleState(), rng)
-        assert len(children) == 5
+        members = es_next_pop(problem, config).sample(pop.members, ScheduleState(), rng)
+        assert len(members) == 2
         assert problem.evals == before + 5
 
     def test_children_exchangeable_across_slots(self):
@@ -269,13 +298,31 @@ class TestNextSubPop:
         config = ESConfig(mu=3, rho=2, lam=4)
         rng = np.random.default_rng(43)
         pop = init_es_population(problem, config, rng)
-        slot_values = np.zeros((300, config.lam))
-        for r in range(slot_values.shape[0]):
-            children = variate_es(problem, pop.members, config, ScheduleState(), rng)
-            slot_values[r] = [c.f for c in children]
+        children = next_sub_pop(problem, ESBatch.of(pop.members), config, rng, 5000 * config.lam)
+        slot_values = children.f.reshape(-1, config.lam)
         means = slot_values.mean(axis=0)
         pooled_sd = slot_values.std() / math.sqrt(slot_values.shape[0])
         assert np.all(np.abs(means - means.mean()) < 6.0 * pooled_sd)
+
+    @pytest.mark.parametrize("recomb_y", ["discrete", "intermediate"])
+    def test_children_match_per_child_reference(self, recomb_y):
+        # one coordinate of the batched children against children drawn one at a time
+        from scipy.stats import ks_2samp
+
+        box = ContinuousBox(np.full(3, -2.5), np.full(3, 2.5))
+        problem = Problem(box, sphere, f_star=0.0)
+        config = ESConfig(mu=3, rho=2, lam=1, recomb_y=recomb_y)
+        parents = batch(
+            [[-1.0, 0.5, 2.0], [0.3, -2.0, 1.0], [1.5, 1.0, -0.5]],
+            [[0.2, 0.2, 0.2], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]],
+        )
+        n = 4000
+        children = next_sub_pop(problem, parents, config, np.random.default_rng(49), n)
+        ref_y, ref_s = reference_es_children(
+            parents.y, parents.s, config, box, n, np.random.default_rng(50)
+        )
+        assert ks_2samp(children.y[:, 0], ref_y[:, 0]).pvalue > 0.001
+        assert ks_2samp(children.s[:, 0], ref_s[:, 0]).pvalue > 0.001
 
 
 class TestReplace:
@@ -317,6 +364,29 @@ class TestReplace:
         best_parent = min(problem.evaluate(p) for p in parents)
         best_survivor = min(problem.evaluate(s) for s in survivors)
         assert best_survivor <= best_parent
+
+
+    def test_batch_ties_favor_parents_in_plus(self):
+        problem = make_benchmark("sphere", 1).problem
+        parents = batch([[1.0], [2.0]], [[1.0], [1.0]], [1.0, 4.0])
+        children = batch([[-1.0], [0.5]], [[2.0], [2.0]], [1.0, 0.25])
+        plus = replace_es(problem, parents, children, "plus")
+        assert np.array_equal(plus.f, [0.25, 1.0]) and np.array_equal(plus.y, [[0.5], [1.0]])
+        comma = replace_es(problem, parents, children, "comma")
+        assert np.array_equal(comma.f, [0.25, 1.0]) and np.array_equal(comma.y, [[0.5], [-1.0]])
+
+    @pytest.mark.parametrize("mode", ["plus", "comma"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_survivors_equal_tuple_oracle(self, seed, mode):
+        # rows carry their point index in y; tied fitness values exercise stability
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 3, size=9).astype(float)
+        problem = line_problem(values)
+        parents, children = tuple(range(3)), tuple(range(3, 9))
+        rows = batch(np.arange(9.0)[:, None], np.ones((9, 1)), values)
+        survivors = replace_es(problem, rows.take(np.arange(3)), rows.take(np.arange(3, 9)), mode)
+        oracle = replace_es(problem, parents, children, mode)
+        assert survivors.y[:, 0].astype(int).tolist() == list(oracle)
 
 
 class TestFiniteKernels:
@@ -440,3 +510,22 @@ class TestRuns:
         for algo in sa:
             trace = run_algorithm(algo, max_iters(6), seed=0).trace
             assert np.array_equal(trace.param, [4.0 * 0.5**t for t in range(7)])
+
+    def test_box_run_evaluation_contract(self):
+        # one objective call per generation, no memo, best-seen over every child
+        base = make_benchmark("rastrigin", 10).problem
+        returned = []
+
+        def objective(x):
+            values = rastrigin(x)
+            returned.append(np.atleast_1d(values))
+            return values
+
+        problem = Problem(base.space, objective, base.relation, base.f_star)
+        config = ESConfig(mu=15, rho=2, lam=100, mode="comma")
+        res = run_algorithm(make_es(problem, config), max_iters(50), seed=7)
+        assert res.trace.evals[-1] == 15 + 50 * 100
+        assert problem._cache == {}
+        assert len(returned) == 51
+        assert problem.best_seen_fitness == np.concatenate(returned).min()
+        assert rastrigin(problem.best_seen_point) == problem.best_seen_fitness
