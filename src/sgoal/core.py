@@ -371,21 +371,20 @@ def run_sgoal(
     end: Callable[[Population, int], bool],
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-    schedule: ScheduleState | None = None,
     fitness_of: Callable[[Any], float] | None = None,
     param_fn: Callable[[Population, ScheduleState], float] | None = None,
 ) -> SGoalResult:
     """Run the generic population-iteration loop.
 
     Applies ``next_pop`` to the population until ``end(pop, t)`` is true,
-    advancing the schedule once after every step, and records the trace
+    advancing a fresh ``ScheduleState`` once after every step, so the step
+    kernel reads its time index as ``state.t``, and records the trace
     at t = 0 and after every step.  Identical seeds and configuration
     produce bit-identical traces.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if schedule is None:
-        schedule = ScheduleState()
+    schedule = ScheduleState()
     if fitness_of is None:
         fitness_of = problem.evaluate
 
@@ -441,7 +440,10 @@ def run_sgoal(
 
 @dataclass
 class Algorithm:
-    """A ready-to-run optimizer: problem, initializer, kernel, schedule.
+    """A ready-to-run optimizer: problem, initializer and step kernel.
+
+    ``next_pop`` reads the time index from the run's ``ScheduleState``;
+    ``param_fn`` reports the step's schedule parameter for the trace.
 
     ``chain_kernel`` is the one-step kernel used for exact finite-space
     verification.  It is ``next_pop`` itself unless given: only the
@@ -452,10 +454,8 @@ class Algorithm:
 
     name: str
     problem: Problem
-    pop_size: int
     init: Callable[[np.random.Generator], Population]
     next_pop: Kernel
-    schedule_factory: Callable[[], ScheduleState]
     fitness_of: Callable[[Any], float] | None = None
     param_fn: Callable[[Population, ScheduleState], float] | None = None
     chain_kernel: Kernel | None = None
@@ -471,7 +471,7 @@ def run_algorithm(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> SGoalResult:
-    """Run an assembled algorithm with a fresh schedule."""
+    """Run an assembled algorithm from step 0."""
     return run_sgoal(
         algo.problem,
         algo.init,
@@ -479,7 +479,6 @@ def run_algorithm(
         end,
         seed=seed,
         rng=rng,
-        schedule=algo.schedule_factory(),
         fitness_of=algo.fitness_of,
         param_fn=algo.param_fn,
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Algorithm, ContinuousBox, FiniteSet, Population, Problem
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, ScheduleState, compose, join, projection, sort_kernel
+from .kernels import Kernel, compose, join, projection, sort_kernel
 from .mutation import proposal_kernel
 from .selection import selection_kernel, uniform
 
@@ -121,10 +121,10 @@ class ESConfig:
             raise ConfigError("comma replacement requires lambda >= mu")
         if self.tau is not None and not 0 <= self.tau < math.inf:
             raise ConfigError("tau must be finite and nonnegative")
-        if not self.sigma_init > 0:
-            raise ConfigError("sigma_init must be positive")
         if not (0 < self.sigma_min <= self.sigma_max):
             raise ConfigError("need 0 < sigma_min <= sigma_max")
+        if not self.sigma_min <= self.sigma_init <= self.sigma_max:
+            raise ConfigError("sigma_init must lie in [sigma_min, sigma_max]")
         for label, value in (("recomb_y", self.recomb_y), ("recomb_s", self.recomb_s)):
             if value not in ("discrete", "intermediate"):
                 raise ConfigError(f"{label} must be 'discrete' or 'intermediate'")
@@ -258,13 +258,12 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
 def init_es_population(
     problem: Problem, config: ESConfig, rng: np.random.Generator
 ) -> Population:
-    """mu fresh individuals: uniform in the box with sigma_init step sizes
-    (clamped into [sigma_min, sigma_max]), or uniform finite states."""
+    """mu fresh individuals: uniform in the box with sigma_init step sizes,
+    or uniform finite states."""
     space = problem.space
     if isinstance(space, ContinuousBox):
         y = rng.uniform(space.lower, space.upper, size=(config.mu, space.dim))
-        sigma0 = min(max(config.sigma_init, config.sigma_min), config.sigma_max)
-        batch = ESBatch(y, np.full(y.shape, sigma0), problem.evaluate_batch(y))
+        batch = ESBatch(y, np.full(y.shape, config.sigma_init), problem.evaluate_batch(y))
         return Population(batch.members(), batch.f)
     members = tuple(space.sample_uniform(rng) for _ in range(config.mu))
     return Population.evaluated(members, problem)
@@ -281,10 +280,8 @@ def make_es(problem: Problem, config: ESConfig) -> Algorithm:
     return Algorithm(
         name=f"es-{config.mode}",
         problem=problem,
-        pop_size=config.mu,
         init=lambda rng: init_es_population(problem, config, rng),
         next_pop=es_next_pop(problem, config),
-        schedule_factory=ScheduleState,
         fitness_of=None if finite else (lambda m: m.f),
         param_fn=None if finite else (lambda pop, state: mean_sigma(pop)),
     )

@@ -33,32 +33,16 @@ BLOCK_ENTRIES = 1 << 14  # dense matrix entries ``exact_matrix`` fills per block
 
 
 class ScheduleState:
-    """Mutable non-stationary parameters threaded through kernel sampling.
+    """The time index threaded through kernel sampling.
 
-    ``t`` counts completed next-population applications.  Named parameters
-    change only through their registered update rule, applied once per
-    ``tick``; a rule receives ``(value, t)`` with t the step count before
-    the tick.
+    ``t`` counts completed next-population applications; a non-stationary
+    kernel reads its step-t parameters as closed forms of ``t``.
     """
 
-    def __init__(self, params: dict[str, float] | None = None) -> None:
+    def __init__(self) -> None:
         self.t: int = 0
-        self.params: dict[str, float] = dict(params or {})
-        self._rules: dict[str, Callable[[float, int], float]] = {}
-
-    def register(
-        self,
-        name: str,
-        value: float,
-        rule: Callable[[float, int], float] | None = None,
-    ) -> None:
-        self.params[name] = float(value)
-        if rule is not None:
-            self._rules[name] = rule
 
     def tick(self) -> None:
-        for name, rule in self._rules.items():
-            self.params[name] = float(rule(self.params[name], self.t))
         self.t += 1
 
 

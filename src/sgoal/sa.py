@@ -2,10 +2,10 @@
 
 The run-time algorithm follows the classic Metropolis loop: a proposal
 kernel draws a candidate, and a 2 -> 1 Metropolis kernel keeps candidate
-or incumbent at the schedule's temperature.  On a finite space the
-non-elitist loop is ``compose(metropolis, join([proposal, identity(1)]))``,
-the same kernel that is verified; on a box it proposes and replaces in
-one step.  In elitist mode the population
+or incumbent at temperature ``T = schedule.temperature(t)``, a closed form
+of the step index t.  The non-elitist loop is ``compose(metropolis,
+join([proposal, identity(1)]))`` on both spaces; on a finite space that
+same kernel is verified.  In elitist mode the population
 carries the best point found so far next to the Metropolis walker, so the
 reported closeness never worsens; its verified chain is the arity-1
 greedy chain ``compose(proj[0] . sort2, join([proposal, identity(1)]))``,
@@ -23,17 +23,17 @@ import numpy as np
 
 from .core import Algorithm, FiniteSet, Population, Problem
 from .errors import ConfigError
-from .kernels import Kernel, ScheduleState, compose, identity, join, projection, sort_kernel
+from .kernels import Kernel, compose, identity, join, projection, sort_kernel
 from .mutation import proposal_kernel
 
 
 @dataclass(frozen=True)
 class Cooling:
-    """Temperature schedule; the update maps T into [0, T].
+    """Temperature schedule: ``temperature(t)`` is the temperature at step t,
+    non-increasing in t and within [0, T0].
 
-    Kinds: ``geometric`` (T0 * gamma^t), ``linear`` (T0 - t*step, floored),
-    ``logarithmic`` (c / ln(t + 2)).  ``temperature(t)`` is the closed form
-    after t update steps; the per-step rule reproduces it exactly.
+    Kinds: ``geometric`` (T0 * gamma^t), ``linear`` (T0 - t*step, floored
+    at a floor <= T0), ``logarithmic`` (c / ln(t + 2)).
     """
 
     kind: str
@@ -52,8 +52,8 @@ class Cooling:
         elif self.kind == "linear":
             if not self.step > 0:
                 raise ConfigError("linear cooling needs step > 0")
-            if not self.floor >= 0:
-                raise ConfigError("linear cooling floor must be >= 0")
+            if not 0 <= self.floor <= self.t0:
+                raise ConfigError("linear cooling floor must lie in [0, T0]")
         elif self.kind == "logarithmic":
             if not self.c > 0:
                 raise ConfigError("logarithmic cooling needs c > 0")
@@ -66,10 +66,6 @@ class Cooling:
         if self.kind == "linear":
             return max(self.t0 - t * self.step, self.floor)
         return self.c / math.log(t + 2.0)
-
-    def alpha(self, temperature: float, t: int) -> float:
-        """Per-step update rule: T_{t+1} from (T_t, t)."""
-        return self.temperature(t + 1)
 
 
 def geometric(t0: float, gamma: float = 0.95) -> Cooling:
@@ -188,18 +184,16 @@ def replace_sa(
 
 def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
     """2 -> 1 replacement: (candidate, incumbent) -> the Metropolis survivor
-    at the schedule's current temperature."""
-
-    def temperature(state):
-        return state.params.get("T", config.schedule.t0)
+    at the schedule's step-t temperature."""
+    temperature = config.schedule.temperature
 
     def sample_fn(members, state, rng):
-        return (replace_sa(problem, *members, temperature(state), rng),)
+        return (replace_sa(problem, *members, temperature(state.t), rng),)
 
     def matrix_fn(space, state, idx):
         pairs = space.digits(idx, 2)
         f = space.fitness(problem)[pairs]
-        accept = acceptance_probability(problem, f[:, 0], f[:, 1], temperature(state))
+        accept = acceptance_probability(problem, f[:, 0], f[:, 1], temperature(state.t))
         return pairs, np.stack([accept, 1.0 - accept], axis=1)
 
     return Kernel(2, 1, sample_fn, matrix_fn, name="metropolis")
@@ -208,28 +202,23 @@ def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
 def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     """The per-generation kernel run by the annealing loop.
 
-    Non-elitist: a single Metropolis walker (arity 1), composed from the
-    proposal and Metropolis kernels on a finite space.  Elitist: the
-    walker plus the best-so-far point (arity 2), so closeness is read
-    from the best member.  Sampling reads T from the schedule state and
-    leaves the schedule alone; the run loop advances it.
+    Non-elitist: a single Metropolis walker (arity 1), ``compose(metropolis,
+    join([proposal, identity(1)]))`` on a finite space and on a box alike.
+    Elitist: the walker plus the best-so-far point (arity 2), so closeness
+    is read from the best member.  Sampling reads ``T =
+    temperature(state.t)`` and leaves the schedule alone; the run loop
+    advances it.
     """
     proposal = sa_proposal(problem, config)
     if not config.elitist:
-        if isinstance(problem.space, FiniteSet):
-            return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
-
-        def step(members, state, rng):
-            candidate = proposal.sample_fn(members, state, rng)[0]
-            return (replace_sa(problem, candidate, members[0], state.params["T"], rng),)
-
-        return Kernel(1, 1, step, name="sa-next-pop")
+        return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
+    temperature = config.schedule.temperature
 
     def sample_fn(members, state, rng):
         current, best_pt = members
         candidate = proposal.sample_fn((current,), state, rng)[0]
         return replace_sa(
-            problem, candidate, current, state.params["T"], rng,
+            problem, candidate, current, temperature(state.t), rng,
             elitist=True, best=best_pt,
         )
 
@@ -238,13 +227,6 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
 
 def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
     """Assemble the annealing loop for ``run_algorithm``."""
-    schedule = config.schedule
-
-    def schedule_factory() -> ScheduleState:
-        state = ScheduleState()
-        state.register("T", schedule.t0, rule=schedule.alpha)
-        return state
-
     def init(rng: np.random.Generator) -> Population:
         x0 = problem.space.sample_uniform(rng)
         members = (x0, x0) if config.elitist else (x0,)
@@ -258,10 +240,8 @@ def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
     return Algorithm(
         name="sa-elitist" if config.elitist else "sa",
         problem=problem,
-        pop_size=2 if config.elitist else 1,
         init=init,
         next_pop=sa_next_pop(problem, config),
-        schedule_factory=schedule_factory,
-        param_fn=lambda pop, state: state.params["T"],
+        param_fn=lambda pop, state: config.schedule.temperature(state.t),
         chain_kernel=chain,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Algorithm, Problem, Relation
 from .errors import ConfigError, NotLumpable, UsageError
-from .kernels import ClassSpace, FiniteSpace, check_row_stochastic
+from .kernels import ClassSpace, FiniteSpace, ScheduleState, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
@@ -198,9 +198,10 @@ def extract_chain(
 ) -> FiniteChain:
     """Enumerate an algorithm's exact population chain on a finite space.
 
-    Builds one transition matrix per step by advancing a fresh schedule
-    (non-stationary algorithms yield distinct matrices), and marks the
-    near-optimal states as ``classify_eps`` classifies them.
+    Builds the chain kernel's transition matrix at each step t = 0 ..
+    t_max - 1 (a non-stationary kernel reads ``state.t`` and yields
+    distinct matrices), and marks the near-optimal states as
+    ``classify_eps`` classifies them.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -250,7 +251,7 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
             f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
-    schedule = algo.schedule_factory()
+    schedule = ScheduleState()
     matrices = []
     for _ in range(max(1, t_max)):
         matrices.append(kernel.exact_matrix(space, schedule))

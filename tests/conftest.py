@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sgoal.core import FiniteSet, Problem, Relation
 from sgoal.es import replace_es
 from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, dense_rows
-from sgoal.sa import acceptance_probability
+from sgoal.sa import acceptance_probability, fixed, linear
 
 
 @pytest.fixture
@@ -60,6 +60,23 @@ def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:
         return dense_rows(matrix[idx])
 
     return Kernel(1, 1, sample_fn, matrix_fn, name="matrix-kernel")
+
+
+def schedule_at(temperature: float):
+    """A cooling schedule and the step t at which it reads ``temperature``:
+    ``fixed(T)`` at t = 0, or for the greedy limit T = 0 a linear schedule
+    that reaches 0 at t = 1."""
+    if temperature > 0:
+        return fixed(temperature), 0
+    return linear(1.0, step=1.0), 1
+
+
+def state_at(t: int) -> ScheduleState:
+    """A schedule state after t ticks."""
+    state = ScheduleState()
+    for _ in range(t):
+        state.tick()
+    return state
 
 
 def random_stochastic(rng, n: int) -> np.ndarray:

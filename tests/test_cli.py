@@ -139,6 +139,24 @@ class TestRunCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["algorithm=sa", "sa.cooling=linear", "sa.T0=1", "sa.step=0.4", "sa.floor=5"],
+             "floor"),
+            (["algorithm=es", "es.sigma_init=5000", "budget=3"], "sigma_init"),
+            (["algorithm=es", "es.sigma_init=1e-12", "budget=3"], "sigma_init"),
+        ],
+    )
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
+        # a linear floor above T0 would raise the temperature; a sigma_init
+        # outside [sigma_min, sigma_max] would start the run elsewhere
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_key_exits_2(self, tmp_path):
         assert main(["run", "algorithm=sa", "problem=onemax"]) == 2
 

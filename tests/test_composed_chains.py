@@ -9,11 +9,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_es_matrix, brute_sa_matrix, instances
+from conftest import brute_es_matrix, brute_sa_matrix, instances, schedule_at, state_at
 
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import FiniteSpace, ScheduleState
-from sgoal.sa import SAConfig, fixed, make_sa
+from sgoal.kernels import FiniteSpace
+from sgoal.sa import SAConfig, make_sa
 
 EXACT = 1e-12
 
@@ -32,11 +32,10 @@ def assert_exact(m, oracle):
 )
 def test_annealer_chain_equals_enumeration(instance, elitist, temperature):
     problem, mutation = instance
-    config = SAConfig(schedule=fixed(1.0), mutation=mutation, elitist=elitist)
-    state = ScheduleState()
-    state.register("T", temperature)
+    schedule, t = schedule_at(temperature)
+    config = SAConfig(schedule=schedule, mutation=mutation, elitist=elitist)
     m = make_sa(problem, config).chain_kernel.exact_matrix(
-        FiniteSpace(problem.space.points), state
+        FiniteSpace(problem.space.points), state_at(t)
     )
     assert_exact(m, brute_sa_matrix(problem, mutation, elitist, temperature))
 

@@ -29,7 +29,7 @@ from sgoal.es import (
 )
 from sgoal.kernels import FiniteSpace, ScheduleState, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
-from sgoal.sa import SAConfig, geometric, make_sa
+from sgoal.sa import SAConfig, geometric, linear, logarithmic, make_sa
 from sgoal.selection import selection_kernel, uniform
 from sgoal.stats import chisquare_gof
 from sgoal.verify import check_premises, extract_chain
@@ -74,6 +74,8 @@ class TestTypes:
             dict(mu=1, rho=1, lam=1, sigma_init=-1.0),
             dict(mu=1, rho=1, lam=1, sigma_init=0.0),
             dict(mu=1, rho=1, lam=1, sigma_min=math.nan),
+            dict(mu=1, rho=1, lam=1, sigma_init=5000.0),
+            dict(mu=1, rho=1, lam=1, sigma_init=1e-12),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -134,7 +136,7 @@ class TestPickParents:
         box = ContinuousBox(np.array([-5.0]), np.array([5.0]))
         problem = Problem(box, zero_objective)
         config = ESConfig(mu=2, rho=2, lam=1, tau=0.0, recomb_y="intermediate",
-                          sigma_min=1e-9, sigma_max=1e-9)
+                          sigma_init=1e-9, sigma_min=1e-9, sigma_max=1e-9)
         parents = batch([[0.0], [1.0]], [[1e-9], [1e-9]])
         n = 20_000
         children = next_sub_pop(problem, parents, config, rng, n)
@@ -494,22 +496,26 @@ class TestRuns:
                 assert np.all(m.s >= 1e-3) and np.all(m.s <= 2.0)
 
     def test_schedule_clock_advances_once_per_generation(self):
-        # sampling a kernel is the step-t transition only; the run loop ticks
+        # sampling a kernel is the step-t transition only; the run loop ticks,
+        # so the trace's T_or_sigma column is temperature(t), exactly
         rng = np.random.default_rng(45)
-        bench = make_benchmark("sphere", 2)
-        es = make_es(bench.problem.copy(), ESConfig(mu=2, rho=1, lam=3))
+        problems = {"sphere": 2, "onemax": 3}
+        es = [make_es(make_benchmark(name, dim).problem.copy(), ESConfig(mu=2, rho=1, lam=3))
+              for name, dim in problems.items()]
         sa = [
-            make_sa(make_benchmark("onemax", 3).problem.copy(),
-                    SAConfig(schedule=geometric(4.0, 0.5), elitist=elitist))
+            (make_sa(make_benchmark(name, dim).problem.copy(),
+                     SAConfig(schedule=schedule, elitist=elitist)), schedule)
+            for name, dim in problems.items()
+            for schedule in (geometric(4.0, 0.5), linear(4.0, 0.7, floor=0.5), logarithmic(2.0))
             for elitist in (True, False)
         ]
-        for algo in [es] + sa:
-            state = algo.schedule_factory()
+        for algo in es + [algo for algo, _ in sa]:
+            state = ScheduleState()
             algo.next_pop.sample(algo.init(rng).members, state, rng)
             assert state.t == 0
-        for algo in sa:
+        for algo, schedule in sa:
             trace = run_algorithm(algo, max_iters(6), seed=0).trace
-            assert np.array_equal(trace.param, [4.0 * 0.5**t for t in range(7)])
+            assert np.array_equal(trace.param, [schedule.temperature(t) for t in range(7)])
 
     def test_box_run_evaluation_contract(self):
         # one objective call per generation, no memo, best-seen over every child

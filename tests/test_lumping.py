@@ -17,14 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_es_matrix, brute_sa_matrix, instances, proposal_rows
+from conftest import brute_es_matrix, brute_sa_matrix, instances, proposal_rows, schedule_at
 
 import sgoal.cli
 from sgoal.bench import make_benchmark
 from sgoal.core import EpsClass, Population, Problem, classify_eps
 from sgoal.errors import NotLumpable, UsageError
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import ClassSpace, FiniteSpace, ScheduleState
+from sgoal.kernels import ClassSpace, FiniteSpace
 from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
 from sgoal.verify import eps_inside, extract_chain
@@ -156,13 +156,6 @@ class TestQuotientExactness:
         assert problem.evals == 0 and problem.best_seen_point is None
 
 
-def fixed_temperature(temperature: float) -> ScheduleState:
-    """A schedule that holds T, which may be 0 (the greedy limit)."""
-    state = ScheduleState()
-    state.register("T", temperature)
-    return state
-
-
 def lumps(rows: np.ndarray, values: list) -> bool:
     """Oracle: every pair of points with equal value puts equal mass on
     every value, within EXACT."""
@@ -194,15 +187,16 @@ def test_line_problems_with_ties(instance, kind, temperature, mu, lam, mode):
     if kind == "es":
         lam = max(lam, mu) if mode == "comma" else lam
         algo = make_es(problem, ESConfig(mu=mu, rho=1, lam=lam, mode=mode, mutation=mutation))
-        brute = brute_es_matrix(problem, mu, lam, mode, mutation)
+        brute, t = brute_es_matrix(problem, mu, lam, mode, mutation), 0
     else:
         elitist = kind == "sa-elitist"
-        config = SAConfig(schedule=fixed(1.0), mutation=mutation, elitist=elitist)
+        schedule, t = schedule_at(temperature)
+        config = SAConfig(schedule=schedule, mutation=mutation, elitist=elitist)
         algo = make_sa(problem, config)
-        algo.schedule_factory = lambda: fixed_temperature(temperature)
         brute = brute_sa_matrix(problem, mutation, elitist, temperature)
     full = replace(extract_chain(algo, eps=0.5), matrices=(brute,))
-    chain = extract_chain(algo, eps=0.5, lump=True)
+    chain = extract_chain(algo, eps=0.5, t_max=t + 1, lump=True)
+    chain = replace(chain, matrices=chain.matrices[-1:])  # the step-t matrix
     assert chain.lumped == lumps(proposal_rows(len(values), mutation), values)
     if chain.lumped:
         assert_quotient_of(full, chain, problem)

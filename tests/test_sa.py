@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_sa_matrix, line_problem
+from conftest import brute_sa_matrix, line_problem, state_at
 
 from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
@@ -29,12 +29,17 @@ from sgoal.verify import extract_chain
 
 class TestCooling:
     def test_geometric_closed_form_exact(self):
-        schedule = geometric(2.0, 0.9)
-        state = ScheduleState()
-        state.register("T", schedule.t0, rule=schedule.alpha)
-        for k in range(1, 25):
-            state.tick()
-            assert state.params["T"] == 2.0 * 0.9**k
+        # the kernel at step k reads T = 2 * 0.9^k: its matrix is the one
+        # built at that fixed temperature, bit for bit
+        problem = line_problem([0.0, 1.0, 2.5])
+        space = FiniteSpace(problem.space.points)
+        cooling = make_sa(problem, SAConfig(schedule=geometric(2.0, 0.9), elitist=False))
+        for k in range(25):
+            at_k = make_sa(problem, SAConfig(schedule=fixed(2.0 * 0.9**k), elitist=False))
+            assert np.array_equal(
+                cooling.next_pop.exact_matrix(space, state_at(k)),
+                at_k.next_pop.exact_matrix(space),
+            )
 
     def test_linear_hits_floor(self):
         schedule = linear(1.0, step=0.4, floor=0.3)
@@ -52,12 +57,12 @@ class TestCooling:
         assert [schedule.temperature(t) for t in range(4)] == [10.0] * 4
 
     def test_alpha_stays_within_zero_and_current(self):
-        for schedule in (geometric(3.0, 0.5), linear(3.0, 1.0), logarithmic(1.0)):
-            temperature = schedule.t0
+        kinds = (geometric(3.0, 0.5), linear(3.0, 1.0), linear(3.0, 0.4, floor=3.0),
+                 logarithmic(1.0), fixed(2.0))
+        for schedule in kinds:
+            assert schedule.temperature(0) == schedule.t0
             for t in range(30):
-                nxt = schedule.alpha(temperature, t)
-                assert 0.0 <= nxt <= temperature
-                temperature = nxt
+                assert 0.0 <= schedule.temperature(t + 1) <= schedule.temperature(t)
 
     @pytest.mark.parametrize(
         "bad",
@@ -68,6 +73,7 @@ class TestCooling:
             lambda: linear(1.0, 0.5, floor=-1.0),
             lambda: logarithmic(0.0),
             lambda: Cooling("boltzmann", 1.0),
+            lambda: linear(1.0, 0.4, floor=5.0),
         ],
     )
     def test_invalid_schedules(self, bad):
@@ -219,9 +225,7 @@ class TestChainKernel:
         config = SAConfig(schedule=fixed(1.0), elitist=False)
         algo = make_sa(problem, config)
         assert algo.chain_kernel is algo.next_pop
-        state = ScheduleState()
-        state.register("T", 1.0)
-        m = algo.chain_kernel.exact_matrix(FiniteSpace((0, 1)), state)
+        m = algo.chain_kernel.exact_matrix(FiniteSpace((0, 1)))
         a = math.exp(-1.0)
         expected = np.array([[1.0 - 0.5 * a, 0.5 * a], [0.5, 0.5]])
         assert np.allclose(m, expected, atol=1e-12)

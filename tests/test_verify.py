@@ -10,7 +10,7 @@ from sgoal.bench import make_benchmark
 from sgoal.core import max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import iterated_products, save_matrix
+from sgoal.kernels import ScheduleState, iterated_products, save_matrix
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
 from sgoal.stats import binomial_se
 from sgoal.verify import (
@@ -131,7 +131,7 @@ class TestBound:
         rng = np.random.default_rng(0)
         hits = 0
         for _ in range(runs):
-            schedule, members = algo.schedule_factory(), start
+            schedule, members = ScheduleState(), start
             for _ in range(t):  # sample, then tick, as run_sgoal does
                 members = algo.next_pop.sample(members, schedule, rng)
                 schedule.tick()
