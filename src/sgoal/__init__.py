@@ -11,7 +11,6 @@ from .core import (
     ContinuousBox,
     ConvergenceTrace,
     EpsClass,
-    FiniteSet,
     Population,
     Problem,
     Relation,
@@ -49,7 +48,6 @@ __all__ = [
     "ContinuousBox",
     "ConvergenceTrace",
     "EpsClass",
-    "FiniteSet",
     "FiniteSpace",
     "Kernel",
     "Population",

@@ -12,8 +12,9 @@ from typing import Any
 
 import numpy as np
 
-from .core import ContinuousBox, FiniteSet, Problem, Relation
+from .core import ContinuousBox, Problem, Relation
 from .errors import UsageError
+from .kernels import FiniteSpace
 
 MAX_BITS = 20  # finite spaces are fully enumerated: 2^bits states
 
@@ -52,10 +53,10 @@ def trap5(bits) -> float:
     return total
 
 
-def _bit_space(dim: int) -> FiniteSet:
+def _bit_space(dim: int) -> FiniteSpace:
     if dim > MAX_BITS:
         raise UsageError(f"bit-string spaces are enumerated; dim must be <= {MAX_BITS}")
-    return FiniteSet(tuple(itertools.product((0, 1), repeat=dim)))
+    return FiniteSpace(tuple(itertools.product((0, 1), repeat=dim)))
 
 
 @dataclass(frozen=True)

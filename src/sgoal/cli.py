@@ -161,6 +161,14 @@ def _eps_list(values: dict) -> list[float]:
 
 
 def _cooling(values: dict) -> sa_mod.Cooling:
+    """The configured schedule; each kind reads only its own keys.
+
+    ``geometric`` reads ``sa.T0`` and ``sa.gamma``; ``linear`` reads
+    ``sa.T0``, ``sa.step`` and ``sa.floor``; ``log`` reads only ``sa.c``
+    and starts at ``c / ln 2``, so ``sa.T0`` is not read.  Keys the kind
+    does not read are ignored, so a base file's keys may stay in place
+    under a command-line cooling override.
+    """
     kind = values["sa.cooling"].strip().lower()
     if kind == "geometric":
         return sa_mod.geometric(values["sa.T0"], values["sa.gamma"])
@@ -277,6 +285,7 @@ def cmd_run(values: dict) -> int:
 
 
 def cmd_verify(values: dict) -> int:
+    """Exact report at the first ``eps`` threshold; later ones are ignored."""
     algo = build_algorithm(values)
     eps = _eps_list(values)[0]
     out_dir = Path(values["out"])

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, ScheduleState
+from .kernels import FiniteSpace, Kernel, ScheduleState
 
 
 class Relation(enum.Enum):
@@ -84,33 +84,7 @@ class ContinuousBox:
         return self.lower + span - np.abs(m - span)
 
 
-@dataclass(frozen=True)
-class FiniteSet:
-    """Explicitly enumerated finite search space of hashable points."""
-
-    points: tuple
-
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        if len(pts) == 0:
-            raise UsageError("finite space needs at least one point")
-        try:
-            seen = set(pts)
-        except TypeError as exc:
-            raise UsageError("finite-space points must be hashable") from exc
-        if len(seen) != len(pts):
-            raise UsageError("finite-space points must be distinct")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def sample_uniform(self, rng: np.random.Generator):
-        return self.points[int(rng.integers(len(self.points)))]
-
-
-Space = ContinuousBox | FiniteSet
+Space = ContinuousBox | FiniteSpace
 
 
 def _point_key(x: Any):
@@ -122,6 +96,10 @@ def _point_key(x: Any):
 
 class Problem:
     """Search space plus objective plus optimization direction.
+
+    The space is a ``ContinuousBox`` or a ``FiniteSpace``; a finite space
+    is also the enumeration that exact kernel matrices and the verifier
+    index their states by.
 
     ``evaluate`` memoizes per point and counts, so every distinct point
     costs exactly one objective call and evaluation budgets are comparable
@@ -141,8 +119,8 @@ class Problem:
         relation: Relation = Relation.MINIMIZE,
         f_star: float | None = None,
     ) -> None:
-        if not isinstance(space, (ContinuousBox, FiniteSet)):
-            raise UsageError("space must be a ContinuousBox or a FiniteSet")
+        if not isinstance(space, (ContinuousBox, FiniteSpace)):
+            raise UsageError("space must be a ContinuousBox or a FiniteSpace")
         self.space = space
         self.objective = objective
         self.relation = relation

@@ -28,9 +28,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Algorithm, ContinuousBox, FiniteSet, Population, Problem
+from .core import Algorithm, ContinuousBox, Population, Problem
 from .errors import ConfigError, UsageError
-from .kernels import Kernel, compose, join, projection, sort_kernel
+from .kernels import FiniteSpace, Kernel, compose, join, projection, sort_kernel
 from .mutation import proposal_kernel
 from .selection import selection_kernel, uniform
 
@@ -234,13 +234,13 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
     and carries the exact matrix.  On a box it draws the generation as
     one batch.  Sampling leaves the schedule alone.
     """
-    if isinstance(problem.space, FiniteSet):
+    if isinstance(problem.space, FiniteSpace):
         if config.rho != 1:
             raise ConfigError("finite-space strategies support rho = 1 only")
         mu = config.mu
         carried = [projection(mu, [i]) for i in range(mu)] if config.mode == "plus" else []
         child = compose(
-            proposal_kernel(problem.space.points, config.mutation),
+            proposal_kernel(problem.space, config.mutation),
             selection_kernel(problem, uniform(), mu),
         )
         pool = len(carried) + config.lam
@@ -276,7 +276,7 @@ def mean_sigma(pop: Population) -> float:
 
 def make_es(problem: Problem, config: ESConfig) -> Algorithm:
     """Assemble the evolution strategy for ``run_algorithm``."""
-    finite = isinstance(problem.space, FiniteSet)
+    finite = isinstance(problem.space, FiniteSpace)
     return Algorithm(
         name=f"es-{config.mode}",
         problem=problem,

@@ -47,42 +47,35 @@ class ScheduleState:
 
 
 class FiniteSpace:
-    """Enumeration of a finite base set with product-tuple indexing.
+    """An enumerated finite search space of distinct hashable points.
 
-    Tuple states of arity a are ordered like ``itertools.product``: the
-    first coordinate varies slowest.  That ordering is what makes the
-    independent join a plain Kronecker product of rows.
+    It is both a finite problem's search space, which a run draws its
+    points from, and the enumeration order of every exact matrix a kernel
+    realizes on it: point i is state i.  Tuple states of arity a are
+    ordered like ``itertools.product``: the first coordinate varies
+    slowest.  That ordering is what makes the independent join a plain
+    Kronecker product of rows.
     """
 
     def __init__(self, points: Iterable[Any]) -> None:
         pts = tuple(points)
         if not pts:
             raise UsageError("finite space must contain at least one point")
-        if len(set(pts)) != len(pts):
+        try:
+            distinct = len(set(pts))
+        except TypeError as exc:
+            raise UsageError("finite-space points must be hashable") from exc
+        if distinct != len(pts):
             raise UsageError("finite-space points must be distinct")
         self.points = pts
-        self._index: dict | None = None  # built on the first ``index`` call
         self._tuples: dict[int, tuple] = {}
         self._fitness: dict["Problem", np.ndarray] = {}
-
-    @classmethod
-    def from_problem(cls, problem: "Problem") -> "FiniteSpace":
-        from .core import FiniteSet
-
-        if not isinstance(problem.space, FiniteSet):
-            raise UsageError("exact kernel matrices require a finite search space")
-        return cls(problem.space.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def index(self, point: Any) -> int:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
-        try:
-            return self._index[point]
-        except KeyError as exc:
-            raise UsageError(f"point {point!r} is not in the enumerated space") from exc
+    def sample_uniform(self, rng: np.random.Generator) -> Any:
+        return self.points[int(rng.integers(len(self.points)))]
 
     def n_tuples(self, arity: int) -> int:
         return len(self.points) ** arity
@@ -93,12 +86,6 @@ class FiniteSpace:
         if arity not in self._tuples:
             self._tuples[arity] = tuple(itertools.product(self.points, repeat=arity))
         return self._tuples[arity]
-
-    def tuple_index(self, members: Sequence[Any]) -> int:
-        idx = 0
-        for m in members:
-            idx = idx * len(self.points) + self.index(m)
-        return idx
 
     def digits(self, idx: np.ndarray, arity: int) -> np.ndarray:
         """Point indices of the tuple indices ``idx``, along a new last axis."""

@@ -8,12 +8,10 @@ lower bound on hitting the near-optimal set.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .kernels import ClassSpace, Kernel, dense_rows
+from .kernels import ClassSpace, FiniteSpace, Kernel, dense_rows
 
 
 def _validate(rows: np.ndarray) -> None:
@@ -25,18 +23,19 @@ def _validate(rows: np.ndarray) -> None:
         raise ConfigError("mutation rows must sum to 1")
 
 
-def proposal_kernel(points: Sequence[Any], spec=None) -> Kernel:
-    """The 1 -> 1 proposal kernel over an enumerated point set.
+def proposal_kernel(space: FiniteSpace, spec=None) -> Kernel:
+    """The 1 -> 1 proposal kernel over a finite space.
 
     ``spec`` is None for the uniform distribution, a probability vector
     for a state-independent proposal, or a row-stochastic square matrix
-    of per-state proposals.  All mass must be strictly positive, so every
-    row lists all states: its columns are ``0..n-1`` in order.
+    of per-state proposals, indexed in ``space``'s enumeration order.
+    All mass must be strictly positive, so every row lists all states:
+    its columns are ``0..n-1`` in order.  The exact matrix is realized on
+    a space with the same points in the same order, or on the fitness
+    classes of one.
     """
-    points = tuple(points)
+    points = space.points
     n = len(points)
-    if n == 0:
-        raise UsageError("proposal needs a nonempty point set")
     vector = matrix = None
     if spec is not None:
         arr = np.asarray(spec, dtype=float)

@@ -21,9 +21,9 @@ from typing import Any
 
 import numpy as np
 
-from .core import Algorithm, FiniteSet, Population, Problem
+from .core import Algorithm, Population, Problem
 from .errors import ConfigError
-from .kernels import Kernel, compose, identity, join, projection, sort_kernel
+from .kernels import FiniteSpace, Kernel, compose, identity, join, projection, sort_kernel
 from .mutation import proposal_kernel
 
 
@@ -109,8 +109,8 @@ def sa_proposal(problem: Problem, config: SAConfig) -> Kernel:
     """The 1 -> 1 proposal: the finite-space proposal kernel, or on a box
     an isotropic Gaussian step reflected into the box (no matrix)."""
     space = problem.space
-    if isinstance(space, FiniteSet):
-        return proposal_kernel(space.points, config.mutation)
+    if isinstance(space, FiniteSpace):
+        return proposal_kernel(space, config.mutation)
 
     def step(members, state, rng):
         x = np.asarray(members[0], dtype=float)

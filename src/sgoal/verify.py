@@ -198,10 +198,11 @@ def extract_chain(
 ) -> FiniteChain:
     """Enumerate an algorithm's exact population chain on a finite space.
 
-    Builds the chain kernel's transition matrix at each step t = 0 ..
-    t_max - 1 (a non-stationary kernel reads ``state.t`` and yields
-    distinct matrices), and marks the near-optimal states as
-    ``classify_eps`` classifies them.
+    The states are the tuples of the problem's own ``FiniteSpace``, in its
+    enumeration order.  Builds the chain kernel's transition matrix on
+    that space at each step t = 0 .. t_max - 1 (a non-stationary kernel
+    reads ``state.t`` and yields distinct matrices), and marks the
+    near-optimal states as ``classify_eps`` classifies them.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -219,7 +220,9 @@ def extract_chain(
     if kernel.arity_in != kernel.arity_out:
         raise ConfigError("chain kernel must preserve population arity")
     problem = algo.problem
-    space = FiniteSpace.from_problem(problem)
+    space = problem.space
+    if not isinstance(space, FiniteSpace):
+        raise UsageError("exact kernel matrices require a finite search space")
     n_states = space.n_tuples(kernel.arity_in)
     why = ""
     if lump:

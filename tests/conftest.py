@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sgoal.core import FiniteSet, Problem, Relation
+from sgoal.core import Problem, Relation
 from sgoal.es import replace_es
 from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, dense_rows
 from sgoal.sa import acceptance_probability, fixed, linear
@@ -23,7 +23,7 @@ def rng():
 def line_problem(values, relation=Relation.MINIMIZE, f_star=None):
     """Finite problem over integer states 0..n-1 with listed fitness values."""
     values = [float(v) for v in values]
-    space = FiniteSet(tuple(range(len(values))))
+    space = FiniteSpace(tuple(range(len(values))))
     return Problem(space, lambda i: values[i], relation, f_star=f_star)
 
 
@@ -47,13 +47,21 @@ def instances(draw):
     return line_problem(values, relation=relation), mutation
 
 
+def tuple_index(space: FiniteSpace, members) -> int:
+    """Index of the tuple state ``members`` in ``space``'s enumeration."""
+    idx = 0
+    for m in members:
+        idx = idx * len(space) + space.points.index(m)
+    return idx
+
+
 def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:
     """Arity-1 kernel defined by an explicit row-stochastic matrix."""
     matrix = np.asarray(matrix, dtype=float)
 
     def sample_fn(members, state, rng):
         (x,) = members
-        row = matrix[space.index(x)]
+        row = matrix[tuple_index(space, (x,))]
         return (space.points[int(rng.choice(len(space), p=row))],)
 
     def matrix_fn(sp, state, idx):
@@ -91,7 +99,7 @@ def transition_counts(kernel, space, start_members, n_samples, rng, state=None):
     counts = np.zeros(space.n_tuples(kernel.arity_out), dtype=int)
     for _ in range(n_samples):
         out = kernel.sample(start_members, state, rng)
-        counts[space.tuple_index(out)] += 1
+        counts[tuple_index(space, out)] += 1
     return counts
 
 
@@ -134,18 +142,18 @@ def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.
     Each child is the proposal draw of a uniformly picked parent, so its
     distribution is the mean of the parents' proposal rows.
     """
-    space = FiniteSpace(problem.space.points)
+    space = problem.space
     n = len(space)
     rows = proposal_rows(n, mutation)
     m = np.zeros((n**mu, n**mu))
     for r, pop in enumerate(space.tuples(mu)):
-        mix = np.mean([rows[space.index(p)] for p in pop], axis=0)
+        mix = np.mean([rows[tuple_index(space, (p,))] for p in pop], axis=0)
         for combo in itertools.product(range(n), repeat=lam):
             p = 1.0
             for c in combo:
                 p *= mix[c]
             children = tuple(space.points[c] for c in combo)
-            m[r, space.tuple_index(replace_es(problem, pop, children, mode))] += p
+            m[r, tuple_index(space, replace_es(problem, pop, children, mode))] += p
     return m
 
 

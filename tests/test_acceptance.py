@@ -19,7 +19,6 @@ from sgoal.bench import make_benchmark
 from sgoal.cli import main as cli_main
 from sgoal.core import Relation, max_iters, run_algorithm
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import FiniteSpace
 from sgoal.sa import SAConfig, fixed, geometric, make_sa, metropolis_accept
 from sgoal.selection import (
     exact_probs,
@@ -100,7 +99,7 @@ def _conformance_case(algo, kernel, samples_total):
     chain = extract_chain(algo, eps=0.5, t_max=1)
     matrix = chain.matrices[0]
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= EXACT)
-    space = FiniteSpace.from_problem(algo.problem)
+    space = algo.problem.space
     per_row = samples_total // len(chain.states)
     rng = np.random.default_rng(314159)
     worst_p = 1.0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import brute_es_matrix, brute_sa_matrix, instances, schedule_at, state_at
 
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import FiniteSpace
 from sgoal.sa import SAConfig, make_sa
 
 EXACT = 1e-12
@@ -35,7 +34,7 @@ def test_annealer_chain_equals_enumeration(instance, elitist, temperature):
     schedule, t = schedule_at(temperature)
     config = SAConfig(schedule=schedule, mutation=mutation, elitist=elitist)
     m = make_sa(problem, config).chain_kernel.exact_matrix(
-        FiniteSpace(problem.space.points), state_at(t)
+        problem.space, state_at(t)
     )
     assert_exact(m, brute_sa_matrix(problem, mutation, elitist, temperature))
 
@@ -52,5 +51,5 @@ def test_strategy_chain_equals_enumeration(instance, mu, lam, mode):
     if mode == "comma" and lam < mu:
         lam = mu
     config = ESConfig(mu=mu, rho=1, lam=lam, mode=mode, mutation=mutation)
-    m = make_es(problem, config).next_pop.exact_matrix(FiniteSpace(problem.space.points))
+    m = make_es(problem, config).next_pop.exact_matrix(problem.space)
     assert_exact(m, brute_es_matrix(problem, mu, lam, mode, mutation))

@@ -6,7 +6,6 @@ from conftest import fold_into, line_problem
 from sgoal.core import (
     ContinuousBox,
     EpsClass,
-    FiniteSet,
     Population,
     Problem,
     Relation,
@@ -20,7 +19,7 @@ from sgoal.core import (
     target_closeness,
 )
 from sgoal.errors import ConfigError, UsageError
-from sgoal.kernels import Kernel, identity
+from sgoal.kernels import FiniteSpace, Kernel, identity
 
 
 def pop_of(fitness):
@@ -107,14 +106,14 @@ class TestClassifyEps:
 
 class TestProblem:
     def test_declared_optimum_guard(self):
-        p = Problem(FiniteSet((0, 1)), lambda i: -1.0 if i else 0.0, f_star=0.0)
+        p = Problem(FiniteSpace((0, 1)), lambda i: -1.0 if i else 0.0, f_star=0.0)
         p.evaluate(0)
         with pytest.raises(UsageError):
             p.evaluate(1)
 
     def test_evaluation_cached_and_counted(self):
         calls = []
-        p = Problem(FiniteSet((0, 1)), lambda i: calls.append(i) or float(i))
+        p = Problem(FiniteSpace((0, 1)), lambda i: calls.append(i) or float(i))
         for _ in range(3):
             p.evaluate(0)
         p.evaluate(1)
@@ -135,7 +134,7 @@ class TestProblem:
         assert p.best_seen_fitness == 1.0
 
     def test_nan_objective_rejected(self):
-        p = Problem(FiniteSet((0,)), lambda i: float("nan"))
+        p = Problem(FiniteSpace((0,)), lambda i: float("nan"))
         with pytest.raises(UsageError):
             p.evaluate(0)
 
@@ -147,7 +146,7 @@ class TestProblem:
         ],
     )
     def test_values_check_like_evaluate(self, objective, f_star, message):
-        p = Problem(FiniteSet((0, 1, 2)), objective, f_star=f_star)
+        p = Problem(FiniteSpace((0, 1, 2)), objective, f_star=f_star)
         with pytest.raises(UsageError, match=message):
             p.values((0, 1, 2))
         with pytest.raises(UsageError, match=message):
@@ -156,7 +155,7 @@ class TestProblem:
 
     def test_values_leave_memo_and_counters_alone(self):
         calls = []
-        p = Problem(FiniteSet((0, 1)), lambda i: calls.append(i) or float(i), f_star=0.0)
+        p = Problem(FiniteSpace((0, 1)), lambda i: calls.append(i) or float(i), f_star=0.0)
         assert p.values((0, 1)).tolist() == [0.0, 1.0]
         assert p.evals == 0 and p.best_seen_point is None
         p.evaluate(1)
@@ -272,3 +271,11 @@ class TestRunSgoal:
                         any_of(target_closeness(p, 0.5), max_iters(10)), seed=0)
         assert res.iterations == 1
         assert res.trace.d[-1] == 0.0
+
+
+def test_public_names_resolve():
+    # a stale export would only surface on ``from sgoal import *``
+    import sgoal
+
+    missing = [name for name in sgoal.__all__ if not hasattr(sgoal, name)]
+    assert missing == []

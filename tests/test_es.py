@@ -9,6 +9,7 @@ from conftest import (
     proposal_rows,
     reference_es_children,
     transition_counts,
+    tuple_index,
 )
 
 from sgoal.bench import make_benchmark, rastrigin, sphere
@@ -27,7 +28,7 @@ from sgoal.es import (
     replace_es,
     update_strategies,
 )
-from sgoal.kernels import FiniteSpace, ScheduleState, compose, join, projection, sort_kernel
+from sgoal.kernels import ScheduleState, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, geometric, linear, logarithmic, make_sa
 from sgoal.selection import selection_kernel, uniform
@@ -93,7 +94,7 @@ SKEWED3 = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 def es_child(problem, config):
     """The finite-space child: the proposal after uniform selection of a parent."""
     return compose(
-        proposal_kernel(problem.space.points, config.mutation),
+        proposal_kernel(problem.space, config.mutation),
         selection_kernel(problem, uniform(), config.mu),
     )
 
@@ -103,15 +104,15 @@ class TestPickParents:
         # mu = 1: the child row is the proposal row of the only parent
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         config = ESConfig(mu=1, rho=1, lam=1, mutation=SKEWED3)
-        m = es_child(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        m = es_child(problem, config).exact_matrix(problem.space)
         assert np.array_equal(m, proposal_rows(3, SKEWED3))
 
     def test_uniform_frequencies(self):
         # the sampled parent pick must be uniform for the mean-row matrix to hold
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         kernel = es_child(problem, ESConfig(mu=2, rho=1, lam=1, mutation=SKEWED3))
-        space = FiniteSpace(problem.space.points)
-        row = kernel.exact_matrix(space)[space.tuple_index((0, 2))]
+        space = problem.space
+        row = kernel.exact_matrix(space)[tuple_index(space, (0, 2))]
         assert np.allclose(row, [0.45, 0.1, 0.45], atol=1e-12)
         counts = transition_counts(kernel, space, (0, 2), 20_000, np.random.default_rng(31))
         assert chisquare_gof(counts, row, alpha=0.001).passed
@@ -396,7 +397,7 @@ class TestFiniteKernels:
         # two i.i.d. children: each row is the Kronecker square of the mean parent row
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=2, mutation=SKEWED3)
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         rows = proposal_rows(3, SKEWED3)
         direct = np.stack([
             np.kron(mix, mix) for mix in (rows[list(pop)].mean(axis=0) for pop in space.tuples(2))
@@ -408,7 +409,7 @@ class TestFiniteKernels:
         # plus replacement as join(parents..., children...) then sort then project
         problem = line_problem([2.0, 0.0, 1.0], f_star=0.0)
         config = ESConfig(mu=1, rho=1, lam=1, mode="plus")
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         direct = brute_es_matrix(problem, 1, 1, "plus")
         algebra = compose(
             compose(projection(2, [0]), sort_kernel(problem, 2)),
@@ -422,7 +423,7 @@ class TestFiniteKernels:
     def test_chain_mu2_lambda2_composition(self):
         problem = line_problem([1.0, 0.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=2, mode="plus")
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         direct = brute_es_matrix(problem, 2, 2, "plus")
         parts = [projection(2, [0]), projection(2, [1])] + [es_child(problem, config)] * 2
         algebra = compose(
@@ -435,7 +436,7 @@ class TestFiniteKernels:
     def test_child_distribution_has_uniform_floor(self):
         problem = line_problem([3.0, 1.0, 2.0, 0.0], f_star=0.0)
         config = ESConfig(mu=2, rho=1, lam=1)
-        m = es_child(problem, config).exact_matrix(FiniteSpace(problem.space.points))
+        m = es_child(problem, config).exact_matrix(problem.space)
         assert np.all(m >= 0.25 - 1e-12)  # uniform mutation over 4 states
 
     def test_child_tuple_cap(self):

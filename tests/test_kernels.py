@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import line_problem, matrix_kernel, random_stochastic, transition_counts
+from conftest import line_problem, matrix_kernel, random_stochastic, transition_counts, tuple_index
 
 from sgoal.core import Relation
 from sgoal.errors import ConfigError, UsageError
@@ -41,13 +41,17 @@ class TestFiniteSpace:
     def test_tuple_enumeration_order(self):
         sp = FiniteSpace((0, 1))
         assert sp.tuples(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
-        assert sp.tuple_index((1, 0)) == 2
+        assert tuple_index(sp, (1, 0)) == 2
         assert sp.n_tuples(3) == 8
 
-    def test_unknown_point_rejected(self):
-        sp = FiniteSpace((0, 1))
-        with pytest.raises(UsageError):
-            sp.index(7)
+    @pytest.mark.parametrize(
+        "points, message",
+        [((), "at least one point"), ((0, 1, 0), "distinct"), (([0], [1]), "hashable")],
+        ids=["empty", "duplicate", "unhashable"],
+    )
+    def test_invalid_points_rejected(self, points, message):
+        with pytest.raises(UsageError, match=message):
+            FiniteSpace(points)
 
 
 class TestCompose:

@@ -24,7 +24,7 @@ from sgoal.bench import make_benchmark
 from sgoal.core import EpsClass, Population, Problem, classify_eps
 from sgoal.errors import NotLumpable, UsageError
 from sgoal.es import ESConfig, make_es
-from sgoal.kernels import ClassSpace, FiniteSpace
+from sgoal.kernels import ClassSpace
 from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
 from sgoal.verify import eps_inside, extract_chain
@@ -35,7 +35,7 @@ EXACT = 1e-12
 def state_classes(chain, quotient, problem):
     """Quotient state index of every full state, checked to be the tuple of
     its members' fitness values."""
-    space = FiniteSpace.from_problem(problem)
+    space = problem.space
     classes = ClassSpace(space, problem)
     arity = len(chain.states[0])
     digits = space.digits(np.arange(chain.size), arity)
@@ -95,7 +95,7 @@ class TestEpsInside:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0])  # 1.0 and 2.0 sit on a class
     def test_mask_equals_classify_eps(self, name, dim, arity, eps):
         problem = make_benchmark(name, dim).problem
-        space = FiniteSpace.from_problem(problem)
+        space = problem.space
         mask = eps_inside(space, problem, eps, arity)
         want = [
             classify_eps(Population.evaluated(members, problem), problem, eps) is EpsClass.INSIDE
@@ -112,7 +112,7 @@ class TestEpsInside:
 
     def test_errors_match_classify_eps(self):
         problem = make_benchmark("onemax", 2).problem
-        space = FiniteSpace.from_problem(problem)
+        space = problem.space
         with pytest.raises(UsageError, match="eps must be positive"):
             eps_inside(space, problem, 0.0, 1)
         blind = Problem(problem.space, problem.objective, problem.relation)
@@ -211,8 +211,8 @@ class TestRefusal:
         self.mutation = non_lumping_matrix(8)
 
     def test_certificate_refuses_the_proposal(self):
-        space = FiniteSpace.from_problem(self.problem)
-        proposal = proposal_kernel(space.points, self.mutation)
+        space = self.problem.space
+        proposal = proposal_kernel(space, self.mutation)
         with pytest.raises(NotLumpable):
             proposal.exact_matrix(ClassSpace(space, self.problem))
         with pytest.raises(NotLumpable):

@@ -32,7 +32,7 @@ class TestCooling:
         # the kernel at step k reads T = 2 * 0.9^k: its matrix is the one
         # built at that fixed temperature, bit for bit
         problem = line_problem([0.0, 1.0, 2.5])
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         cooling = make_sa(problem, SAConfig(schedule=geometric(2.0, 0.9), elitist=False))
         for k in range(25):
             at_k = make_sa(problem, SAConfig(schedule=fixed(2.0 * 0.9**k), elitist=False))
@@ -86,7 +86,7 @@ class TestVariate:
         problem = line_problem([0, 1, 2, 3, 4], f_star=0.0)
         config = SAConfig(schedule=geometric(1.0))
         kernel = sa_proposal(problem, config)
-        m = kernel.exact_matrix(FiniteSpace(problem.space.points))
+        m = kernel.exact_matrix(problem.space)
         assert np.allclose(m, 0.2, atol=1e-12)
 
     def test_sigma_must_be_positive(self):
@@ -206,7 +206,7 @@ class TestChainKernel:
         # brute-force enumeration vs join/sort/projection combinators, 5 states,
         # uniform and state-dependent proposals
         problem = line_problem([3.0, 1.0, 4.0, 1.0, 5.0], f_star=1.0)
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         skewed = [[0.5, 0.2, 0.1, 0.1, 0.1], [0.1, 0.1, 0.6, 0.1, 0.1], [0.2] * 5,
                   [0.05, 0.05, 0.05, 0.05, 0.8], [0.3, 0.1, 0.2, 0.2, 0.2]]
         for mutation in (None, skewed):
@@ -236,7 +236,7 @@ class TestChainKernel:
         problem = line_problem([0.0, 0.2, 1.0, 2.0], f_star=0.0)
         config = SAConfig(schedule=geometric(1.0))
         chain = make_sa(problem, config).chain_kernel
-        m = chain.exact_matrix(FiniteSpace(problem.space.points))
+        m = chain.exact_matrix(problem.space)
         eps_states = [0, 1]  # closeness < 0.5
         outside = [2, 3]
         into = m[:, eps_states].sum(axis=1)
@@ -255,7 +255,7 @@ class TestChainKernel:
         # next to the 8 MB dense output
         problem = make_benchmark("onemax", 10).problem
         chain = make_sa(problem, SAConfig(schedule=geometric(1.0))).chain_kernel
-        space = FiniteSpace.from_problem(problem)
+        space = problem.space
         tracemalloc.start()
         try:
             m = chain.exact_matrix(space)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_selection_probs, brute_tournament_probs, line_problem, transition_counts
+from conftest import (
+    brute_selection_probs,
+    brute_tournament_probs,
+    line_problem,
+    transition_counts,
+    tuple_index,
+)
 
 from sgoal.core import Relation
 from sgoal.errors import ConfigError, UsageError
@@ -210,7 +216,7 @@ class TestSelectionKernel:
     def test_rows_equal_brute_force(self, instance):
         # every row puts the definition's probabilities on the tuple's points
         problem, scheme, arity = instance
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         f = space.fitness(problem)
         by_pattern = {}
         oracle = np.zeros((space.n_tuples(arity), len(space)))
@@ -228,13 +234,13 @@ class TestSelectionKernel:
     )
     def test_sampler_fits_own_row(self, scheme):
         problem = line_problem([2.0, 0.5, 1.0, 3.0], relation=MAX)
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         kernel = selection_kernel(problem, scheme, 3)
         m = kernel.exact_matrix(space)
         rng = np.random.default_rng(18)
         for members in ((0, 1, 2), (3, 3, 1), (2, 0, 2)):
             counts = transition_counts(kernel, space, members, 3_000, rng)
-            result = chisquare_gof(counts, m[space.tuple_index(members)], alpha=0.001)
+            result = chisquare_gof(counts, m[tuple_index(space, members)], alpha=0.001)
             assert result.passed, f"{scheme.kind} {members}: p={result.pvalue}"
 
 
@@ -254,8 +260,8 @@ class TestSelectGroup:
     def test_uniform_pairs_quarter_each(self):
         problem = line_problem([1.0, 2.0])
         pair = join([selection_kernel(problem, uniform(), 2)] * 2)
-        space = FiniteSpace(problem.space.points)
-        row = pair.exact_matrix(space)[space.tuple_index((0, 1))]
+        space = problem.space
+        row = pair.exact_matrix(space)[tuple_index(space, (0, 1))]
         assert np.array_equal(row, [0.25] * 4)
         counts = transition_counts(pair, space, (0, 1), 8_000, np.random.default_rng(16))
         assert chisquare_gof(counts, row, alpha=0.001).passed
@@ -264,7 +270,7 @@ class TestSelectGroup:
         # two selections from one tuple are independent: the join row is the
         # outer product of the two selection rows, exactly
         problem = line_problem([1.0, 2.0, 3.0])
-        space = FiniteSpace(problem.space.points)
+        space = problem.space
         sel = selection_kernel(problem, ranking(), 3)
         pair = join([sel, sel])
         single = sel.exact_matrix(space)
@@ -272,4 +278,4 @@ class TestSelectGroup:
         outer = np.einsum("ri,rj->rij", single, single).reshape(joint.shape)
         assert np.max(np.abs(joint - outer)) <= 1e-12
         counts = transition_counts(pair, space, (0, 1, 2), 20_000, np.random.default_rng(17))
-        assert chisquare_gof(counts, joint[space.tuple_index((0, 1, 2))], alpha=0.001).passed
+        assert chisquare_gof(counts, joint[tuple_index(space, (0, 1, 2))], alpha=0.001).passed
