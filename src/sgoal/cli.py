@@ -30,41 +30,6 @@ from .selection import proportional as proportional_scheme
 from .stats import chisquare_gof
 from .verify import check_bound, extract_chain, write_bound_csv, write_bound_json
 
-_COMMON_KEYS = {
-    "algorithm": str,
-    "problem": str,
-    "dim": int,
-    "replicates": int,
-    "seed": int,
-    "budget": int,
-    "eps": str,
-    "out": str,
-    "verify.t_max": int,
-}
-_SA_KEYS = {
-    "sa.T0": float,
-    "sa.cooling": str,
-    "sa.gamma": float,
-    "sa.step": float,
-    "sa.floor": float,
-    "sa.c": float,
-    "sa.sigma": float,
-    "sa.elitist": bool,
-}
-_ES_KEYS = {
-    "es.mu": int,
-    "es.rho": int,
-    "es.lambda": int,
-    "es.mode": str,
-    "es.tau": float,
-    "es.sigma_min": float,
-    "es.sigma_max": float,
-    "es.sigma_init": float,
-    "es.recomb_y": str,
-    "es.recomb_s": str,
-}
-_ALL_KEYS = {**_COMMON_KEYS, **_SA_KEYS, **_ES_KEYS}
-
 _DEFAULTS = {
     "replicates": 1,
     "seed": 0,
@@ -90,6 +55,14 @@ _DEFAULTS = {
     "es.recomb_y": "discrete",
     "es.recomb_s": "intermediate",
 }
+_REQUIRED = {"algorithm": str, "problem": str, "dim": int}
+# The type of every config key: a defaulted key's is its default's type.
+# ``es.tau`` has no default: when unset, the strategy derives it from dim.
+_ALL_KEYS = {
+    **_REQUIRED,
+    "es.tau": float,
+    **{key: type(default) for key, default in _DEFAULTS.items()},
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -101,7 +74,12 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _coerce(key: str, raw: str):
+def _assign(values: dict, item: str, where: str = "") -> None:
+    """Store one ``key=value`` item in ``values``, typed by the key's schema
+    entry; ``where`` prefixes the unknown-key error with its location."""
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"{where}unknown config key {key!r}")
     kind = _ALL_KEYS[key]
     try:
         value = _parse_bool(raw) if kind is bool else kind(raw)
@@ -109,7 +87,7 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
-    return value
+    values[key] = value
 
 
 def parse_config_text(text: str) -> dict:
@@ -121,10 +99,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        _assign(values, stripped, where=f"line {lineno}: ")
     return values
 
 
@@ -135,10 +110,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        _assign(values, item)
     return values
 
 
@@ -180,8 +152,9 @@ def _cooling(values: dict) -> sa_mod.Cooling:
 
 
 def build_algorithm(values: dict, problem=None) -> Algorithm:
-    """Assemble the configured algorithm on a fresh benchmark problem."""
-    for key in ("algorithm", "problem", "dim"):
+    """Assemble the configured algorithm, on a fresh benchmark problem unless
+    one is given; this validates every setting but the eps thresholds."""
+    for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
     if values["problem"] not in BENCHMARKS:
@@ -192,7 +165,6 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
         raise ConfigError("replicates must be >= 1")
     if values["budget"] < 1:
         raise ConfigError("budget must be >= 1")
-    _eps_list(values)
     if problem is None:
         problem = make_benchmark(values["problem"], values["dim"]).problem
     algorithm = values["algorithm"].strip().lower()
@@ -242,11 +214,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 
 def cmd_run(values: dict) -> int:
-    for key in ("algorithm", "problem", "dim"):
-        if key not in values:
-            raise ConfigError(f"missing required config key {key!r}")
-    base = make_benchmark(values["problem"], values["dim"])
-    build_algorithm(values, problem=base.problem.copy())  # full validation up front
+    base = build_algorithm(values).problem  # full validation up front
     eps_list = _eps_list(values)
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +224,7 @@ def cmd_run(values: dict) -> int:
 
     traces = []
     for seed in range(base_seed, base_seed + replicates):
-        algo = build_algorithm(values, problem=base.problem.copy())
+        algo = build_algorithm(values, problem=base.copy())
         result = run_algorithm(algo, max_iters(budget), seed=seed)
         _write_trace_csv(out_dir / f"trace_{seed}.csv", result.trace)
         traces.append(result.trace)
@@ -288,11 +256,11 @@ def cmd_verify(values: dict) -> int:
     """Exact report at the first ``eps`` threshold; later ones are ignored."""
     algo = build_algorithm(values)
     eps = _eps_list(values)[0]
-    out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     t_max = values["verify.t_max"]
     chain = extract_chain(algo, eps, t_max=t_max, lump=True)
     report = check_bound(chain, t_max)
+    out_dir = Path(values["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # a rejected config leaves no directory
     write_bound_json(report, out_dir / "bound.json")
     write_bound_csv(report, out_dir / "bound.csv")
     worst = min((row.margin for row in report.per_t), default=math.nan)

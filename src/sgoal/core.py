@@ -20,7 +20,11 @@ from .kernels import FiniteSpace, Kernel, ScheduleState
 
 
 class Relation(enum.Enum):
-    """Direction of the optimization order: which of two values is better."""
+    """Direction of the optimization order: which of two values is better.
+
+    The one place that knows the direction: every sort, best, rank and
+    closeness in the package reads it through these methods.
+    """
 
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
@@ -32,6 +36,22 @@ class Relation(enum.Enum):
     def better_eq(self, a: float, b: float) -> bool:
         """True iff ``a`` is at least as good as ``b``."""
         return a <= b if self is Relation.MINIMIZE else a >= b
+
+    def order(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Indices that sort ``values`` best first along ``axis``; ties keep
+        their input order."""
+        values = np.asarray(values)
+        key = values if self is Relation.MINIMIZE else -values
+        return np.argsort(key, axis=axis, kind="stable")
+
+    def argbest(self, values: np.ndarray) -> int:
+        """Index of the best value; ties go to the earliest occurrence."""
+        return int(np.argmin(values) if self is Relation.MINIMIZE else np.argmax(values))
+
+    def gap(self, f, f_star):
+        """How far ``f`` falls short of the optimum ``f_star``: nonnegative
+        unless ``f`` beats it, and never ``-0.0``.  Elementwise on arrays."""
+        return (f - f_star if self is Relation.MINIMIZE else f_star - f) + 0.0
 
     @classmethod
     def parse(cls, text: str) -> "Relation":
@@ -179,7 +199,7 @@ class Problem:
             )
         self._check_all(points, values)
         self.evals += len(values)
-        i = int(np.argmin(values) if self.relation is Relation.MINIMIZE else np.argmax(values))
+        i = self.relation.argbest(values)
         if self.best_seen_point is None or self.relation.better(values[i], self.best_seen_fitness):
             self.best_seen_point = points[i]
             self.best_seen_fitness = float(values[i])
@@ -243,9 +263,7 @@ def best(pop: Population, relation: Relation) -> int:
     """Index of the fittest member; ties go to the earliest occurrence."""
     if pop.n == 0:
         raise UsageError("best of an empty population is undefined")
-    if relation is Relation.MINIMIZE:
-        return int(np.argmin(pop.fitness))
-    return int(np.argmax(pop.fitness))
+    return relation.argbest(pop.fitness)
 
 
 def closeness(pop: Population, problem: Problem) -> float:
@@ -256,11 +274,7 @@ def closeness(pop: Population, problem: Problem) -> float:
     if problem.f_star is None:
         raise UsageError("closeness requires a problem with a known optimum")
     best_f = float(pop.fitness[best(pop, problem.relation)])
-    if problem.relation is Relation.MINIMIZE:
-        d = best_f - problem.f_star
-    else:
-        d = problem.f_star - best_f
-    return d + 0.0
+    return problem.relation.gap(best_f, problem.f_star)
 
 
 def classify_eps(pop: Population, problem: Problem, eps: float) -> EpsClass:

@@ -200,11 +200,6 @@ def next_sub_pop(
     return ESBatch(y, s, problem.evaluate_batch(y))
 
 
-def _best_first(problem: Problem, fitness: np.ndarray) -> np.ndarray:
-    key = fitness if problem.relation.value == "minimize" else -fitness
-    return np.argsort(key, kind="stable")
-
-
 def replace_es(problem: Problem, parents: Any, children: Any, mode: str) -> Any:
     """Deterministic survivor selection.
 
@@ -220,9 +215,9 @@ def replace_es(problem: Problem, parents: Any, children: Any, mode: str) -> Any:
         raise ConfigError("comma replacement requires lambda >= mu")
     if isinstance(children, ESBatch):
         pool = children if mode == "comma" else parents + children
-        return pool.take(_best_first(problem, pool.f)[:mu])
+        return pool.take(problem.relation.order(pool.f)[:mu])
     pool = tuple(children) if mode == "comma" else tuple(parents) + tuple(children)
-    order = _best_first(problem, np.array([problem.evaluate(m) for m in pool]))
+    order = problem.relation.order([problem.evaluate(m) for m in pool])
     return tuple(pool[i] for i in order[:mu])
 
 

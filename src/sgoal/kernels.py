@@ -243,7 +243,7 @@ def check_row_stochastic(m: np.ndarray, tol: float = ROW_SUM_TOL, name: str = "m
     if np.any(m < -tol):
         raise UsageError(f"{name}: negative transition mass")
     sums = m.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if not np.all(np.abs(sums - 1.0) <= tol):  # phrased so that a NaN row fails
         worst = float(np.max(np.abs(sums - 1.0)))
         raise UsageError(f"{name}: rows must sum to 1 (worst deviation {worst:.3e})")
 
@@ -367,20 +367,21 @@ def identity(arity: int) -> Kernel:
 def sort_kernel(problem: "Problem", arity: int) -> Kernel:
     """Deterministic stable sort, best fitness first under the problem's relation.
 
-    Ties keep their original relative order, matching the first-occurrence
+    The sampler and the matrix both read ``Relation.order``: ties keep
+    their original relative order, matching the first-occurrence
     tie-break of the best operator.
     """
     if arity < 1:
         raise ConfigError("sort arity must be >= 1")
-    sign = 1.0 if problem.relation.value == "minimize" else -1.0
+    order = problem.relation.order
 
     def sample_fn(members, state, rng):
-        return tuple(sorted(members, key=lambda m: sign * problem.evaluate(m)))
+        return tuple(members[i] for i in order([problem.evaluate(m) for m in members]))
 
     def matrix_fn(space, state, idx):
         digits = space.digits(idx, arity)
-        order = np.argsort(sign * space.fitness(problem)[digits], axis=1, kind="stable")
-        cols = space.encode(np.take_along_axis(digits, order, axis=1))
+        rank = order(space.fitness(problem)[digits], axis=1)
+        cols = space.encode(np.take_along_axis(digits, rank, axis=1))
         return cols[:, None], np.ones((idx.size, 1))
 
     return Kernel(

@@ -15,11 +15,12 @@ from .kernels import ClassSpace, FiniteSpace, Kernel, dense_rows
 
 
 def _validate(rows: np.ndarray) -> None:
-    if np.any(rows <= 0):
+    # Both checks are phrased so that NaN, which fails every comparison, fails them.
+    if not np.all(rows > 0):
         raise ConfigError(
             "finite-space mutation needs strictly positive mass on every state"
         )
-    if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
+    if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
         raise ConfigError("mutation rows must sum to 1")
 
 

@@ -161,25 +161,12 @@ def replace_sa(
     incumbent: Any,
     temperature: float,
     rng: np.random.Generator,
-    elitist: bool = False,
-    best: Any = None,
-):
-    """Metropolis replacement between candidate and incumbent.
-
-    With ``elitist=True`` the return value is ``(next_point, next_best)``
-    where the best-so-far additionally absorbs the candidate; otherwise
-    just the next point.
-    """
+) -> Any:
+    """Metropolis replacement: the candidate if accepted, else the incumbent."""
     f_cand = problem.evaluate(candidate)
     f_inc = problem.evaluate(incumbent)
     accepted = metropolis_accept(problem, f_cand, f_inc, temperature, rng)
-    chosen = candidate if accepted else incumbent
-    if not elitist:
-        return chosen
-    if best is None:
-        best = incumbent
-    next_best = candidate if problem.better(f_cand, problem.evaluate(best)) else best
-    return chosen, next_best
+    return candidate if accepted else incumbent
 
 
 def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
@@ -217,10 +204,10 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     def sample_fn(members, state, rng):
         current, best_pt = members
         candidate = proposal.sample_fn((current,), state, rng)[0]
-        return replace_sa(
-            problem, candidate, current, temperature(state.t), rng,
-            elitist=True, best=best_pt,
-        )
+        walker = replace_sa(problem, candidate, current, temperature(state.t), rng)
+        if problem.better(problem.evaluate(candidate), problem.evaluate(best_pt)):
+            best_pt = candidate
+        return walker, best_pt
 
     return Kernel(2, 2, sample_fn, name="sa-next-pop-elitist")
 

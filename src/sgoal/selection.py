@@ -80,10 +80,7 @@ def ranking_rates(fitness: np.ndarray, relation: Relation) -> np.ndarray:
     Equal fitness gets equal rates, better fitness strictly larger ones.
     """
     f = _as_fitness(fitness)
-    if relation is Relation.MINIMIZE:
-        worse = f[None, :] > f[:, None]
-    else:
-        worse = f[None, :] < f[:, None]
+    worse = relation.better(f[:, None], f[None, :])
     return 1.0 + worse.sum(axis=1).astype(float)
 
 
@@ -118,8 +115,8 @@ def _tournament_probs(f: np.ndarray, relation: Relation, m: int) -> np.ndarray:
     brute-force tuple enumeration serves as the independent test oracle.
     """
     lam = f.size
-    sign = 1.0 if relation is Relation.MINIMIZE else -1.0
-    values, members = np.unique(sign * f, return_inverse=True)  # best class first
+    values, members = np.unique(f, return_inverse=True)
+    members = np.argsort(relation.order(values))[members]  # relabel: best class first
     g = values.size
     class_count = np.bincount(members, minlength=g).astype(float)
     probs = np.zeros(lam)
@@ -171,10 +168,7 @@ def select_many(
         return rng.choice(lam, size=size, p=probs)
     entrants = rng.integers(0, lam, size=(size, scheme.m))
     fv = f[entrants]
-    if relation is Relation.MINIMIZE:
-        worse = fv[:, None, :] > fv[:, :, None]
-    else:
-        worse = fv[:, None, :] < fv[:, :, None]
+    worse = relation.better(fv[:, :, None], fv[:, None, :])
     rates = 1.0 + worse.sum(axis=2)
     cum = np.cumsum(rates, axis=1)
     picks = rng.random(size) * cum[:, -1]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Algorithm, Problem, Relation
+from .core import Algorithm, Problem
 from .errors import ConfigError, NotLumpable, UsageError
 from .kernels import ClassSpace, FiniteSpace, ScheduleState, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
@@ -280,8 +280,7 @@ def eps_inside(space: FiniteSpace, problem: Problem, eps: float, arity: int) -> 
         raise UsageError("eps must be positive")
     if problem.f_star is None:
         raise UsageError("closeness requires a problem with a known optimum")
-    f = space.fitness(problem)
-    d = f - problem.f_star if problem.relation is Relation.MINIMIZE else problem.f_star - f
+    d = problem.relation.gap(space.fitness(problem), problem.f_star)
     idx = np.arange(space.n_tuples(arity))
     return (d < eps)[space.digits(idx, arity)].any(axis=1)
 

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgoal.cli import load_config, main, parse_config_text
+from sgoal.cli import _ALL_KEYS, load_config, main, parse_config_text
 from sgoal.errors import ConfigError
 
 SA_CFG = """
@@ -64,6 +66,12 @@ class TestConfigParsing:
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
             load_config(None, ["dim"])
+
+    def test_readme_lists_the_algorithm_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Algorithm keys:", 1)[1].split("\n\n", 1)[0]
+        listed = set(re.findall(r"\b(?:sa|es)\.\w+", paragraph))
+        assert listed == {key for key in _ALL_KEYS if key.startswith(("sa.", "es."))}
 
 
 class TestRunCommand:
@@ -204,6 +212,22 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, ES_CFG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "eps=abc"]) == 2
         assert "bad eps threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["verify.t_max=0"],
+            ["problem=sphere", "dim=2"],  # a box has no exact chain
+            ["algorithm=es", "dim=8"],  # 9^5 = 59049 class states, over the cap
+            ["dim=4", "eps=10"],  # every state is near-optimal
+        ],
+        ids=["t_max", "continuous", "over_cap", "eps_marks_all"],
+    )
+    def test_rejected_verify_creates_no_output_dir(self, tmp_path, overrides):
+        cfg = write_cfg(tmp_path, SA_CFG)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), *overrides]) == 2
+        assert not out.exists()
 
     def test_state_cap_exits_2(self, tmp_path, capsys):
         # even the quotient is over the cap: 17^3 = 4913 class states > 4096

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fold_into, line_problem
+from conftest import fold_into, line_problem, tuple_index
 
 from sgoal.core import (
     ContinuousBox,
@@ -19,7 +21,8 @@ from sgoal.core import (
     target_closeness,
 )
 from sgoal.errors import ConfigError, UsageError
-from sgoal.kernels import FiniteSpace, Kernel, identity
+from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, identity, sort_kernel
+from sgoal.verify import eps_inside
 
 
 def pop_of(fitness):
@@ -49,6 +52,54 @@ class TestBest:
         pop = pop_of(f)
         transformed = pop_of(np.exp(2.0 * f) + 1.0)
         assert best(pop, Relation.MINIMIZE) == best(transformed, Relation.MINIMIZE)
+
+
+def insertion_order(values, relation):
+    """Stable best-first order by insertion: a value moves ahead only of
+    values it is strictly better than, so ties keep their input order."""
+    order = []
+    for i, v in enumerate(values):
+        j = len(order)
+        while j > 0 and relation.better(v, values[order[j - 1]]):
+            j -= 1
+        order.insert(j, i)
+    return order
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=2, max_size=4),
+    st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    st.sampled_from([Relation.MINIMIZE, Relation.MAXIMIZE]),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_fitness_order_matches_independent_oracles(values, picks, relation, eps):
+    # a tuple of arity 2-4 over a line problem whose points share fitness
+    # values, and which may repeat a point: both give ties
+    f_star = 0.0 if relation is Relation.MINIMIZE else 2.5
+    problem = line_problem(values, relation=relation, f_star=f_star)
+    space, arity = problem.space, len(picks)
+    members = tuple(p % len(values) for p in picks)
+    fitness = [values[m] for m in members]
+    oracle = insertion_order(fitness, relation)
+
+    kernel = sort_kernel(problem, arity)
+    out = kernel.sample(members, ScheduleState(), np.random.default_rng(0))
+    assert out == tuple(members[i] for i in oracle)
+    row = kernel.exact_matrix(space)[tuple_index(space, members)]
+    assert np.flatnonzero(row).tolist() == [tuple_index(space, out)]
+
+    pop = Population(members, np.array(fitness))
+    assert best(pop, relation) == oracle[0]
+    f_best = fitness[oracle[0]]
+    d = f_best - f_star if relation is Relation.MINIMIZE else f_star - f_best
+    assert closeness(pop, problem) == d
+
+    def explicit_d(f):
+        return f - f_star if relation is Relation.MINIMIZE else f_star - f
+
+    expected = [any(explicit_d(values[m]) < eps for m in t) for t in space.tuples(arity)]
+    assert eps_inside(space, problem, eps, arity).tolist() == expected
 
 
 class TestCloseness:

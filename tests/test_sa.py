@@ -10,6 +10,7 @@ from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
 from sgoal.errors import ConfigError
 from sgoal.kernels import FiniteSpace, ScheduleState, compose, identity, join, projection, sort_kernel
+from sgoal.mutation import proposal_kernel
 from sgoal.sa import (
     Cooling,
     SAConfig,
@@ -99,6 +100,16 @@ class TestVariate:
         with pytest.raises(ConfigError):
             sa_proposal(problem, config)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [[math.nan, 0.5, 0.5], [[math.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]],
+        ids=["vector", "matrix"],
+    )
+    def test_nan_mutation_rejected(self, spec):
+        # NaN fails every comparison, so a check phrased as "reject if bad" passes it
+        with pytest.raises(ConfigError):
+            proposal_kernel(FiniteSpace((0, 1, 2)), spec)
+
     def test_continuous_step_reflects_into_box(self):
         bench = make_benchmark("sphere", 2)
         config = SAConfig(schedule=geometric(1.0), sigma=50.0)
@@ -146,12 +157,24 @@ class TestReplace:
         p = line_problem([1.0, 0.0])
         assert replace_sa(p, 1, 0, 1.0, rng) == 1  # improving candidate accepted
 
-    def test_elitist_carries_best(self, rng):
+    def test_elitist_carries_best(self):
+        # the elitist step's best-so-far takes the candidate exactly when the
+        # candidate beats it; replaying the stream names the candidate drawn
         p = line_problem([1.0, 0.0, 2.0])
-        nxt, best_pt = replace_sa(p, 2, 1, 100.0, rng, elitist=True, best=1)
-        assert best_pt == 1  # candidate 2 is worse, best stays
-        nxt, best_pt = replace_sa(p, 1, 0, 100.0, rng, elitist=True, best=0)
-        assert best_pt == 1  # candidate 1 improves on best 0
+        config = SAConfig(schedule=fixed(100.0))
+        step, proposal = make_sa(p, config).next_pop, sa_proposal(p, config)
+        outcomes = set()
+        for seed in range(20):
+            for current, best_pt in ((1, 1), (0, 0)):
+                replay = np.random.default_rng(seed)
+                (candidate,) = proposal.sample((current,), ScheduleState(), replay)
+                _, next_best = step.sample(
+                    (current, best_pt), ScheduleState(), np.random.default_rng(seed)
+                )
+                improves = p.evaluate(candidate) < p.evaluate(best_pt)
+                assert next_best == (candidate if improves else best_pt)
+                outcomes.add(improves)
+        assert outcomes == {True, False}
 
 
 class TestRuns:

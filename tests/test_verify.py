@@ -48,6 +48,13 @@ class TestFiniteChainValidation:
         with pytest.raises(UsageError):
             FiniteChain((0, 1), {0}, (np.eye(3),))
 
+    def test_nan_matrix_file_rejected(self, tmp_path):
+        # a NaN row sum fails every comparison; it must not pass as stochastic
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 0\nnan 0.5\n")
+        with pytest.raises(UsageError, match="rows must sum to 1"):
+            chain_from_files([path], {0})
+
 
 class TestPremises:
     def test_absorbing_chain_read_off(self):
