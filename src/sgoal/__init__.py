@@ -11,7 +11,6 @@ from .core import (
     ContinuousBox,
     ConvergenceTrace,
     EpsClass,
-    Population,
     Problem,
     Relation,
     SGoalResult,
@@ -29,6 +28,7 @@ from .errors import ConfigError, SgoalError, UsageError
 from .kernels import (
     FiniteSpace,
     Kernel,
+    Population,
     ScheduleState,
     compose,
     identity,

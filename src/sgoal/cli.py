@@ -165,6 +165,8 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
         raise ConfigError("replicates must be >= 1")
     if values["budget"] < 1:
         raise ConfigError("budget must be >= 1")
+    if values["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     if problem is None:
         problem = make_benchmark(values["problem"], values["dim"]).problem
     algorithm = values["algorithm"].strip().lower()

@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .kernels import FiniteSpace, Kernel, ScheduleState
+from .kernels import FiniteSpace, Kernel, Population, ScheduleState
 
 
 class Relation(enum.Enum):
@@ -107,13 +107,6 @@ class ContinuousBox:
 Space = ContinuousBox | FiniteSpace
 
 
-def _point_key(x: Any):
-    """Hashable cache key for a point (arrays keyed by their bytes)."""
-    if isinstance(x, np.ndarray):
-        return (x.shape, x.tobytes())
-    return x
-
-
 class Problem:
     """Search space plus objective plus optimization direction.
 
@@ -121,12 +114,14 @@ class Problem:
     is also the enumeration that exact kernel matrices and the verifier
     index their states by.
 
-    ``evaluate`` memoizes per point and counts, so every distinct point
-    costs exactly one objective call and evaluation budgets are comparable
-    across algorithms; ``evaluate_batch`` counts a box batch from one
-    objective call without the memo.  When the true optimum ``f_star`` is
-    declared, any evaluation that beats it raises: that always means a
-    mis-declared optimum.
+    ``evaluate`` scores and counts one new point.  On a finite space it
+    memoizes per point, a memo bounded by the space, so every distinct
+    point costs exactly one objective call and ``evals`` counts distinct
+    points; a box point is scored on every call, because kernels score
+    only the points they make and carry fitness with their members.
+    ``evaluate_batch`` counts a box batch from one objective call.  When
+    the true optimum ``f_star`` is declared, any evaluation that beats it
+    raises: that always means a mis-declared optimum.
 
     The memo and counters are per-run mutable state: concurrent
     replicates must each work on their own ``copy()``.
@@ -151,13 +146,13 @@ class Problem:
         self.best_seen_fitness: float = math.nan
 
     def evaluate(self, x: Any) -> float:
-        key = _point_key(x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        finite = isinstance(self.space, FiniteSpace)
+        if finite and x in self._cache:
+            return self._cache[x]
         value = float(self.objective(x))
         self._check(x, value)
-        self._cache[key] = value
+        if finite:
+            self._cache[x] = value
         self.evals += 1
         if self.best_seen_point is None or self.relation.better(value, self.best_seen_fitness):
             self.best_seen_point = x
@@ -188,8 +183,7 @@ class Problem:
         objective call that must return k values.
 
         Checked as ``evaluate`` checks, counted, and followed by
-        ``best_seen_*``; the memo is left alone, because every row of a
-        continuous batch is a new point.
+        ``best_seen_*``.
         """
         values = np.asarray(self.objective(points), dtype=float)
         if values.shape != (len(points),):
@@ -224,33 +218,6 @@ class Problem:
         return Problem(self.space, self.objective, self.relation, self.f_star)
 
 
-@dataclass(frozen=True)
-class Population:
-    """Fixed-length ordered tuple of points with their cached fitness."""
-
-    members: tuple
-    fitness: np.ndarray
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        fitness = np.asarray(self.fitness, dtype=float)
-        if len(members) == 0:
-            raise UsageError("population must be nonempty")
-        if fitness.shape != (len(members),):
-            raise UsageError("fitness vector length must match member count")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "fitness", fitness)
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
-
-    @classmethod
-    def evaluated(cls, members: Iterable[Any], problem: Problem) -> "Population":
-        members = tuple(members)
-        return cls(members, np.array([problem.evaluate(m) for m in members]))
-
-
 class EpsClass(enum.Enum):
     """Position of a population relative to the closeness threshold."""
 
@@ -261,8 +228,6 @@ class EpsClass(enum.Enum):
 
 def best(pop: Population, relation: Relation) -> int:
     """Index of the fittest member; ties go to the earliest occurrence."""
-    if pop.n == 0:
-        raise UsageError("best of an empty population is undefined")
     return relation.argbest(pop.fitness)
 
 
@@ -363,7 +328,6 @@ def run_sgoal(
     end: Callable[[Population, int], bool],
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-    fitness_of: Callable[[Any], float] | None = None,
     param_fn: Callable[[Population, ScheduleState], float] | None = None,
 ) -> SGoalResult:
     """Run the generic population-iteration loop.
@@ -371,14 +335,13 @@ def run_sgoal(
     Applies ``next_pop`` to the population until ``end(pop, t)`` is true,
     advancing a fresh ``ScheduleState`` once after every step, so the step
     kernel reads its time index as ``state.t``, and records the trace
-    at t = 0 and after every step.  Identical seeds and configuration
-    produce bit-identical traces.
+    at t = 0 and after every step.  The kernel returns each population
+    with its fitness, so the loop scores nothing itself.  Identical seeds
+    and configuration produce bit-identical traces.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     schedule = ScheduleState()
-    if fitness_of is None:
-        fitness_of = problem.evaluate
 
     pop = init(rng)
     if not isinstance(pop, Population):
@@ -405,9 +368,8 @@ def run_sgoal(
     t = 0
     record(t)
     while not end(pop, t):
-        members = next_pop.sample(pop.members, schedule, rng)
+        pop = next_pop.sample(pop, schedule, rng)
         schedule.tick()
-        pop = Population(tuple(members), np.array([fitness_of(m) for m in members]))
         t += 1
         record(t)
 
@@ -434,8 +396,10 @@ def run_sgoal(
 class Algorithm:
     """A ready-to-run optimizer: problem, initializer and step kernel.
 
-    ``next_pop`` reads the time index from the run's ``ScheduleState``;
-    ``param_fn`` reports the step's schedule parameter for the trace.
+    ``init`` scores the first population and ``next_pop`` carries fitness
+    with its members from then on; it reads the time index from the run's
+    ``ScheduleState``.  ``param_fn`` reports the step's schedule parameter
+    for the trace.
 
     ``chain_kernel`` is the one-step kernel used for exact finite-space
     verification.  It is ``next_pop`` itself unless given: only the
@@ -448,7 +412,6 @@ class Algorithm:
     problem: Problem
     init: Callable[[np.random.Generator], Population]
     next_pop: Kernel
-    fitness_of: Callable[[Any], float] | None = None
     param_fn: Callable[[Population, ScheduleState], float] | None = None
     chain_kernel: Kernel | None = None
 
@@ -471,6 +434,5 @@ def run_algorithm(
         end,
         seed=seed,
         rng=rng,
-        fitness_of=algo.fitness_of,
         param_fn=algo.param_fn,
     )

@@ -9,7 +9,9 @@ child clamped into [sigma_min, sigma_max], Gaussian mutation with the
 fresh step sizes reflected into the box, and one objective call for all
 lambda children.  A stable argsort keeps the best mu: plus replacement
 pools parents before children, so ties favor parents; comma replacement
-keeps children only (lambda >= mu required).
+keeps children only (lambda >= mu required).  Fitness lives in the
+population and in the batch rows, never in an individual, so the
+children's one objective call is the generation's only scoring.
 
 On finite spaces the strategy machinery collapses (rho = 1): a child is
 the proposal after uniform selection, ``compose(proposal,
@@ -17,14 +19,15 @@ selection_kernel(uniform, mu))``, which keeps every state reachable.  The
 generation is then built from the kernel algebra, ``compose(proj[first
 mu] . sort(pool), join(parent projections [plus only] + lambda
 children))``, and that one kernel both runs and is verified; the
-plus-mode chain is exactly analyzable.
+plus-mode chain is exactly analyzable.  Only the proposal scores: each
+child once, through the finite problem's memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -37,11 +40,11 @@ from .selection import selection_kernel, uniform
 
 @dataclass(frozen=True)
 class ESIndividual:
-    """Object parameters, per-coordinate step sizes, cached fitness."""
+    """Object parameters and per-coordinate step sizes; the fitness is
+    carried by the population that holds the individual."""
 
     y: np.ndarray
     s: np.ndarray
-    f: float
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -52,48 +55,46 @@ class ESIndividual:
             raise UsageError("step sizes must be strictly positive")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "f", float(self.f))
 
 
 @dataclass(frozen=True)
 class ESBatch:
     """k individuals as rows: object parameters ``y`` and step sizes ``s``,
-    both (k, d), and fitness ``f``, (k,)."""
+    both (k, d), and their ``fitness``, (k,)."""
 
     y: np.ndarray
     s: np.ndarray
-    f: np.ndarray
+    fitness: np.ndarray
 
     @classmethod
-    def of(cls, members: Sequence[ESIndividual]) -> "ESBatch":
+    def of(cls, pop: Population) -> "ESBatch":
+        """The rows of a population of ``ESIndividual``s."""
         return cls(
-            np.stack([m.y for m in members]),
-            np.stack([m.s for m in members]),
-            np.array([m.f for m in members]),
+            np.stack([m.y for m in pop.members]),
+            np.stack([m.s for m in pop.members]),
+            pop.fitness,
         )
-
-    def __len__(self) -> int:
-        return len(self.f)
 
     def __add__(self, other: "ESBatch") -> "ESBatch":
         return ESBatch(
             np.concatenate([self.y, other.y]),
             np.concatenate([self.s, other.s]),
-            np.concatenate([self.f, other.f]),
+            np.concatenate([self.fitness, other.fitness]),
         )
 
     def take(self, rows: np.ndarray) -> "ESBatch":
-        return ESBatch(self.y[rows], self.s[rows], self.f[rows])
+        return ESBatch(self.y[rows], self.s[rows], self.fitness[rows])
 
-    def members(self) -> tuple:
-        """One ``ESIndividual`` per row.  The rows come from the checked
-        stages, so they skip the per-individual validation."""
-        out = []
-        for y, s, f in zip(self.y, self.s, self.f.tolist()):
+    def population(self) -> Population:
+        """One ``ESIndividual`` per row, with the rows' fitness.  The rows
+        come from the checked stages, so they skip the per-individual
+        validation."""
+        members = []
+        for y, s in zip(self.y, self.s):
             member = object.__new__(ESIndividual)
-            member.__dict__.update(y=y, s=s, f=f)
-            out.append(member)
-        return tuple(out)
+            member.__dict__.update(y=y, s=s)
+            members.append(member)
+        return Population(tuple(members), self.fitness)
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def next_sub_pop(
     """k i.i.d. children of the parent rows: marriage (rho uniform parent
     indices per child, with replacement), recombination, strategy update,
     mutation, and one batched evaluation."""
-    idx = rng.integers(0, len(parents), size=(k, config.rho))
+    idx = rng.integers(0, len(parents.fitness), size=(k, config.rho))
     y, s = recombine(parents.y[idx], parents.s[idx], config.recomb_y, config.recomb_s, rng)
     s = update_strategies(s, config.tau_for(y.shape[1]), config.sigma_min, config.sigma_max, rng)
     y = mutate_y(problem, y, s, rng)
@@ -201,24 +202,20 @@ def next_sub_pop(
 
 
 def replace_es(problem: Problem, parents: Any, children: Any, mode: str) -> Any:
-    """Deterministic survivor selection.
+    """Deterministic survivor selection over the fitness the rows carry.
 
     Plus: stable-sort parents + children best-first and keep the first mu
     (parents precede children, so ties favor parents).  Comma: the same
-    over children only.  Batches give a batch of survivor rows; tuples of
-    points, scored by ``problem.evaluate``, give a tuple.
+    over children only.  Parents and children are both ``ESBatch``es or
+    both ``Population``s, and the survivors come back as the same type.
     """
-    mu = len(parents)
+    mu = len(parents.fitness)
     if mode not in ("plus", "comma"):
         raise ConfigError("mode must be 'plus' or 'comma'")
-    if mode == "comma" and len(children) < mu:
+    if mode == "comma" and len(children.fitness) < mu:
         raise ConfigError("comma replacement requires lambda >= mu")
-    if isinstance(children, ESBatch):
-        pool = children if mode == "comma" else parents + children
-        return pool.take(problem.relation.order(pool.f)[:mu])
-    pool = tuple(children) if mode == "comma" else tuple(parents) + tuple(children)
-    order = problem.relation.order([problem.evaluate(m) for m in pool])
-    return tuple(pool[i] for i in order[:mu])
+    pool = children if mode == "comma" else parents + children
+    return pool.take(problem.relation.order(pool.fitness)[:mu])
 
 
 def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
@@ -235,17 +232,17 @@ def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
         mu = config.mu
         carried = [projection(mu, [i]) for i in range(mu)] if config.mode == "plus" else []
         child = compose(
-            proposal_kernel(problem.space, config.mutation),
+            proposal_kernel(problem, config.mutation),
             selection_kernel(problem, uniform(), mu),
         )
         pool = len(carried) + config.lam
         survivors = compose(projection(pool, range(mu)), sort_kernel(problem, pool))
         return compose(survivors, join(carried + [child] * config.lam))
 
-    def sample_fn(members, state, rng):
-        parents = ESBatch.of(members)
+    def sample_fn(pop, state, rng):
+        parents = ESBatch.of(pop)
         children = next_sub_pop(problem, parents, config, rng, config.lam)
-        return replace_es(problem, parents, children, config.mode).members()
+        return replace_es(problem, parents, children, config.mode).population()
 
     return Kernel(config.mu, config.mu, sample_fn, name=f"es-next-pop-{config.mode}")
 
@@ -258,8 +255,8 @@ def init_es_population(
     space = problem.space
     if isinstance(space, ContinuousBox):
         y = rng.uniform(space.lower, space.upper, size=(config.mu, space.dim))
-        batch = ESBatch(y, np.full(y.shape, config.sigma_init), problem.evaluate_batch(y))
-        return Population(batch.members(), batch.f)
+        s = np.full(y.shape, config.sigma_init)
+        return ESBatch(y, s, problem.evaluate_batch(y)).population()
     members = tuple(space.sample_uniform(rng) for _ in range(config.mu))
     return Population.evaluated(members, problem)
 
@@ -277,6 +274,5 @@ def make_es(problem: Problem, config: ESConfig) -> Algorithm:
         problem=problem,
         init=lambda rng: init_es_population(problem, config, rng),
         next_pop=es_next_pop(problem, config),
-        fitness_of=None if finite else (lambda m: m.f),
         param_fn=None if finite else (lambda pop, state: mean_sigma(pop)),
     )

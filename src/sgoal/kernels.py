@@ -1,10 +1,11 @@
 """Stochastic-operator algebra over populations.
 
-A kernel maps an input tuple of points to a random output tuple.  On an
-enumerated finite base space every kernel can additionally realize itself
-as an exact row-stochastic matrix over tuple states, and the combinators
-below (sequential composition, independent join, coordinate projection,
-fitness sorting) propagate both the sampler and the matrix.
+A kernel maps an input population (a tuple of points with their fitness)
+to a random output population.  On an enumerated finite base space every
+kernel can additionally realize itself as an exact row-stochastic matrix
+over tuple states, and the combinators below (sequential composition,
+independent join, coordinate projection, fitness sorting) propagate both
+the sampler and the matrix.
 
 Matrix convention: distributions are row vectors, so applying kernel K1
 and then K2 multiplies as ``M1 @ M2``.  Inside the combinators a matrix
@@ -44,6 +45,48 @@ class ScheduleState:
 
     def tick(self) -> None:
         self.t += 1
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Population:
+    """Fixed-length ordered tuple of points with their fitness.
+
+    Fitness travels with its members: a kernel that moves, drops or
+    reorders members carries their fitness along, and only a kernel that
+    makes a new point scores it.
+    """
+
+    members: tuple
+    fitness: np.ndarray
+
+    def __init__(self, members: Iterable[Any], fitness) -> None:
+        members = tuple(members)
+        fitness = np.asarray(fitness, dtype=float)
+        if len(members) == 0:
+            raise UsageError("population must be nonempty")
+        if fitness.shape != (len(members),):
+            raise UsageError("fitness vector length must match member count")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "fitness", fitness)
+
+    @property
+    def n(self) -> int:
+        return len(self.members)
+
+    def take(self, indices) -> "Population":
+        """The members at ``indices`` (a list or an index array), in that
+        order, with their fitness."""
+        return Population(tuple(self.members[i] for i in indices), self.fitness[indices])
+
+    def __add__(self, other: "Population") -> "Population":
+        return Population(
+            self.members + other.members, np.concatenate([self.fitness, other.fitness])
+        )
+
+    @classmethod
+    def evaluated(cls, members: Iterable[Any], problem: "Problem") -> "Population":
+        members = tuple(members)
+        return cls(members, np.array([problem.evaluate(m) for m in members]))
 
 
 class FiniteSpace:
@@ -166,10 +209,12 @@ def _scatter_rows(cols: np.ndarray, mass: np.ndarray, n_out: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A time-indexed stochastic operation on tuples of points.
+    """A time-indexed stochastic operation on populations.
 
-    ``sample_fn(members, state, rng)`` draws one output tuple.  On a finite
-    base space ``matrix_fn(space, state, idx)`` realizes the exact matrix:
+    ``sample_fn(pop, state, rng)`` draws one output ``Population``: the
+    members it keeps carry their input fitness, and a new point it makes
+    carries the fitness it scored.  On a finite base space
+    ``matrix_fn(space, state, idx)`` realizes the exact matrix:
     it returns the rows of the input tuple states ``idx`` as sparse rows
     ``(cols, mass)``, two ``(len(idx), w)`` arrays of output tuple indices
     and their masses (a repeated column adds up).  A deterministic kernel
@@ -178,7 +223,7 @@ class Kernel:
 
     arity_in: int
     arity_out: int
-    sample_fn: Callable[[tuple, ScheduleState, np.random.Generator], tuple]
+    sample_fn: Callable[[Population, ScheduleState, np.random.Generator], Population]
     matrix_fn: Callable[[FiniteSpace, ScheduleState, np.ndarray], Rows] | None = None
     name: str = "kernel"
 
@@ -187,16 +232,14 @@ class Kernel:
             raise ConfigError("kernel arities must be positive")
 
     def sample(
-        self, members: Sequence[Any], state: ScheduleState, rng: np.random.Generator
-    ) -> tuple:
-        members = tuple(members)
-        if len(members) != self.arity_in:
+        self, pop: Population, state: ScheduleState, rng: np.random.Generator
+    ) -> Population:
+        if pop.n != self.arity_in:
             raise UsageError(
-                f"{self.name}: expected input tuple of length {self.arity_in}, "
-                f"got {len(members)}"
+                f"{self.name}: expected a population of {self.arity_in}, got {pop.n}"
             )
-        out = tuple(self.sample_fn(members, state, rng))
-        if len(out) != self.arity_out:
+        out = self.sample_fn(pop, state, rng)
+        if not isinstance(out, Population) or out.n != self.arity_out:
             raise UsageError(f"{self.name}: sampler produced wrong output arity")
         return out
 
@@ -265,8 +308,8 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
             f"{k1.name} emits {k1.arity_out}, {k2.name} expects {k2.arity_in}"
         )
 
-    def sample_fn(members, state, rng):
-        return k2.sample(k1.sample(members, state, rng), state, rng)
+    def sample_fn(pop, state, rng):
+        return k2.sample(k1.sample(pop, state, rng), state, rng)
 
     matrix_fn = None
     if k1.has_matrix and k2.has_matrix:
@@ -293,8 +336,8 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
 def join(kernels: Sequence[Kernel]) -> Kernel:
     """Independent parallel application of single-output kernels.
 
-    Every component reads the same input tuple and contributes one output
-    coordinate; the joint matrix row is the Kronecker product of the
+    Every component reads the same input population and contributes one
+    output member with its fitness; the joint matrix row is the Kronecker product of the
     component rows, so its width is the product of theirs.
     """
     kernels = list(kernels)
@@ -309,8 +352,9 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     if len(kernels) == 1:
         return kernels[0]
 
-    def sample_fn(members, state, rng):
-        return tuple(k.sample(members, state, rng)[0] for k in kernels)
+    def sample_fn(pop, state, rng):
+        outs = [k.sample(pop, state, rng) for k in kernels]
+        return Population(tuple(o.members[0] for o in outs), [o.fitness[0] for o in outs])
 
     matrix_fn = None
     if all(k.has_matrix for k in kernels):
@@ -340,7 +384,7 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
 
 def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
     """Deterministic kernel emitting the selected coordinates in order."""
-    indices = tuple(int(i) for i in indices)
+    indices = [int(i) for i in indices]
     if not indices:
         raise ConfigError("projection needs at least one index")
     for i in indices:
@@ -348,15 +392,15 @@ def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
             raise ConfigError(f"projection index {i} out of range for arity {arity_in}")
 
     def matrix_fn(space, state, idx):
-        cols = space.encode(space.digits(idx, arity_in)[:, list(indices)])
+        cols = space.encode(space.digits(idx, arity_in)[:, indices])
         return cols[:, None], np.ones((idx.size, 1))
 
     return Kernel(
         arity_in=arity_in,
         arity_out=len(indices),
-        sample_fn=lambda members, state, rng: tuple(members[i] for i in indices),
+        sample_fn=lambda pop, state, rng: pop.take(indices),
         matrix_fn=matrix_fn,
-        name=f"proj{list(indices)}",
+        name=f"proj{indices}",
     )
 
 
@@ -375,8 +419,8 @@ def sort_kernel(problem: "Problem", arity: int) -> Kernel:
         raise ConfigError("sort arity must be >= 1")
     order = problem.relation.order
 
-    def sample_fn(members, state, rng):
-        return tuple(members[i] for i in order([problem.evaluate(m) for m in members]))
+    def sample_fn(pop, state, rng):
+        return pop.take(order(pop.fitness))
 
     def matrix_fn(space, state, idx):
         digits = space.digits(idx, arity)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import Problem
 from .errors import ConfigError, UsageError
-from .kernels import ClassSpace, FiniteSpace, Kernel, dense_rows
+from .kernels import ClassSpace, Kernel, Population, dense_rows
 
 
 def _validate(rows: np.ndarray) -> None:
@@ -24,18 +25,19 @@ def _validate(rows: np.ndarray) -> None:
         raise ConfigError("mutation rows must sum to 1")
 
 
-def proposal_kernel(space: FiniteSpace, spec=None) -> Kernel:
-    """The 1 -> 1 proposal kernel over a finite space.
+def proposal_kernel(problem: Problem, spec=None) -> Kernel:
+    """The 1 -> 1 proposal kernel over a finite problem's space.
 
+    Its sampler draws a point and scores it with ``problem.evaluate``.
     ``spec`` is None for the uniform distribution, a probability vector
     for a state-independent proposal, or a row-stochastic square matrix
-    of per-state proposals, indexed in ``space``'s enumeration order.
+    of per-state proposals, indexed in the space's enumeration order.
     All mass must be strictly positive, so every row lists all states:
     its columns are ``0..n-1`` in order.  The exact matrix is realized on
     a space with the same points in the same order, or on the fitness
     classes of one.
     """
-    points = space.points
+    points = problem.space.points
     n = len(points)
     vector = matrix = None
     if spec is not None:
@@ -54,13 +56,15 @@ def proposal_kernel(space: FiniteSpace, spec=None) -> Kernel:
         else:
             raise ConfigError("mutation must be a probability vector or matrix")
 
-    def sample_fn(members, state, rng):
-        (x,) = members
+    def sample_fn(pop, state, rng):
+        (x,) = pop.members
         if vector is not None:
-            return (points[int(rng.choice(n, p=vector))],)
-        if matrix is not None:
-            return (points[int(rng.choice(n, p=matrix[index[x]]))],)
-        return (points[int(rng.integers(n))],)
+            y = points[int(rng.choice(n, p=vector))]
+        elif matrix is not None:
+            y = points[int(rng.choice(n, p=matrix[index[x]]))]
+        else:
+            y = points[int(rng.integers(n))]
+        return Population((y,), (problem.evaluate(y),))
 
     # One row per point for a matrix spec, else the single row every point shares.
     if matrix is not None:

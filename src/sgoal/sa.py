@@ -1,16 +1,17 @@
 """Simulated annealing as a variation + replacement kernel with cooling.
 
 The run-time algorithm follows the classic Metropolis loop: a proposal
-kernel draws a candidate, and a 2 -> 1 Metropolis kernel keeps candidate
-or incumbent at temperature ``T = schedule.temperature(t)``, a closed form
-of the step index t.  The non-elitist loop is ``compose(metropolis,
-join([proposal, identity(1)]))`` on both spaces; on a finite space that
-same kernel is verified.  In elitist mode the population
-carries the best point found so far next to the Metropolis walker, so the
-reported closeness never worsens; its verified chain is the arity-1
-greedy chain ``compose(proj[0] . sort2, join([proposal, identity(1)]))``,
-which keeps the better of candidate and incumbent and whose
-eps-neighborhoods are absorbing.
+kernel draws and scores a candidate, and a 2 -> 1 Metropolis kernel keeps
+candidate or incumbent, reading the fitness they carry, at temperature
+``T = schedule.temperature(t)``, a closed form of the step index t, so
+a step makes one objective call, for the candidate.  The non-elitist
+loop is ``compose(metropolis, join([proposal, identity(1)]))`` on both
+spaces; on a finite space that same kernel is verified.  In elitist mode
+the population carries the best point found so far next to the
+Metropolis walker, so the reported closeness never worsens; its verified
+chain is the arity-1 greedy chain ``compose(proj[0] . sort2,
+join([proposal, identity(1)]))``, which keeps the better of candidate and
+incumbent and whose eps-neighborhoods are absorbing.
 """
 
 from __future__ import annotations
@@ -107,14 +108,16 @@ class SAConfig:
 
 def sa_proposal(problem: Problem, config: SAConfig) -> Kernel:
     """The 1 -> 1 proposal: the finite-space proposal kernel, or on a box
-    an isotropic Gaussian step reflected into the box (no matrix)."""
+    an isotropic Gaussian step reflected into the box (no matrix).  Both
+    score the candidate they draw."""
     space = problem.space
     if isinstance(space, FiniteSpace):
-        return proposal_kernel(space, config.mutation)
+        return proposal_kernel(problem, config.mutation)
 
-    def step(members, state, rng):
-        x = np.asarray(members[0], dtype=float)
-        return (space.reflect(x + config.sigma * rng.standard_normal(space.dim)),)
+    def step(pop, state, rng):
+        x = np.asarray(pop.members[0], dtype=float)
+        y = space.reflect(x + config.sigma * rng.standard_normal(space.dim))
+        return Population((y,), (problem.evaluate(y),))
 
     return Kernel(1, 1, step, name="gaussian-step")
 
@@ -157,16 +160,15 @@ def acceptance_probability(
 
 def replace_sa(
     problem: Problem,
-    candidate: Any,
-    incumbent: Any,
+    pair: Population,
     temperature: float,
     rng: np.random.Generator,
-) -> Any:
-    """Metropolis replacement: the candidate if accepted, else the incumbent."""
-    f_cand = problem.evaluate(candidate)
-    f_inc = problem.evaluate(incumbent)
-    accepted = metropolis_accept(problem, f_cand, f_inc, temperature, rng)
-    return candidate if accepted else incumbent
+) -> int:
+    """Metropolis replacement in a (candidate, incumbent) population: the
+    index of the survivor, 0 when the candidate is accepted, else 1.  It
+    reads the fitness the pair carries and scores nothing."""
+    f_cand, f_inc = pair.fitness.tolist()
+    return 0 if metropolis_accept(problem, f_cand, f_inc, temperature, rng) else 1
 
 
 def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
@@ -174,8 +176,8 @@ def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
     at the schedule's step-t temperature."""
     temperature = config.schedule.temperature
 
-    def sample_fn(members, state, rng):
-        return (replace_sa(problem, *members, temperature(state.t), rng),)
+    def sample_fn(pop, state, rng):
+        return pop.take([replace_sa(problem, pop, temperature(state.t), rng)])
 
     def matrix_fn(space, state, idx):
         pairs = space.digits(idx, 2)
@@ -192,7 +194,8 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     Non-elitist: a single Metropolis walker (arity 1), ``compose(metropolis,
     join([proposal, identity(1)]))`` on a finite space and on a box alike.
     Elitist: the walker plus the best-so-far point (arity 2), so closeness
-    is read from the best member.  Sampling reads ``T =
+    is read from the best member; the candidate replaces the best-so-far
+    point when its carried fitness is strictly better.  Sampling reads ``T =
     temperature(state.t)`` and leaves the schedule alone; the run loop
     advances it.
     """
@@ -201,13 +204,15 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
         return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
     temperature = config.schedule.temperature
 
-    def sample_fn(members, state, rng):
-        current, best_pt = members
-        candidate = proposal.sample_fn((current,), state, rng)[0]
-        walker = replace_sa(problem, candidate, current, temperature(state.t), rng)
-        if problem.better(problem.evaluate(candidate), problem.evaluate(best_pt)):
-            best_pt = candidate
-        return walker, best_pt
+    def sample_fn(pop, state, rng):
+        (current, best_pt), (f_current, f_best) = pop.members, pop.fitness.tolist()
+        candidate = proposal.sample_fn(Population((current,), (f_current,)), state, rng)
+        (x,), (f_x,) = candidate.members, candidate.fitness.tolist()
+        members, fitness = (x, current), (f_x, f_current)
+        kept = replace_sa(problem, Population(members, fitness), temperature(state.t), rng)
+        if problem.better(f_x, f_best):
+            best_pt, f_best = x, f_x
+        return Population((members[kept], best_pt), (fitness[kept], f_best))
 
     return Kernel(2, 2, sample_fn, name="sa-next-pop-elitist")
 
@@ -216,8 +221,8 @@ def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
     """Assemble the annealing loop for ``run_algorithm``."""
     def init(rng: np.random.Generator) -> Population:
         x0 = problem.space.sample_uniform(rng)
-        members = (x0, x0) if config.elitist else (x0,)
-        return Population.evaluated(members, problem)
+        n = 2 if config.elitist else 1
+        return Population((x0,) * n, (problem.evaluate(x0),) * n)
 
     chain = None
     if config.elitist:

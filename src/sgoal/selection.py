@@ -4,8 +4,9 @@ Each scheme has an exact per-individual selection probability vector
 (``exact_probs``) and one sampler that simulates the actual mechanism
 (``select_many``), so the two can be cross-checked statistically.
 ``selection_kernel`` turns a scheme into an arity -> 1 kernel over a
-tuple of points: its sampler is the mechanism, and its exact rows put
-each member's selection probability on that member's point.
+population: its sampler runs the mechanism on the fitness the members
+carry, and its exact rows put each member's selection probability on
+that member's point.
 """
 
 from __future__ import annotations
@@ -100,8 +101,10 @@ def _roulette_rates(scheme: SelectionScheme, f: np.ndarray, relation: Relation) 
         raise UsageError("selection rates must be finite")
     if np.any(rates < 0):
         raise UsageError("selection rates must be nonnegative")
-    if rates.sum() <= 0:
-        raise UsageError("total selection rate must be positive")
+    with np.errstate(over="ignore"):  # finite rates may still sum to inf
+        total = rates.sum()
+    if not 0 < total < math.inf:
+        raise UsageError("total selection rate must be positive and finite")
     return rates
 
 
@@ -177,16 +180,16 @@ def select_many(
 
 
 def selection_kernel(problem: Problem, scheme: SelectionScheme, arity: int) -> Kernel:
-    """arity -> 1: the member of the input tuple that the scheme selects.
+    """arity -> 1: the member of the input population that the scheme selects.
 
-    The sampler runs the mechanism on the members' fitness.  A matrix row
-    lists the tuple's points with their exact probabilities (a point that
-    occurs twice adds up); they are computed once per fitness pattern.
+    The sampler runs the mechanism on the fitness the members carry and
+    returns the selected member with its fitness.  A matrix row lists the
+    tuple's points with their exact probabilities (a point that occurs
+    twice adds up); they are computed once per fitness pattern.
     """
 
-    def sample_fn(members, state, rng):
-        fitness = [problem.evaluate(m) for m in members]
-        return (members[int(select_many(scheme, fitness, problem.relation, 1, rng)[0])],)
+    def sample_fn(pop, state, rng):
+        return pop.take(select_many(scheme, pop, problem.relation, 1, rng))
 
     def matrix_fn(space, state, idx):
         digits = space.digits(idx, arity)

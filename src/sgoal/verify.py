@@ -69,20 +69,20 @@ class FiniteChain:
         return mask
 
 
-def check_premises(chain: FiniteChain, tol: float = EXACT_TOL) -> tuple[float, bool]:
+def check_premises(chain: FiniteChain) -> tuple[float, bool]:
     """(delta, absorbing) for the chain.
 
     ``absorbing`` is true iff every step keeps all mass of every
-    near-optimal state inside the set; ``delta`` is the worst one-step
-    mass on the set from any outside state (nonpositive delta means the
-    reachability premise fails).
+    near-optimal state inside the set, to ``EXACT_TOL``; ``delta`` is the
+    worst one-step mass on the set from any outside state (nonpositive
+    delta means the reachability premise fails).
     """
     mask = chain.eps_mask()
     absorbing = True
     delta = math.inf
     for m in chain.matrices:
         into = m[:, mask].sum(axis=1)
-        if np.any(np.abs(into[mask] - 1.0) > tol):
+        if np.any(np.abs(into[mask] - 1.0) > EXACT_TOL):
             absorbing = False
         outside = into[~mask]
         if outside.size:
@@ -113,8 +113,8 @@ class BoundReport:
     def premises_hold(self) -> bool:
         return self.premise_absorbing and self.premise_reach
 
-    def verified(self, tol: float = EXACT_TOL) -> bool:
-        return self.premises_hold and all(row.margin >= -tol for row in self.per_t)
+    def verified(self) -> bool:
+        return self.premises_hold and all(row.margin >= -EXACT_TOL for row in self.per_t)
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,34 +135,21 @@ class BoundReport:
         }
 
 
-def check_bound(
-    chain: FiniteChain,
-    t_max: int,
-    tol: float = EXACT_TOL,
-    delta: float | None = None,
-) -> BoundReport:
+def check_bound(chain: FiniteChain, t_max: int) -> BoundReport:
     """Exact t-step masses on the near-optimal set against 1-(1-delta)^t.
 
     The kernels act in time order: the t-step mass from state i is entry
     i of ``M_1 M_2 ... M_t 1_eps``, computed by matrix-vector products
     only.  A stationary chain takes one product per step
     (``v_t = M v_{t-1}``); a non-stationary one takes one backward pass
-    ``M_1 (M_2 (... (M_t 1_eps)))`` per t.  ``delta`` defaults to the
-    tightest value the matrices support; a supplied override must itself
-    satisfy the reachability premise (0 < delta <= extracted minimum).
-    When the premises fail, the report still carries the computed masses
-    so the failure is inspectable, but nothing is asserted.
+    ``M_1 (M_2 (... (M_t 1_eps)))`` per t.  ``delta`` is the tightest
+    value the matrices support.  When the premises fail, the report still
+    carries the computed masses so the failure is inspectable, but
+    nothing is asserted.
     """
     if t_max < 1:
         raise UsageError("t_max must be >= 1")
-    extracted, absorbing = check_premises(chain, tol=tol)
-    if delta is None:
-        delta = extracted
-    elif not 0.0 < delta <= extracted + tol:
-        raise UsageError(
-            f"supplied delta {delta} is not supported by the matrices "
-            f"(extracted minimum {extracted})"
-        )
+    delta, absorbing = check_premises(chain)
     ms = chain.matrices
     if 1 < len(ms) < t_max:
         raise UsageError(f"non-stationary sequence has {len(ms)} kernels but t_max={t_max}")
@@ -189,13 +176,7 @@ def check_bound(
     )
 
 
-def extract_chain(
-    algo: Algorithm,
-    eps: float,
-    t_max: int = 1,
-    cap: int = STATE_CAP,
-    lump: bool = False,
-) -> FiniteChain:
+def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = False) -> FiniteChain:
     """Enumerate an algorithm's exact population chain on a finite space.
 
     The states are the tuples of the problem's own ``FiniteSpace``, in its
@@ -209,7 +190,7 @@ def extract_chain(
     otherwise.  Every kernel must then read only positions and
     ``space.fitness``, or lump its own rows as the proposal kernel does;
     the proposal's lumping certificate decides between the two chains.
-    ``cap`` bounds the number of states actually built.
+    ``STATE_CAP`` bounds the number of states actually built.
     """
     kernel = algo.chain_kernel
     if not kernel.has_matrix:
@@ -228,18 +209,19 @@ def extract_chain(
     if lump:
         classes = ClassSpace(space, problem)
         n_classes = classes.n_tuples(kernel.arity_in)
-        if n_classes > cap:
+        if n_classes > STATE_CAP:
             raise UsageError(
                 f"{n_states} population states lump onto {n_classes} fitness-class "
-                f"states, which exceed the verification cap {cap}; use a smaller instance"
+                f"states, which exceed the verification cap {STATE_CAP}; "
+                "use a smaller instance"
             )
         try:
             return _enumerate_chain(algo, classes, eps, t_max)
         except NotLumpable as exc:
             why = f" (the chain does not lump onto fitness classes: {exc})"
-    if n_states > cap:
+    if n_states > STATE_CAP:
         raise UsageError(
-            f"{n_states} population states exceed the verification cap {cap}{why}; "
+            f"{n_states} population states exceed the verification cap {STATE_CAP}{why}; "
             "use a smaller instance"
         )
     return _enumerate_chain(algo, space, eps, t_max)

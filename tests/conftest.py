@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sgoal.core import Problem, Relation
 from sgoal.es import replace_es
-from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, dense_rows
+from sgoal.kernels import FiniteSpace, Kernel, Population, ScheduleState, dense_rows
 from sgoal.sa import acceptance_probability, fixed, linear
 
 
@@ -47,6 +47,15 @@ def instances(draw):
     return line_problem(values, relation=relation), mutation
 
 
+def population(members, problem=None) -> Population:
+    """``members`` with their fitness under ``problem``, read from its
+    objective; without a problem (a kernel over a bare space) it is zero."""
+    members = tuple(members)
+    if problem is None:
+        return Population(members, np.zeros(len(members)))
+    return Population(members, [problem.objective(m) for m in members])
+
+
 def tuple_index(space: FiniteSpace, members) -> int:
     """Index of the tuple state ``members`` in ``space``'s enumeration."""
     idx = 0
@@ -56,13 +65,13 @@ def tuple_index(space: FiniteSpace, members) -> int:
 
 
 def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:
-    """Arity-1 kernel defined by an explicit row-stochastic matrix."""
+    """Arity-1 kernel defined by an explicit row-stochastic matrix over a
+    bare space; its points carry fitness zero."""
     matrix = np.asarray(matrix, dtype=float)
 
-    def sample_fn(members, state, rng):
-        (x,) = members
-        row = matrix[tuple_index(space, (x,))]
-        return (space.points[int(rng.choice(len(space), p=row))],)
+    def sample_fn(pop, state, rng):
+        row = matrix[tuple_index(space, pop.members)]
+        return population((space.points[int(rng.choice(len(space), p=row))],))
 
     def matrix_fn(sp, state, idx):
         return dense_rows(matrix[idx])
@@ -92,14 +101,15 @@ def random_stochastic(rng, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n), size=n)
 
 
-def transition_counts(kernel, space, start_members, n_samples, rng, state=None):
-    """Sample one-step transitions from a fixed start; counts per end state."""
+def transition_counts(kernel, space, start, n_samples, rng, state=None):
+    """Sample one-step transitions from a fixed start population; counts
+    per end state."""
     if state is None:
         state = ScheduleState()
     counts = np.zeros(space.n_tuples(kernel.arity_out), dtype=int)
     for _ in range(n_samples):
-        out = kernel.sample(start_members, state, rng)
-        counts[tuple_index(space, out)] += 1
+        out = kernel.sample(start, state, rng)
+        counts[tuple_index(space, out.members)] += 1
     return counts
 
 
@@ -137,7 +147,8 @@ def brute_sa_matrix(problem, mutation, elitist: bool, temperature: float) -> np.
 
 
 def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.ndarray:
-    """Oracle: enumerate every child tuple of every population through ``replace_es``.
+    """Oracle: enumerate every child tuple of every population through
+    ``replace_es``, with fitness read from the objective.
 
     Each child is the proposal draw of a uniformly picked parent, so its
     distribution is the mean of the parents' proposal rows.
@@ -152,8 +163,10 @@ def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.
             p = 1.0
             for c in combo:
                 p *= mix[c]
-            children = tuple(space.points[c] for c in combo)
-            m[r, tuple_index(space, replace_es(problem, pop, children, mode))] += p
+            parents = population(pop, problem)
+            children = population((space.points[c] for c in combo), problem)
+            survivors = replace_es(problem, parents, children, mode)
+            m[r, tuple_index(space, survivors.members)] += p
     return m
 
 

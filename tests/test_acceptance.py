@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_tournament_probs, transition_counts
+from conftest import brute_tournament_probs, population, transition_counts
 
 from sgoal.bench import make_benchmark
 from sgoal.cli import main as cli_main
@@ -104,7 +104,7 @@ def _conformance_case(algo, kernel, samples_total):
     rng = np.random.default_rng(314159)
     worst_p = 1.0
     for i, start in enumerate(chain.states):
-        counts = transition_counts(kernel, space, start, per_row, rng)
+        counts = transition_counts(kernel, space, population(start, algo.problem), per_row, rng)
         result = chisquare_gof(counts, matrix[i], alpha=ALPHA)
         assert result.passed, f"row {i}: chi2={result.statistic:.2f} p={result.pvalue:.2e}"
         worst_p = min(worst_p, result.pvalue)

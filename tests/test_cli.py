@@ -154,11 +154,13 @@ class TestRunCommand:
              "floor"),
             (["algorithm=es", "es.sigma_init=5000", "budget=3"], "sigma_init"),
             (["algorithm=es", "es.sigma_init=1e-12", "budget=3"], "sigma_init"),
+            (["algorithm=sa", "budget=3", "seed=-1"], "seed"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
         # a linear floor above T0 would raise the temperature; a sigma_init
-        # outside [sigma_min, sigma_max] would start the run elsewhere
+        # outside [sigma_min, sigma_max] would start the run elsewhere; a
+        # negative seed cannot seed the generator
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
@@ -285,11 +287,15 @@ class TestSelectTest:
         assert "fitness values must be numbers" in capsys.readouterr().err
 
     def test_infinite_roulette_rate_exits_2(self, capsys):
-        code = main([
-            "select-test", "--scheme", "roulette", "--fitness", "1,inf", "--relation", "max",
-        ])
-        assert code == 2
-        assert "selection rates must be finite" in capsys.readouterr().err
+        # an infinite rate, and finite rates whose total overflows
+        cases = [("1,inf", "selection rates must be finite"),
+                 ("1e308,1e308", "total selection rate must be positive and finite")]
+        for fitness, message in cases:
+            code = main([
+                "select-test", "--scheme", "roulette", "--fitness", fitness, "--relation", "max",
+            ])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -300,3 +306,16 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's library example runs as printed against the sources
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", block.group(1)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0.00390625 True"

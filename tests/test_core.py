@@ -83,13 +83,14 @@ def test_fitness_order_matches_independent_oracles(values, picks, relation, eps)
     fitness = [values[m] for m in members]
     oracle = insertion_order(fitness, relation)
 
-    kernel = sort_kernel(problem, arity)
-    out = kernel.sample(members, ScheduleState(), np.random.default_rng(0))
-    assert out == tuple(members[i] for i in oracle)
-    row = kernel.exact_matrix(space)[tuple_index(space, members)]
-    assert np.flatnonzero(row).tolist() == [tuple_index(space, out)]
-
     pop = Population(members, np.array(fitness))
+    kernel = sort_kernel(problem, arity)
+    out = kernel.sample(pop, ScheduleState(), np.random.default_rng(0))
+    assert out.members == tuple(members[i] for i in oracle)
+    assert out.fitness.tolist() == [fitness[i] for i in oracle]
+    row = kernel.exact_matrix(space)[tuple_index(space, members)]
+    assert np.flatnonzero(row).tolist() == [tuple_index(space, out.members)]
+
     assert best(pop, relation) == oracle[0]
     f_best = fitness[oracle[0]]
     d = f_best - f_star if relation is Relation.MINIMIZE else f_star - f_best
@@ -295,14 +296,12 @@ class TestRunSgoal:
     def test_reproducible_traces(self):
         p = line_problem([4.0, 3.0, 2.0, 1.0], f_star=1.0)
 
-        def noisy(members, state, rng):
-            return (int(rng.integers(4)),)
-
-        kernel = Kernel(1, 1, noisy)
-
         def one():
             prob = p.copy()
             init = lambda rng: Population.evaluated((0,), prob)
+            kernel = Kernel(
+                1, 1, lambda pop, state, rng: Population.evaluated((int(rng.integers(4)),), prob)
+            )
             return run_sgoal(prob, init, kernel, max_iters(20), seed=42).trace
 
         a, b = one(), one()
@@ -317,7 +316,7 @@ class TestRunSgoal:
                              max_evals(p, 1), seed=0)
         assert by_evals.iterations == 0
 
-        jump = Kernel(1, 1, lambda members, state, rng: (1,))
+        jump = Kernel(1, 1, lambda pop, state, rng: Population.evaluated((1,), p))
         res = run_sgoal(p, init, jump,
                         any_of(target_closeness(p, 0.5), max_iters(10)), seed=0)
         assert res.iterations == 1

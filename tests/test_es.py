@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     brute_es_matrix,
     line_problem,
+    population,
     proposal_rows,
     reference_es_children,
     transition_counts,
@@ -36,8 +37,8 @@ from sgoal.stats import chisquare_gof
 from sgoal.verify import check_premises, extract_chain
 
 
-def individual(y, s, f=0.0):
-    return ESIndividual(np.asarray(y, float), np.asarray(s, float), f)
+def individual(y, s):
+    return ESIndividual(np.asarray(y, float), np.asarray(s, float))
 
 
 def batch(y, s, f=None):
@@ -94,7 +95,7 @@ SKEWED3 = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 def es_child(problem, config):
     """The finite-space child: the proposal after uniform selection of a parent."""
     return compose(
-        proposal_kernel(problem.space, config.mutation),
+        proposal_kernel(problem, config.mutation),
         selection_kernel(problem, uniform(), config.mu),
     )
 
@@ -114,21 +115,22 @@ class TestPickParents:
         space = problem.space
         row = kernel.exact_matrix(space)[tuple_index(space, (0, 2))]
         assert np.allclose(row, [0.45, 0.1, 0.45], atol=1e-12)
-        counts = transition_counts(kernel, space, (0, 2), 20_000, np.random.default_rng(31))
+        counts = transition_counts(kernel, space, population((0, 2), problem), 20_000,
+                                   np.random.default_rng(31))
         assert chisquare_gof(counts, row, alpha=0.001).passed
 
     @pytest.mark.parametrize("mu", [1, 2, 3])
     def test_parent_pick_stream(self, mu):
         # one rng.integers(mu) parent pick (no draw for mu = 1), then the proposal draw
         problem = line_problem([3.0, 1.0, 2.0, 0.0])
-        parents = (3, 1, 2)[:mu]
+        parents = population((3, 1, 2)[:mu], problem)
         kernel = es_child(problem, ESConfig(mu=mu, rho=1, lam=1))
         rng, replay = np.random.default_rng(47), np.random.default_rng(47)
         for _ in range(50):
             child = kernel.sample(parents, ScheduleState(), rng)
             if mu > 1:
                 replay.integers(mu)
-            assert child == (int(replay.integers(4)),)
+            assert child.members == (int(replay.integers(4)),)
 
     def test_ordered_pairs_quarter_each(self):
         # rho = 2 draws with replacement: (a,a), (a,b), (b,a), (b,b) a quarter each,
@@ -264,10 +266,10 @@ class TestNextSubPop:
         rng = np.random.default_rng(41)
         pop = init_es_population(problem, config, rng)
         before = problem.evals
-        children = next_sub_pop(problem, ESBatch.of(pop.members), config, rng, 7)
+        children = next_sub_pop(problem, ESBatch.of(pop), config, rng, 7)
         assert problem.evals == before + 7
         assert shapes == [(1, 2), (7, 2)]
-        assert np.array_equal(children.f, sphere(children.y))
+        assert np.array_equal(children.fitness, sphere(children.y))
 
     def test_variate_with_single_child_reduces_to_next_sub_pop(self):
         # lambda = 1, comma: the one survivor is the next_sub_pop child
@@ -276,12 +278,13 @@ class TestNextSubPop:
         config = ESConfig(mu=1, rho=1, lam=1, mode="comma")
         pop = init_es_population(problem, config, np.random.default_rng(0))
         rng, replay = np.random.default_rng(46), np.random.default_rng(46)
-        (survivor,) = es_next_pop(problem, config).sample(pop.members, ScheduleState(), rng)
-        child = next_sub_pop(problem, ESBatch.of(pop.members), config, replay, 1)
+        out = es_next_pop(problem, config).sample(pop, ScheduleState(), rng)
+        child = next_sub_pop(problem, ESBatch.of(pop), config, replay, 1)
+        (survivor,) = out.members
         assert isinstance(survivor, ESIndividual)
         assert np.array_equal(survivor.y, child.y[0])
         assert np.array_equal(survivor.s, child.s[0])
-        assert survivor.f == child.f[0]
+        assert out.fitness[0] == child.fitness[0]
 
     def test_variate_evaluates_lambda_times(self):
         bench = make_benchmark("sphere", 2)
@@ -290,8 +293,8 @@ class TestNextSubPop:
         rng = np.random.default_rng(42)
         pop = init_es_population(problem, config, rng)
         before = problem.evals
-        members = es_next_pop(problem, config).sample(pop.members, ScheduleState(), rng)
-        assert len(members) == 2
+        out = es_next_pop(problem, config).sample(pop, ScheduleState(), rng)
+        assert out.n == 2
         assert problem.evals == before + 5
 
     def test_children_exchangeable_across_slots(self):
@@ -301,8 +304,8 @@ class TestNextSubPop:
         config = ESConfig(mu=3, rho=2, lam=4)
         rng = np.random.default_rng(43)
         pop = init_es_population(problem, config, rng)
-        children = next_sub_pop(problem, ESBatch.of(pop.members), config, rng, 5000 * config.lam)
-        slot_values = children.f.reshape(-1, config.lam)
+        children = next_sub_pop(problem, ESBatch.of(pop), config, rng, 5000 * config.lam)
+        slot_values = children.fitness.reshape(-1, config.lam)
         means = slot_values.mean(axis=0)
         pooled_sd = slot_values.std() / math.sqrt(slot_values.shape[0])
         assert np.all(np.abs(means - means.mean()) < 6.0 * pooled_sd)
@@ -331,42 +334,44 @@ class TestNextSubPop:
 class TestReplace:
     def test_plus_sort_and_take(self):
         problem = line_problem([5.0, 1.0, 3.0, 0.0, 4.0], f_star=0.0)
-        parents = (0, 1)     # fitness 5, 1
-        children = (2, 3, 4)  # fitness 3, 0, 4
+        parents = population((0, 1), problem)      # fitness 5, 1
+        children = population((2, 3, 4), problem)  # fitness 3, 0, 4
         survivors = replace_es(problem, parents, children, "plus")
-        assert [problem.evaluate(s) for s in survivors] == [0.0, 1.0]
+        assert survivors.members == (3, 1) and survivors.fitness.tolist() == [0.0, 1.0]
 
     def test_comma_takes_best_children_only(self):
         problem = line_problem([9.0, 3.0, 4.0], f_star=3.0)
-        survivors = replace_es(problem, (0,), (1, 2), "comma")
-        assert [problem.evaluate(s) for s in survivors] == [3.0]
+        survivors = replace_es(
+            problem, population((0,), problem), population((1, 2), problem), "comma"
+        )
+        assert survivors.members == (1,) and survivors.fitness.tolist() == [3.0]
 
     def test_comma_requires_enough_children(self):
         problem = line_problem([1.0, 2.0])
         with pytest.raises(ConfigError):
-            replace_es(problem, (0, 1), (0,), "comma")
+            replace_es(problem, population((0, 1), problem), population((0,), problem), "comma")
 
     def test_deterministic(self):
         problem = line_problem([2.0, 2.0, 1.0, 1.0], f_star=1.0)
-        args = ((0, 1), (2, 3), "plus")
-        assert replace_es(problem, *args) == replace_es(problem, *args)
+        args = (population((0, 1), problem), population((2, 3), problem), "plus")
+        assert replace_es(problem, *args).members == replace_es(problem, *args).members
 
     def test_ties_favor_parents_in_plus(self):
         problem = line_problem([1.0, 1.0], f_star=1.0)
-        survivors = replace_es(problem, (0,), (1,), "plus")
-        assert survivors == (0,)
+        survivors = replace_es(
+            problem, population((0,), problem), population((1,), problem), "plus"
+        )
+        assert survivors.members == (0,)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_plus_elitism_never_loses_best(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=8).tolist()
         problem = line_problem(values)
-        parents = tuple(range(3))
-        children = tuple(rng.integers(0, 8, size=4).tolist())
+        parents = population(range(3), problem)
+        children = population(rng.integers(0, 8, size=4).tolist(), problem)
         survivors = replace_es(problem, parents, children, "plus")
-        best_parent = min(problem.evaluate(p) for p in parents)
-        best_survivor = min(problem.evaluate(s) for s in survivors)
-        assert best_survivor <= best_parent
+        assert survivors.fitness.min() <= parents.fitness.min()
 
 
     def test_batch_ties_favor_parents_in_plus(self):
@@ -374,9 +379,10 @@ class TestReplace:
         parents = batch([[1.0], [2.0]], [[1.0], [1.0]], [1.0, 4.0])
         children = batch([[-1.0], [0.5]], [[2.0], [2.0]], [1.0, 0.25])
         plus = replace_es(problem, parents, children, "plus")
-        assert np.array_equal(plus.f, [0.25, 1.0]) and np.array_equal(plus.y, [[0.5], [1.0]])
+        assert np.array_equal(plus.fitness, [0.25, 1.0]) and np.array_equal(plus.y, [[0.5], [1.0]])
         comma = replace_es(problem, parents, children, "comma")
-        assert np.array_equal(comma.f, [0.25, 1.0]) and np.array_equal(comma.y, [[0.5], [-1.0]])
+        assert np.array_equal(comma.fitness, [0.25, 1.0])
+        assert np.array_equal(comma.y, [[0.5], [-1.0]])
 
     @pytest.mark.parametrize("mode", ["plus", "comma"])
     @pytest.mark.parametrize("seed", range(5))
@@ -385,11 +391,11 @@ class TestReplace:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 3, size=9).astype(float)
         problem = line_problem(values)
-        parents, children = tuple(range(3)), tuple(range(3, 9))
+        parents, children = population(range(3), problem), population(range(3, 9), problem)
         rows = batch(np.arange(9.0)[:, None], np.ones((9, 1)), values)
         survivors = replace_es(problem, rows.take(np.arange(3)), rows.take(np.arange(3, 9)), mode)
         oracle = replace_es(problem, parents, children, mode)
-        assert survivors.y[:, 0].astype(int).tolist() == list(oracle)
+        assert survivors.y[:, 0].astype(int).tolist() == list(oracle.members)
 
 
 class TestFiniteKernels:
@@ -489,11 +495,11 @@ class TestRuns:
         config = ESConfig(mu=3, rho=2, lam=6, sigma_min=1e-3, sigma_max=2.0, tau=1.0)
         kernel = es_next_pop(problem, config)
         rng = np.random.default_rng(44)
-        members = init_es_population(problem, config, rng).members
+        pop = init_es_population(problem, config, rng)
         state = ScheduleState()
         for _ in range(40):
-            members = kernel.sample(members, state, rng)
-            for m in members:
+            pop = kernel.sample(pop, state, rng)
+            for m in pop.members:
                 assert np.all(m.s >= 1e-3) and np.all(m.s <= 2.0)
 
     def test_schedule_clock_advances_once_per_generation(self):
@@ -512,7 +518,7 @@ class TestRuns:
         ]
         for algo in es + [algo for algo, _ in sa]:
             state = ScheduleState()
-            algo.next_pop.sample(algo.init(rng).members, state, rng)
+            algo.next_pop.sample(algo.init(rng), state, rng)
             assert state.t == 0
         for algo, schedule in sa:
             trace = run_algorithm(algo, max_iters(6), seed=0).trace

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import line_problem, matrix_kernel, random_stochastic, transition_counts, tuple_index
+from conftest import (
+    line_problem,
+    matrix_kernel,
+    population,
+    random_stochastic,
+    transition_counts,
+    tuple_index,
+)
 
 from sgoal.core import Relation
 from sgoal.errors import ConfigError, UsageError
@@ -63,7 +70,7 @@ class TestCompose:
         state = ScheduleState()
         assert np.allclose(left.exact_matrix(space2, state), m, atol=1e-12)
         assert np.allclose(right.exact_matrix(space2, state), m, atol=1e-12)
-        assert left.sample(("a",), state, rng)[0] in ("a", "b")
+        assert left.sample(population(("a",)), state, rng).members[0] in ("a", "b")
 
     def test_hand_matrix_product(self, space2):
         m1 = np.array([[0.5, 0.5], [0.0, 1.0]])
@@ -138,8 +145,10 @@ class TestJoin:
 class TestProjectionAndSort:
     def test_projection_examples(self, rng):
         state = ScheduleState()
-        assert projection(2, [0]).sample(("x", "y"), state, rng) == ("x",)
-        assert projection(3, [0, 1]).sample(("a", "b", "c"), state, rng) == ("a", "b")
+        out = projection(2, [0]).sample(population(("x", "y")), state, rng)
+        assert out.members == ("x",)
+        out = projection(3, [0, 1]).sample(population(("a", "b", "c")), state, rng)
+        assert out.members == ("a", "b")
 
     def test_projection_matrix_rows_one_hot(self, space2):
         m = projection(2, [1]).exact_matrix(space2)
@@ -154,24 +163,28 @@ class TestProjectionAndSort:
     def test_sort_simple(self, rng):
         p = line_problem([3.0, 1.0, 2.0])
         k = sort_kernel(p, 3)
-        assert k.sample((0, 1, 2), ScheduleState(), rng) == (1, 2, 0)
+        assert k.sample(population((0, 1, 2), p), ScheduleState(), rng).members == (1, 2, 0)
 
     def test_sort_stable_on_ties(self, rng):
         # states 0,1 share fitness 1.0; state 2 is best
         p = line_problem([1.0, 1.0, 0.0])
-        out = sort_kernel(p, 3).sample((0, 1, 2), ScheduleState(), rng)
+        out = sort_kernel(p, 3).sample(population((0, 1, 2), p), ScheduleState(), rng)
         oracle = tuple(sorted((0, 1, 2), key=lambda i: [1.0, 1.0, 0.0][i]))
-        assert out == (2, 0, 1) == oracle
+        assert out.members == (2, 0, 1) == oracle
+        assert out.fitness.tolist() == [0.0, 1.0, 1.0]
 
     def test_sort_idempotent(self, rng):
         p = line_problem([5.0, 4.0, 4.0, 1.0])
         k = sort_kernel(p, 4)
-        once = k.sample((0, 1, 2, 3), ScheduleState(), rng)
-        assert k.sample(once, ScheduleState(), rng) == once
+        once = k.sample(population((0, 1, 2, 3), p), ScheduleState(), rng)
+        twice = k.sample(once, ScheduleState(), rng)
+        assert twice.members == once.members
+        assert np.array_equal(twice.fitness, once.fitness)
 
     def test_sort_maximize(self, rng):
         p = line_problem([3.0, 1.0, 2.0], relation=Relation.MAXIMIZE)
-        assert sort_kernel(p, 3).sample((0, 1, 2), ScheduleState(), rng) == (0, 2, 1)
+        out = sort_kernel(p, 3).sample(population((0, 1, 2), p), ScheduleState(), rng)
+        assert out.members == (0, 2, 1)
 
 
 class TestRowStochasticityPreserved:
@@ -204,7 +217,7 @@ class TestSamplingConformance:
         m = k.exact_matrix(sp)
         per_row = 100_000 // n
         for i, start in enumerate(sp.points):
-            counts = transition_counts(k, sp, (start,), per_row, rng)
+            counts = transition_counts(k, sp, population((start,)), per_row, rng)
             result = chisquare_gof(counts, m[i], alpha=0.001)
             assert result.passed, f"row {i}: p={result.pvalue}"
 
@@ -216,7 +229,7 @@ class TestSamplingConformance:
         k2 = matrix_kernel(random_stochastic(rng, n), sp)
         composed = compose(k2, k1)
         m = composed.exact_matrix(sp)
-        counts = transition_counts(composed, sp, (0,), 30_000, rng)
+        counts = transition_counts(composed, sp, population((0,)), 30_000, rng)
         assert chisquare_gof(counts, m[0], alpha=0.001).passed
 
     def test_joined_kernel_samples_match_kron_row(self):
@@ -227,7 +240,7 @@ class TestSamplingConformance:
         k2 = matrix_kernel(random_stochastic(rng, n), sp)
         joined = join([k1, k2])
         m = joined.exact_matrix(sp)
-        counts = transition_counts(joined, sp, (1,), 30_000, rng)
+        counts = transition_counts(joined, sp, population((1,)), 30_000, rng)
         assert chisquare_gof(counts, m[1], alpha=0.001).passed
 
 
@@ -320,17 +333,17 @@ class TestMatrixIO:
 class TestKernelValidation:
     def test_sample_arity_checked(self, rng):
         with pytest.raises(UsageError):
-            identity(2).sample(("a",), ScheduleState(), rng)
+            identity(2).sample(population(("a",)), ScheduleState(), rng)
 
     def test_exact_matrix_absent(self, rng):
-        k = Kernel(1, 1, lambda members, state, rng: members)
+        k = Kernel(1, 1, lambda pop, state, rng: pop)
         with pytest.raises(UsageError):
             k.exact_matrix(FiniteSpace((0, 1)))
 
     def test_bad_matrix_caught(self, space2):
         k = Kernel(
             1, 1,
-            lambda members, state, rng: members,
+            lambda pop, state, rng: pop,
             lambda space, state, idx: dense_rows(np.array([[0.5, 0.4], [0.0, 1.0]])[idx]),
         )
         with pytest.raises(UsageError):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import brute_es_matrix, brute_sa_matrix, instances, proposal_rows, schedule_at
 
 import sgoal.cli
+import sgoal.verify
 from sgoal.bench import make_benchmark
 from sgoal.core import EpsClass, Population, Problem, classify_eps
 from sgoal.errors import NotLumpable, UsageError
@@ -212,7 +213,7 @@ class TestRefusal:
 
     def test_certificate_refuses_the_proposal(self):
         space = self.problem.space
-        proposal = proposal_kernel(space, self.mutation)
+        proposal = proposal_kernel(self.problem, self.mutation)
         with pytest.raises(NotLumpable):
             proposal.exact_matrix(ClassSpace(space, self.problem))
         with pytest.raises(NotLumpable):
@@ -228,16 +229,19 @@ class TestRefusal:
         assert chain.states == full.states and chain.eps_set == full.eps_set
         assert all(np.array_equal(a, b) for a, b in zip(chain.matrices, full.matrices))
 
-    def test_fallback_over_the_cap_says_why(self):
+    def test_fallback_over_the_cap_says_why(self, monkeypatch):
         algo = make_sa(self.problem, SAConfig(schedule=fixed(1.0), mutation=self.mutation))
+        monkeypatch.setattr(sgoal.verify, "STATE_CAP", 4)
         with pytest.raises(UsageError, match="does not lump onto fitness classes"):
-            extract_chain(algo, eps=0.5, cap=4, lump=True)
+            extract_chain(algo, eps=0.5, lump=True)
 
-    def test_quotient_over_the_cap_names_both_counts(self):
+    def test_quotient_over_the_cap_names_both_counts(self, monkeypatch):
         algo = make_es(self.problem, ESConfig(mu=2, rho=1, lam=1, mode="plus"))
+        monkeypatch.setattr(sgoal.verify, "STATE_CAP", 15)
         with pytest.raises(UsageError, match="64 population states lump onto 16 fitness-class"):
-            extract_chain(algo, eps=0.5, cap=15, lump=True)
-        assert extract_chain(algo, eps=0.5, cap=16, lump=True).size == 16
+            extract_chain(algo, eps=0.5, lump=True)
+        monkeypatch.setattr(sgoal.verify, "STATE_CAP", 16)
+        assert extract_chain(algo, eps=0.5, lump=True).size == 16
 
     def test_verify_reports_the_fallback(self, tmp_path, monkeypatch, capsys):
         real = sgoal.cli.build_algorithm

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_sa_matrix, line_problem, state_at
+from conftest import brute_sa_matrix, line_problem, population, state_at
 
 from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
@@ -108,17 +108,18 @@ class TestVariate:
     def test_nan_mutation_rejected(self, spec):
         # NaN fails every comparison, so a check phrased as "reject if bad" passes it
         with pytest.raises(ConfigError):
-            proposal_kernel(FiniteSpace((0, 1, 2)), spec)
+            proposal_kernel(line_problem([0, 1, 2]), spec)
 
     def test_continuous_step_reflects_into_box(self):
         bench = make_benchmark("sphere", 2)
         config = SAConfig(schedule=geometric(1.0), sigma=50.0)
         rng = np.random.default_rng(5)
         proposal = sa_proposal(bench.problem, config)
-        x = bench.problem.space.upper.copy()  # start on the boundary
+        pop = population((bench.problem.space.upper.copy(),), bench.problem)  # on the boundary
         for _ in range(100):
-            (x,) = proposal.sample((x,), ScheduleState(), rng)
-            assert bench.problem.space.contains(x)
+            pop = proposal.sample(pop, ScheduleState(), rng)
+            assert bench.problem.space.contains(pop.members[0])
+            assert pop.fitness[0] == bench.problem.objective(pop.members[0])
 
 
 class TestMetropolis:
@@ -155,7 +156,7 @@ class TestMetropolis:
 class TestReplace:
     def test_nonelitist_returns_point(self, rng):
         p = line_problem([1.0, 0.0])
-        assert replace_sa(p, 1, 0, 1.0, rng) == 1  # improving candidate accepted
+        assert replace_sa(p, population((1, 0), p), 1.0, rng) == 0  # improving candidate kept
 
     def test_elitist_carries_best(self):
         # the elitist step's best-so-far takes the candidate exactly when the
@@ -167,12 +168,12 @@ class TestReplace:
         for seed in range(20):
             for current, best_pt in ((1, 1), (0, 0)):
                 replay = np.random.default_rng(seed)
-                (candidate,) = proposal.sample((current,), ScheduleState(), replay)
-                _, next_best = step.sample(
-                    (current, best_pt), ScheduleState(), np.random.default_rng(seed)
-                )
-                improves = p.evaluate(candidate) < p.evaluate(best_pt)
-                assert next_best == (candidate if improves else best_pt)
+                start = population((current, best_pt), p)
+                (candidate,) = proposal.sample(start.take([0]), ScheduleState(), replay).members
+                out = step.sample(start, ScheduleState(), np.random.default_rng(seed))
+                improves = p.objective(candidate) < p.objective(best_pt)
+                assert out.members[1] == (candidate if improves else best_pt)
+                assert out.fitness[1] == p.objective(out.members[1])
                 outcomes.add(improves)
         assert outcomes == {True, False}
 

@@ -7,13 +7,14 @@ from conftest import (
     brute_selection_probs,
     brute_tournament_probs,
     line_problem,
+    population,
     transition_counts,
     tuple_index,
 )
 
 from sgoal.core import Relation
 from sgoal.errors import ConfigError, UsageError
-from sgoal.kernels import FiniteSpace, ScheduleState, compose, identity, join
+from sgoal.kernels import ScheduleState, compose, identity, join
 from sgoal.selection import (
     SelectionScheme,
     exact_probs,
@@ -150,20 +151,23 @@ class TestSampling:
         problem = line_problem([3.0])
         for scheme in (uniform(), tournament(3)):
             kernel = selection_kernel(problem, scheme, 1)
-            assert kernel.sample((0,), ScheduleState(), rng) == (0,)
+            out = kernel.sample(population((0,), problem), ScheduleState(), rng)
+            assert out.members == (0,) and out.fitness.tolist() == [3.0]
             assert np.all(select_many(scheme, np.array([3.0]), MIN, 10, rng) == 0)
 
     def test_select_one_uniform_frequencies(self):
         # one draw of the uniform kernel from the tuple (1, 0)
-        kernel = selection_kernel(line_problem([1.0, 2.0]), uniform(), 2)
-        counts = transition_counts(kernel, FiniteSpace((0, 1)), (1, 0), 10_000,
+        problem = line_problem([1.0, 2.0])
+        kernel = selection_kernel(problem, uniform(), 2)
+        counts = transition_counts(kernel, problem.space, population((1, 0), problem), 10_000,
                                    np.random.default_rng(11))
         assert chisquare_gof(counts, [0.5, 0.5], alpha=0.001).passed
 
     def test_select_one_ranking_frequencies(self):
-        kernel = selection_kernel(line_problem([1.0, 2.0, 3.0]), ranking(), 3)
-        counts = transition_counts(kernel, FiniteSpace((0, 1, 2)), (0, 1, 2), 10_000,
-                                   np.random.default_rng(12))
+        problem = line_problem([1.0, 2.0, 3.0])
+        kernel = selection_kernel(problem, ranking(), 3)
+        counts = transition_counts(kernel, problem.space, population((0, 1, 2), problem),
+                                   10_000, np.random.default_rng(12))
         assert chisquare_gof(counts, [0.5, 1 / 3, 1 / 6], alpha=0.001).passed
 
     @pytest.mark.parametrize(
@@ -182,8 +186,10 @@ class TestSampling:
         # the kernel's one-draw path and a select_many batch follow one law
         f = [3.0, 1.0, 2.0]
         rng = np.random.default_rng(14)
-        kernel = selection_kernel(line_problem(f), tournament(2), 3)
-        scalar_counts = transition_counts(kernel, FiniteSpace((0, 1, 2)), (0, 1, 2), 10_000, rng)
+        problem = line_problem(f)
+        kernel = selection_kernel(problem, tournament(2), 3)
+        start = population((0, 1, 2), problem)
+        scalar_counts = transition_counts(kernel, problem.space, start, 10_000, rng)
         vector_counts = np.bincount(
             select_many(tournament(2), f, MIN, 20_000, rng), minlength=3
         )
@@ -239,17 +245,19 @@ class TestSelectionKernel:
         m = kernel.exact_matrix(space)
         rng = np.random.default_rng(18)
         for members in ((0, 1, 2), (3, 3, 1), (2, 0, 2)):
-            counts = transition_counts(kernel, space, members, 3_000, rng)
+            counts = transition_counts(kernel, space, population(members, problem), 3_000, rng)
             result = chisquare_gof(counts, m[tuple_index(space, members)], alpha=0.001)
             assert result.passed, f"{scheme.kind} {members}: p={result.pvalue}"
 
 
 class TestSelectGroup:
     def test_single_draw_reduces_to_select_one(self):
-        kernel = selection_kernel(line_problem([1.0, 2.0]), uniform(), 2)
+        problem = line_problem([1.0, 2.0])
+        kernel = selection_kernel(problem, uniform(), 2)
         assert join([kernel]) is kernel
-        out = kernel.sample((0, 1), ScheduleState(), np.random.default_rng(15))
-        assert len(out) == 1 and out[0] in (0, 1)
+        out = kernel.sample(population((0, 1), problem), ScheduleState(),
+                            np.random.default_rng(15))
+        assert out.n == 1 and out.members[0] in (0, 1)
 
     def test_group_size_validated(self):
         with pytest.raises(ConfigError):
@@ -263,7 +271,8 @@ class TestSelectGroup:
         space = problem.space
         row = pair.exact_matrix(space)[tuple_index(space, (0, 1))]
         assert np.array_equal(row, [0.25] * 4)
-        counts = transition_counts(pair, space, (0, 1), 8_000, np.random.default_rng(16))
+        counts = transition_counts(pair, space, population((0, 1), problem), 8_000,
+                                   np.random.default_rng(16))
         assert chisquare_gof(counts, row, alpha=0.001).passed
 
     def test_pair_frequencies_factorize(self):
@@ -277,5 +286,6 @@ class TestSelectGroup:
         joint = pair.exact_matrix(space)
         outer = np.einsum("ri,rj->rij", single, single).reshape(joint.shape)
         assert np.max(np.abs(joint - outer)) <= 1e-12
-        counts = transition_counts(pair, space, (0, 1, 2), 20_000, np.random.default_rng(17))
+        counts = transition_counts(pair, space, population((0, 1, 2), problem), 20_000,
+                                   np.random.default_rng(17))
         assert chisquare_gof(counts, joint[tuple_index(space, (0, 1, 2))], alpha=0.001).passed

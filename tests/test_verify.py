@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_stochastic
+from conftest import population, random_stochastic
 
 from sgoal.bench import make_benchmark
 from sgoal.core import max_iters, run_algorithm
@@ -132,17 +132,17 @@ class TestBound:
         chain = extract_chain(algo, eps=0.5, t_max=t)
         assert len(chain.matrices) == t
         min_mass = check_bound(chain, t).per_t[-1].min_mass
-        start = chain.states[0]  # all zeros, a worst start
+        start = population(chain.states[0], algo.problem)  # all zeros, a worst start
         row = iterated_products(chain.matrices, t)[-1][0]
         assert row[list(chain.eps_set)].sum() == pytest.approx(min_mass, abs=1e-12)
         rng = np.random.default_rng(0)
         hits = 0
         for _ in range(runs):
-            schedule, members = ScheduleState(), start
+            schedule, pop = ScheduleState(), start
             for _ in range(t):  # sample, then tick, as run_sgoal does
-                members = algo.next_pop.sample(members, schedule, rng)
+                pop = algo.next_pop.sample(pop, schedule, rng)
                 schedule.tick()
-            hits += members == (bench.x_star,)
+            hits += pop.members == (bench.x_star,)
         assert abs(hits / runs - min_mass) <= 3.0 * binomial_se(min_mass, runs)
 
     def test_no_dense_product_is_formed(self):
@@ -178,16 +178,6 @@ class TestBound:
         masses = [row.min_mass for row in report.per_t]
         assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
         assert report.verified()
-
-    def test_supplied_delta_override(self):
-        chain = two_state_chain(0.5)
-        report = check_bound(chain, 5, delta=0.2)  # looser but valid bound
-        assert report.delta == 0.2
-        assert all(row.margin >= -1e-12 for row in report.per_t)
-        with pytest.raises(UsageError):
-            check_bound(chain, 5, delta=0.7)  # tighter than the matrices support
-        with pytest.raises(UsageError):
-            check_bound(chain, 5, delta=0.0)
 
     def test_single_transient_state_achieves_equality(self):
         # two absorbing eps states, one transient state
