@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -47,13 +48,13 @@ class ScheduleState:
         self.t += 1
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Population:
     """Fixed-length ordered tuple of points with their fitness.
 
     Fitness travels with its members: a kernel that moves, drops or
     reorders members carries their fitness along, and only a kernel that
-    makes a new point scores it.
+    makes a new point scores it.  Populations compare and hash by identity.
     """
 
     members: tuple
@@ -471,27 +472,35 @@ def iterated_products(matrices: Sequence[np.ndarray], t_max: int) -> list[np.nda
 
 
 # ---------------------------------------------------------------------------
-# Plain-text matrix exchange format: header "rows cols", then row-major reals.
+# Plain-text matrix exchange format: a first line "rows cols", then the
+# entries in row-major order, every non-blank line carrying as many.
 
 
 def save_matrix(path, m: np.ndarray) -> None:
+    """Write ``m`` in the exchange format: one row per line, each entry as
+    ``%.17g``, so that ``load_matrix`` reads back the same bits."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise UsageError("can only save 2-d matrices")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, m, fmt="%.17g")
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise UsageError("matrix file must start with 'rows cols'")
+    """Read an exchange-format file: one row per line, or all entries on
+    one line; ragged lines and Python-only spellings such as ``1_0``, which
+    ``float`` reads, are refused.  A malformed file raises a ``UsageError``
+    that names it."""
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        values = np.array(tokens[2:], dtype=float)
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise UsageError(f"matrix file {path} must start with a line 'rows cols'")
+            rows, cols = int(header[0]), int(header[1])
+            with warnings.catch_warnings():  # a header-only file holds no data
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
     except ValueError as exc:
         raise UsageError(f"matrix file {path}: {exc}") from None
     if min(rows, cols) < 0 or values.size != rows * cols:

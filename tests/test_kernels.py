@@ -1,5 +1,11 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     line_problem,
@@ -15,6 +21,7 @@ from sgoal.errors import ConfigError, UsageError
 from sgoal.kernels import (
     FiniteSpace,
     Kernel,
+    Population,
     ScheduleState,
     compose,
     dense_rows,
@@ -27,6 +34,11 @@ from sgoal.kernels import (
     sort_kernel,
 )
 from sgoal.stats import chisquare_gof
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPECIAL_TOKENS = ["inf", "-inf", "Infinity", "nan", "-nan", "NaN", "-0", "+0", "5e-324",
+                  "2.5e-324", "1e400", "-1e400", "1e-400", ".5", "5.", "+1", "1E5"]
 
 
 @pytest.fixture
@@ -42,6 +54,14 @@ class TestScheduleState:
         for expected_t in (1, 2, 3):
             state.tick()
             assert state.t == expected_t
+
+
+class TestPopulation:
+    def test_equality_and_hash_do_not_raise(self):
+        p, q = Population((1, 2), (1.0, 2.0)), Population((1, 2), (1.0, 2.0))
+        assert p == p and p != q
+        assert hash(p) == hash(p)
+        assert len({p, q}) == 2
 
 
 class TestFiniteSpace:
@@ -313,12 +333,22 @@ class TestMatrixIO:
 
     @pytest.mark.parametrize(
         "text",
-        ["2 2\n0.5 0.5 1.0 x\n", "2 two\n0.5 0.5 1.0 0.0\n", "-1 -2\n0.5 0.5\n"],
-        ids=["entry", "header", "negative"],
+        [
+            "2 2\n0.5 0.5 1.0 x\n",
+            "2 two\n0.5 0.5 1.0 0.0\n",
+            "-1 -2\n0.5 0.5\n",
+            "",
+            "2\n",
+            "2 2 0.5\n0.5 0.5 0.5\n",
+            "2 2\n0.5 0.5 0.5\n0.5\n",
+            "2 2\n0.5 0.5\n0.5 0.\u00e9\n",
+        ],
+        ids=["entry", "header", "negative", "empty", "one-token-header",
+             "three-token-header", "ragged", "non-ascii"],
     )
     def test_malformed_file_rejected_by_name(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(UsageError, match="bad.txt"):
             load_matrix(path)
 
@@ -328,6 +358,46 @@ class TestMatrixIO:
         path.write_text("2 4\n" + " ".join(tokens) + "\n")
         expected = np.array([float(v) for v in tokens]).reshape(2, 4)
         assert load_matrix(path).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equal_width_layouts_parse_like_float(self, tmp_path, data):
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        tokens = data.draw(st.lists(st.one_of(finite, st.sampled_from(SPECIAL_TOKENS)),
+                                    min_size=rows * cols, max_size=rows * cols))
+        width = data.draw(st.sampled_from([w for w in range(1, rows * cols + 1)
+                                           if (rows * cols) % w == 0]))
+        sep = data.draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        lines = [sep.join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+        path = tmp_path / "m.txt"
+        path.write_text(f"{rows} {cols}\n" + "\n".join(lines) + "\n")
+        expected = np.array([float(t) for t in tokens]).reshape(rows, cols)
+        assert load_matrix(path).tobytes() == expected.tobytes()
+
+    def test_save_writes_the_per_value_text(self, tmp_path):
+        m = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1 / 3]])
+        path = tmp_path / "m.txt"
+        save_matrix(path, m)
+        text = "2 3\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+        assert path.read_bytes() == text.encode("ascii")
+        assert load_matrix(path).tobytes() == m.tobytes()
+
+    def test_load_peak_memory_is_near_the_result(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("chains", PERFBENCH / "chains.py")
+        chains = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(chains)
+        m, _ = chains.permuted(*chains.elitist_onemax_chain(9), seed=3)  # 512 states
+        chains.write_matrix(tmp_path / "m.txt", m)
+        tracemalloc.start()
+        try:
+            result = load_matrix(tmp_path / "m.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result, m)
+        assert peak <= 3 * result.nbytes
 
 
 class TestKernelValidation:
