@@ -10,19 +10,14 @@ from .core import (
     Algorithm,
     ContinuousBox,
     ConvergenceTrace,
-    EpsClass,
     Problem,
     Relation,
     SGoalResult,
-    any_of,
     best,
-    classify_eps,
     closeness,
-    max_evals,
     max_iters,
     run_algorithm,
     run_sgoal,
-    target_closeness,
 )
 from .errors import ConfigError, SgoalError, UsageError
 from .kernels import (
@@ -47,7 +42,6 @@ __all__ = [
     "ConfigError",
     "ContinuousBox",
     "ConvergenceTrace",
-    "EpsClass",
     "FiniteSpace",
     "Kernel",
     "Population",
@@ -57,21 +51,17 @@ __all__ = [
     "ScheduleState",
     "SgoalError",
     "UsageError",
-    "any_of",
     "best",
-    "classify_eps",
     "closeness",
     "compose",
     "identity",
     "iterated_products",
     "join",
     "load_matrix",
-    "max_evals",
     "max_iters",
     "projection",
     "run_algorithm",
     "run_sgoal",
     "save_matrix",
     "sort_kernel",
-    "target_closeness",
 ]

@@ -194,25 +194,24 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
     raise ConfigError(f"unknown algorithm {values['algorithm']!r} (expected sa or es)")
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
+TRACE_BLOCK_ROWS = 2048  # rows formatted per write; bounds the text held at once
+_TRACE_ROW = "%d,%.17g,%.17g,%d,%.17g\n"
 
 
 def _write_trace_csv(path: Path, trace) -> None:
-    lines = ["t,D,f_best,evals,T_or_sigma"]
-    for i in range(len(trace)):
-        lines.append(
-            ",".join(
-                [
-                    str(int(trace.t[i])),
-                    _format(trace.d[i]),
-                    _format(trace.f_best[i]),
-                    str(int(trace.evals[i])),
-                    _format(trace.param[i]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write a ``ConvergenceTrace`` as CSV: a ``t,D,f_best,evals,T_or_sigma``
+    header, then one row per step with every float as ``%.17g``, which reads
+    back as the same double.
+
+    Rows are formatted and written ``TRACE_BLOCK_ROWS`` at a time, so the
+    text in memory is one block, however long the run.
+    """
+    columns = (trace.t, trace.d, trace.f_best, trace.evals, trace.param)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("t,D,f_best,evals,T_or_sigma\n")
+        for start in range(0, len(trace), TRACE_BLOCK_ROWS):
+            block = (c[start : start + TRACE_BLOCK_ROWS].tolist() for c in columns)
+            fh.write("".join([_TRACE_ROW % row for row in zip(*block)]))
 
 
 def cmd_run(values: dict) -> int:
@@ -243,7 +242,7 @@ def cmd_run(values: dict) -> int:
         "mean_d": [float(v) for v in stacked.mean(axis=0)],
         "median_d": [float(v) for v in np.median(stacked, axis=0)],
         "pr_d_above": {
-            _format(eps): [float(v) for v in (stacked > eps).mean(axis=0)]
+            f"{eps:.17g}": [float(v) for v in (stacked > eps).mean(axis=0)]
             for eps in eps_list
         },
     }

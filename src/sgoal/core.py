@@ -46,7 +46,8 @@ class Relation(enum.Enum):
 
     def argbest(self, values: np.ndarray) -> int:
         """Index of the best value; ties go to the earliest occurrence."""
-        return int(np.argmin(values) if self is Relation.MINIMIZE else np.argmax(values))
+        values = np.asarray(values)
+        return int(values.argmin() if self is Relation.MINIMIZE else values.argmax())
 
     def gap(self, f, f_star):
         """How far ``f`` falls short of the optimum ``f_star``: nonnegative
@@ -79,14 +80,15 @@ class ContinuousBox:
             raise UsageError("box requires lower[i] < upper[i] for every coordinate")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        # reflect's constants, evaluated once: the same expressions, the same bits
+        span = hi - lo
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_period", 2.0 * span)
+        object.__setattr__(self, "_top", lo + span)
 
     @property
     def dim(self) -> int:
         return int(self.lower.size)
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
@@ -98,10 +100,8 @@ class ContinuousBox:
         ``2 * (upper - lower)``, so arbitrarily large excursions land
         back inside the box.
         """
-        x = np.asarray(x, dtype=float)
-        span = self.upper - self.lower
-        m = np.mod(x - self.lower, 2.0 * span)
-        return self.lower + span - np.abs(m - span)
+        m = np.mod(np.asarray(x, dtype=float) - self.lower, self._period)
+        return self._top - np.abs(m - self._span)
 
 
 Space = ContinuousBox | FiniteSpace
@@ -218,14 +218,6 @@ class Problem:
         return Problem(self.space, self.objective, self.relation, self.f_star)
 
 
-class EpsClass(enum.Enum):
-    """Position of a population relative to the closeness threshold."""
-
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 def best(pop: Population, relation: Relation) -> int:
     """Index of the fittest member; ties go to the earliest occurrence."""
     return relation.argbest(pop.fitness)
@@ -242,47 +234,14 @@ def closeness(pop: Population, problem: Problem) -> float:
     return problem.relation.gap(best_f, problem.f_star)
 
 
-def classify_eps(pop: Population, problem: Problem, eps: float) -> EpsClass:
-    """Classify a population as inside / on / outside the eps-neighborhood.
-
-    Comparison is exact; with floating-point objectives the boundary case
-    is a measure-zero event and essentially never occurs.
-    """
-    if not eps > 0:
-        raise UsageError("eps must be positive")
-    d = closeness(pop, problem)
-    if d < eps:
-        return EpsClass.INSIDE
-    if d == eps:
-        return EpsClass.BOUNDARY
-    return EpsClass.OUTSIDE
-
-
 # ---------------------------------------------------------------------------
-# Stopping predicates.  Each returns a predicate (population, t) -> bool.
+# Stopping predicate: (population, t) -> bool.
 
 
 def max_iters(limit: int) -> Callable[[Population, int], bool]:
     if limit < 0:
         raise UsageError("iteration limit must be nonnegative")
     return lambda pop, t: t >= limit
-
-
-def max_evals(problem: Problem, limit: int) -> Callable[[Population, int], bool]:
-    if limit <= 0:
-        raise UsageError("evaluation limit must be positive")
-    return lambda pop, t: problem.evals >= limit
-
-
-def target_closeness(problem: Problem, eps: float) -> Callable[[Population, int], bool]:
-    if not eps > 0:
-        raise UsageError("eps must be positive")
-    return lambda pop, t: closeness(pop, problem) < eps
-
-
-def any_of(*predicates: Callable[[Population, int], bool]) -> Callable[[Population, int], bool]:
-    """OR-combination of stopping predicates."""
-    return lambda pop, t: any(p(pop, t) for p in predicates)
 
 
 # ---------------------------------------------------------------------------

@@ -160,15 +160,16 @@ def acceptance_probability(
 
 def replace_sa(
     problem: Problem,
-    pair: Population,
+    f_candidate: float,
+    f_incumbent: float,
     temperature: float,
     rng: np.random.Generator,
 ) -> int:
-    """Metropolis replacement in a (candidate, incumbent) population: the
-    index of the survivor, 0 when the candidate is accepted, else 1.  It
-    reads the fitness the pair carries and scores nothing."""
-    f_cand, f_inc = pair.fitness.tolist()
-    return 0 if metropolis_accept(problem, f_cand, f_inc, temperature, rng) else 1
+    """Metropolis replacement of an incumbent by a candidate, given the
+    fitness each carries: the index of the survivor in (candidate,
+    incumbent), 0 when the candidate is accepted, else 1.  It scores
+    nothing and draws as ``metropolis_accept`` draws."""
+    return 0 if metropolis_accept(problem, f_candidate, f_incumbent, temperature, rng) else 1
 
 
 def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
@@ -177,7 +178,8 @@ def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
     temperature = config.schedule.temperature
 
     def sample_fn(pop, state, rng):
-        return pop.take([replace_sa(problem, pop, temperature(state.t), rng)])
+        f_cand, f_inc = pop.fitness.tolist()
+        return pop.take([replace_sa(problem, f_cand, f_inc, temperature(state.t), rng)])
 
     def matrix_fn(space, state, idx):
         pairs = space.digits(idx, 2)
@@ -208,11 +210,11 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
         (current, best_pt), (f_current, f_best) = pop.members, pop.fitness.tolist()
         candidate = proposal.sample_fn(Population((current,), (f_current,)), state, rng)
         (x,), (f_x,) = candidate.members, candidate.fitness.tolist()
-        members, fitness = (x, current), (f_x, f_current)
-        kept = replace_sa(problem, Population(members, fitness), temperature(state.t), rng)
+        if replace_sa(problem, f_x, f_current, temperature(state.t), rng) == 0:
+            current, f_current = x, f_x
         if problem.better(f_x, f_best):
             best_pt, f_best = x, f_x
-        return Population((members[kept], best_pt), (fitness[kept], f_best))
+        return Population((current, best_pt), (f_current, f_best))
 
     return Kernel(2, 2, sample_fn, name="sa-next-pop-elitist")
 

@@ -69,9 +69,3 @@ def chisquare_gof(
     pvalue = float(chi2.sf(statistic, dof))
     return GofResult(statistic=statistic, dof=dof, pvalue=pvalue, alpha=alpha)
 
-
-def binomial_se(p: float, n: int) -> float:
-    """Standard error of a frequency estimate from n Bernoulli trials."""
-    if n <= 0:
-        raise UsageError("need a positive trial count")
-    return float(np.sqrt(max(p * (1.0 - p), 0.0) / n))

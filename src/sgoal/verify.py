@@ -183,7 +183,7 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
     enumeration order.  Builds the chain kernel's transition matrix on
     that space at each step t = 0 .. t_max - 1 (a non-stationary kernel
     reads ``state.t`` and yields distinct matrices), and marks the
-    near-optimal states as ``classify_eps`` classifies them.
+    near-optimal states, those ``eps_inside`` finds.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -252,7 +252,8 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
 
 
 def eps_inside(space: FiniteSpace, problem: Problem, eps: float, arity: int) -> np.ndarray:
-    """Which tuple states of ``space`` ``classify_eps`` puts INSIDE.
+    """Which tuple states of ``space`` lie inside the eps-neighborhood: a
+    population's ``closeness`` is strictly below ``eps``.
 
     Read from the fitness table, not from populations: a tuple's
     closeness is its best member's, and closeness is monotone in fitness

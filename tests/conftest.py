@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sgoal.core import Problem, Relation
+from sgoal.core import Problem, Relation, closeness
+from sgoal.errors import UsageError
 from sgoal.es import replace_es
 from sgoal.kernels import FiniteSpace, Kernel, Population, ScheduleState, dense_rows
 from sgoal.sa import acceptance_probability, fixed, linear
@@ -204,6 +206,38 @@ def brute_selection_probs(scheme, fitness, relation: Relation) -> np.ndarray:
     else:
         rates = np.array([1.0 + sum(relation.better(v, g) for g in f) for v in f])
     return rates / rates.sum()
+
+
+class EpsClass(enum.Enum):
+    """Position of a population relative to the closeness threshold."""
+
+    INSIDE = "inside"
+    BOUNDARY = "boundary"
+    OUTSIDE = "outside"
+
+
+def classify_eps(pop: Population, problem: Problem, eps: float) -> EpsClass:
+    """Oracle: classify a population as inside / on / outside the
+    eps-neighborhood of the optimum, from its ``closeness``."""
+    if not eps > 0:
+        raise UsageError("eps must be positive")
+    d = closeness(pop, problem)
+    if d < eps:
+        return EpsClass.INSIDE
+    if d == eps:
+        return EpsClass.BOUNDARY
+    return EpsClass.OUTSIDE
+
+
+def binomial_se(p: float, n: int) -> float:
+    """Standard error of a frequency estimate from n Bernoulli trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+def in_box(box, x) -> bool:
+    """True iff every coordinate of ``x`` lies within ``box``'s bounds."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(x >= box.lower) and np.all(x <= box.upper))
 
 
 def fold_into(value: float, lo: float, hi: float) -> float:

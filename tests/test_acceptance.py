@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_tournament_probs, population, transition_counts
+from conftest import binomial_se, brute_tournament_probs, population, transition_counts
 
 from sgoal.bench import make_benchmark
 from sgoal.cli import main as cli_main
@@ -29,7 +29,7 @@ from sgoal.selection import (
     tournament,
     uniform,
 )
-from sgoal.stats import binomial_se, chisquare_gof
+from sgoal.stats import chisquare_gof
 from sgoal.verify import (
     FiniteChain,
     check_bound,

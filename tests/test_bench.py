@@ -79,7 +79,30 @@ batches = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
 )
 
 
+# The objectives as written with ``np.sum``: the reductions must be the same bits.
+SUM_FORMS = {
+    sphere: lambda x: np.sum(x * x, axis=-1),
+    rastrigin: lambda x: 10.0 * x.shape[-1]
+    + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1),
+    rosenbrock: lambda x: np.sum(
+        100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1
+    ),
+}
+# up to 300 columns, past numpy's 8-wide unrolled and 128-long pairwise blocks
+wide_batches = st.tuples(st.integers(1, 4), st.integers(1, 300)).flatmap(
+    lambda shape: arrays(float, shape, elements=st.floats(-1e6, 1e6))
+)
+
+
 class TestBatches:
+    @pytest.mark.parametrize("objective", [sphere, rastrigin, rosenbrock])
+    @settings(max_examples=60, deadline=None)
+    @given(x=wide_batches)
+    def test_bitwise_the_np_sum_form(self, objective, x):
+        assert objective(x).tobytes() == SUM_FORMS[objective](x).tobytes()
+        for row in x:
+            assert np.float64(objective(row)).tobytes() == SUM_FORMS[objective](row).tobytes()
+
     @pytest.mark.parametrize("objective", [sphere, rastrigin, rosenbrock])
     @settings(max_examples=60, deadline=None)
     @given(x=batches)

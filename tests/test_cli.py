@@ -1,14 +1,24 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgoal.cli import _ALL_KEYS, load_config, main, parse_config_text
+from sgoal.cli import (
+    _ALL_KEYS,
+    TRACE_BLOCK_ROWS,
+    _write_trace_csv,
+    load_config,
+    main,
+    parse_config_text,
+)
+from sgoal.core import ConvergenceTrace
 from sgoal.errors import ConfigError
 
 SA_CFG = """
@@ -175,6 +185,75 @@ class TestRunCommand:
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a dir")
         assert main(["run", "--config", cfg, "--out", str(blocker / "sub")]) == 2
+
+
+def per_value_writer(path, trace):
+    """Oracle: the trace CSV written one formatted value at a time."""
+
+    def fmt(value):
+        return f"{value:.17g}"
+
+    lines = ["t,D,f_best,evals,T_or_sigma"]
+    for i in range(len(trace)):
+        lines.append(
+            ",".join(
+                [
+                    str(int(trace.t[i])),
+                    fmt(trace.d[i]),
+                    fmt(trace.f_best[i]),
+                    str(int(trace.evals[i])),
+                    fmt(trace.param[i]),
+                ]
+            )
+        )
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3]
+
+
+def special_trace(rows: int) -> ConvergenceTrace:
+    """A trace whose float columns cycle through ``SPECIAL`` on their first
+    rows, each column at its own phase, then mix them with random values
+    of every magnitude."""
+    rng = np.random.default_rng(rows)
+
+    def column(phase):
+        special = np.array(SPECIAL)[(np.arange(rows) + phase) % len(SPECIAL)]
+        scale = 10.0 ** rng.integers(-300, 300, size=rows)
+        values = np.where(rng.random(rows) < 0.5, special, rng.normal(size=rows) * scale)
+        values[: len(SPECIAL)] = special[: len(SPECIAL)]
+        return values
+
+    return ConvergenceTrace(
+        t=np.arange(rows),
+        d=column(0),
+        f_best=column(2),
+        evals=np.cumsum(rng.integers(0, 2**40, size=rows)),
+        param=column(4),
+    )
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize(
+        "rows",
+        [1, TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1, 2 * TRACE_BLOCK_ROWS + 1],
+    )
+    def test_bytes_equal_the_per_value_writer(self, tmp_path, rows):
+        trace = special_trace(rows)
+        _write_trace_csv(tmp_path / "blocks.csv", trace)
+        per_value_writer(tmp_path / "oracle.csv", trace)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_memory_stays_one_block(self, tmp_path):
+        trace = special_trace(20_001)
+        tracemalloc.start()
+        try:
+            _write_trace_csv(tmp_path / "trace.csv", trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestVerifyCommand:

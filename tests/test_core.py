@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import fold_into, line_problem, tuple_index
+from conftest import EpsClass, classify_eps, fold_into, in_box, line_problem, tuple_index
 
 from sgoal.core import (
     ContinuousBox,
-    EpsClass,
     Population,
     Problem,
     Relation,
-    any_of,
     best,
-    classify_eps,
     closeness,
-    max_evals,
     max_iters,
     run_sgoal,
-    target_closeness,
 )
 from sgoal.errors import ConfigError, UsageError
 from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, identity, sort_kernel
@@ -52,6 +48,21 @@ class TestBest:
         pop = pop_of(f)
         transformed = pop_of(np.exp(2.0 * f) + 1.0)
         assert best(pop, Relation.MINIMIZE) == best(transformed, Relation.MINIMIZE)
+
+
+class TestArgbest:
+    @pytest.mark.parametrize("relation", [Relation.MINIMIZE, Relation.MAXIMIZE])
+    @pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), min_size=1, max_size=6))
+    def test_ties_go_to_the_earliest_index(self, relation, as_array, values):
+        # -0.0 and 0.0 compare equal, so they tie as well
+        earliest = min(
+            i for i, v in enumerate(values) if not any(relation.better(w, v) for w in values)
+        )
+        got = relation.argbest(np.array(values) if as_array else values)
+        assert type(got) is int
+        assert got == earliest
 
 
 def insertion_order(values, relation):
@@ -130,6 +141,8 @@ class TestCloseness:
 
 
 class TestClassifyEps:
+    """The eps oracle that ``eps_inside`` is checked against."""
+
     @pytest.mark.parametrize(
         "d, expected",
         [(0.1, EpsClass.INSIDE), (0.5, EpsClass.BOUNDARY), (0.9, EpsClass.OUTSIDE)],
@@ -261,10 +274,31 @@ class TestBox:
         for _ in range(200):
             x = rng.normal(scale=10.0, size=2)
             folded = box.reflect(x)
-            assert box.contains(folded)
+            assert in_box(box, folded)
             for j in range(2):
                 oracle = fold_into(x[j], box.lower[j], box.upper[j])
                 assert folded[j] == pytest.approx(oracle, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lower=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+        widths=st.lists(st.floats(1e-6, 1e3), min_size=4, max_size=4),
+        rows=st.sampled_from([None, 1, 3]),
+        data=st.data(),
+    )
+    def test_reflection_is_bitwise_the_per_call_formula(self, lower, widths, rows, data):
+        # the box's precomputed constants are the same expressions the
+        # per-call formula evaluates, so the result is the same bits
+        lo = np.array(lower)
+        hi = lo + np.array(widths[: lo.size])
+        assume(np.all(lo < hi))
+        box = ContinuousBox(lo, hi)
+        shape = lo.shape if rows is None else (rows, lo.size)
+        far = st.floats(-1e12, 1e12) | st.sampled_from([-0.0, 5e-324, 1e300, -1e300])
+        x = data.draw(arrays(float, shape, elements=far))
+        span = box.upper - box.lower
+        want = box.lower + span - np.abs(np.mod(x - box.lower, 2.0 * span) - span)
+        assert box.reflect(x).tobytes() == want.tobytes()
 
 
 def const_kernel(n=1):
@@ -313,12 +347,12 @@ class TestRunSgoal:
         init = lambda rng: Population.evaluated((0,), p)
 
         by_evals = run_sgoal(p.copy(), lambda rng: Population.evaluated((0,), p), identity(1),
-                             max_evals(p, 1), seed=0)
+                             lambda pop, t: p.evals >= 1, seed=0)
         assert by_evals.iterations == 0
 
         jump = Kernel(1, 1, lambda pop, state, rng: Population.evaluated((1,), p))
         res = run_sgoal(p, init, jump,
-                        any_of(target_closeness(p, 0.5), max_iters(10)), seed=0)
+                        lambda pop, t: closeness(pop, p) < 0.5 or t >= 10, seed=0)
         assert res.iterations == 1
         assert res.trace.d[-1] == 0.0
 

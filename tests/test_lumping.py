@@ -4,7 +4,7 @@ Every kernel that ``sgoal verify`` composes reads only positions and
 fitness, apart from the proposal; when the proposal lumps onto fitness
 classes, so does the whole population chain.  These tests check the
 quotient against the full chain with its class columns summed, the eps
-classification against ``classify_eps``, and that a proposal that does not
+classification against the ``classify_eps`` oracle, and that a proposal that does not
 lump is refused and the full chain is verified instead.
 """
 
@@ -17,12 +17,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_es_matrix, brute_sa_matrix, instances, proposal_rows, schedule_at
+from conftest import (
+    EpsClass,
+    brute_es_matrix,
+    brute_sa_matrix,
+    classify_eps,
+    instances,
+    proposal_rows,
+    schedule_at,
+)
 
 import sgoal.cli
 import sgoal.verify
 from sgoal.bench import make_benchmark
-from sgoal.core import EpsClass, Population, Problem, classify_eps
+from sgoal.core import Population, Problem
 from sgoal.errors import NotLumpable, UsageError
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ClassSpace

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_sa_matrix, line_problem, population, state_at
+from conftest import binomial_se, brute_sa_matrix, in_box, line_problem, population, state_at
 
 from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
@@ -24,7 +24,6 @@ from sgoal.sa import (
     replace_sa,
     sa_proposal,
 )
-from sgoal.stats import binomial_se
 from sgoal.verify import extract_chain
 
 
@@ -118,7 +117,7 @@ class TestVariate:
         pop = population((bench.problem.space.upper.copy(),), bench.problem)  # on the boundary
         for _ in range(100):
             pop = proposal.sample(pop, ScheduleState(), rng)
-            assert bench.problem.space.contains(pop.members[0])
+            assert in_box(bench.problem.space, pop.members[0])
             assert pop.fitness[0] == bench.problem.objective(pop.members[0])
 
 
@@ -156,7 +155,7 @@ class TestMetropolis:
 class TestReplace:
     def test_nonelitist_returns_point(self, rng):
         p = line_problem([1.0, 0.0])
-        assert replace_sa(p, population((1, 0), p), 1.0, rng) == 0  # improving candidate kept
+        assert replace_sa(p, 0.0, 1.0, 1.0, rng) == 0  # improving candidate kept
 
     def test_elitist_carries_best(self):
         # the elitist step's best-so-far takes the candidate exactly when the

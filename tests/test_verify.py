@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import population, random_stochastic
+from conftest import binomial_se, population, random_stochastic
 
 from sgoal.bench import make_benchmark
 from sgoal.core import max_iters, run_algorithm
@@ -12,7 +12,6 @@ from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ScheduleState, iterated_products, save_matrix
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
-from sgoal.stats import binomial_se
 from sgoal.verify import (
     FiniteChain,
     chain_from_files,
