@@ -1,26 +1,30 @@
 """(mu/rho +, lambda) evolution strategies with self-adaptive step sizes.
 
-The lambda children of a generation are i.i.d. draws of one child, so on
-a box the whole generation is drawn at once, as (lambda, d) arrays: rho
-parent indices per child (uniform, with replacement), discrete or
-intermediate recombination of the parents' object and strategy rows, a
-log-normal step-size update with one global and d coordinate draws per
-child clamped into [sigma_min, sigma_max], Gaussian mutation with the
-fresh step sizes reflected into the box, and one objective call for all
-lambda children.  A stable argsort keeps the best mu: plus replacement
-pools parents before children, so ties favor parents; comma replacement
-keeps children only (lambda >= mu required).  Fitness lives in the
-population and in the batch rows, never in an individual, so the
-children's one objective call is the generation's only scoring.
+One generation is one kernel on both spaces,
 
-On finite spaces the strategy machinery collapses (rho = 1): a child is
+    compose(proj[first mu] . sort(pool), pool),
+
+where ``pool = join([identity(mu), children])`` in plus mode and
+``pool = children`` in comma mode, and ``children`` is the mu -> lambda
+kernel of ``child_kernel``.  The stable sort keeps the best mu: plus
+pools parents before children, so ties favor parents; comma keeps
+children only (lambda >= mu required).
+
+Only the children differ per space.  On a box a member is a (2, d) array
+``[y; s]``: row 0 the object parameters, row 1 the step sizes.  The lambda
+i.i.d. children are drawn at once: rho parent indices per child (uniform,
+with replacement), discrete or intermediate recombination of the parents'
+rows, a log-normal step-size update with one global and d coordinate
+draws per child clamped into [sigma_min, sigma_max], Gaussian mutation
+with the fresh step sizes reflected into the box, and one objective call
+for all lambda children, the generation's only scoring.
+
+On a finite space the strategy machinery collapses (rho = 1): a child is
 the proposal after uniform selection, ``compose(proposal,
-selection_kernel(uniform, mu))``, which keeps every state reachable.  The
-generation is then built from the kernel algebra, ``compose(proj[first
-mu] . sort(pool), join(parent projections [plus only] + lambda
-children))``, and that one kernel both runs and is verified; the
-plus-mode chain is exactly analyzable.  Only the proposal scores: each
-child once, through the finite problem's memo.
+selection_kernel(uniform, mu))``, which keeps every state reachable, and
+lambda of them are joined.  The generation kernel then carries the exact
+matrix, so the kernel that runs is the one that is verified.  Only the
+proposal scores: each child once, through the finite problem's memo.
 """
 
 from __future__ import annotations
@@ -33,68 +37,9 @@ import numpy as np
 
 from .core import Algorithm, ContinuousBox, Population, Problem
 from .errors import ConfigError, UsageError
-from .kernels import FiniteSpace, Kernel, compose, join, projection, sort_kernel
+from .kernels import FiniteSpace, Kernel, compose, identity, join, projection, sort_kernel
 from .mutation import proposal_kernel
 from .selection import selection_kernel, uniform
-
-
-@dataclass(frozen=True)
-class ESIndividual:
-    """Object parameters and per-coordinate step sizes; the fitness is
-    carried by the population that holds the individual."""
-
-    y: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        if y.shape != s.shape or y.ndim != 1:
-            raise UsageError("object and strategy vectors must share one shape")
-        if np.any(s <= 0):
-            raise UsageError("step sizes must be strictly positive")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "s", s)
-
-
-@dataclass(frozen=True)
-class ESBatch:
-    """k individuals as rows: object parameters ``y`` and step sizes ``s``,
-    both (k, d), and their ``fitness``, (k,)."""
-
-    y: np.ndarray
-    s: np.ndarray
-    fitness: np.ndarray
-
-    @classmethod
-    def of(cls, pop: Population) -> "ESBatch":
-        """The rows of a population of ``ESIndividual``s."""
-        return cls(
-            np.stack([m.y for m in pop.members]),
-            np.stack([m.s for m in pop.members]),
-            pop.fitness,
-        )
-
-    def __add__(self, other: "ESBatch") -> "ESBatch":
-        return ESBatch(
-            np.concatenate([self.y, other.y]),
-            np.concatenate([self.s, other.s]),
-            np.concatenate([self.fitness, other.fitness]),
-        )
-
-    def take(self, rows: np.ndarray) -> "ESBatch":
-        return ESBatch(self.y[rows], self.s[rows], self.fitness[rows])
-
-    def population(self) -> Population:
-        """One ``ESIndividual`` per row, with the rows' fitness.  The rows
-        come from the checked stages, so they skip the per-individual
-        validation."""
-        members = []
-        for y, s in zip(self.y, self.s):
-            member = object.__new__(ESIndividual)
-            member.__dict__.update(y=y, s=s)
-            members.append(member)
-        return Population(tuple(members), self.fitness)
 
 
 @dataclass(frozen=True)
@@ -186,84 +131,78 @@ def mutate_y(
 
 def next_sub_pop(
     problem: Problem,
-    parents: ESBatch,
+    parents: Population,
     config: ESConfig,
     rng: np.random.Generator,
     k: int,
-) -> ESBatch:
-    """k i.i.d. children of the parent rows: marriage (rho uniform parent
-    indices per child, with replacement), recombination, strategy update,
-    mutation, and one batched evaluation."""
-    idx = rng.integers(0, len(parents.fitness), size=(k, config.rho))
-    y, s = recombine(parents.y[idx], parents.s[idx], config.recomb_y, config.recomb_s, rng)
+) -> Population:
+    """k i.i.d. box children of the ``[y; s]`` parents: marriage (rho
+    uniform parent indices per child, with replacement), recombination,
+    strategy update, mutation, and one batched evaluation."""
+    rows = np.stack(parents.members)
+    idx = rng.integers(0, parents.n, size=(k, config.rho))
+    y, s = recombine(rows[:, 0][idx], rows[:, 1][idx], config.recomb_y, config.recomb_s, rng)
     s = update_strategies(s, config.tau_for(y.shape[1]), config.sigma_min, config.sigma_max, rng)
     y = mutate_y(problem, y, s, rng)
-    return ESBatch(y, s, problem.evaluate_batch(y))
+    return Population(np.stack([y, s], axis=1), problem.evaluate_batch(y))
 
 
-def replace_es(problem: Problem, parents: Any, children: Any, mode: str) -> Any:
-    """Deterministic survivor selection over the fitness the rows carry.
+def child_kernel(problem: Problem, config: ESConfig) -> Kernel:
+    """The mu -> lambda kernel of a generation's i.i.d. children.
 
-    Plus: stable-sort parents + children best-first and keep the first mu
-    (parents precede children, so ties favor parents).  Comma: the same
-    over children only.  Parents and children are both ``ESBatch``es or
-    both ``Population``s, and the survivors come back as the same type.
+    On a finite space it joins lambda copies of the proposal after uniform
+    selection of a parent, and carries the exact matrix; on a box it draws
+    all lambda children as one ``next_sub_pop`` batch.
     """
-    mu = len(parents.fitness)
-    if mode not in ("plus", "comma"):
-        raise ConfigError("mode must be 'plus' or 'comma'")
-    if mode == "comma" and len(children.fitness) < mu:
-        raise ConfigError("comma replacement requires lambda >= mu")
-    pool = children if mode == "comma" else parents + children
-    return pool.take(problem.relation.order(pool.fitness)[:mu])
-
-
-def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
-    """Per-generation kernel: lambda children, then survivor selection.
-
-    On a finite space it is the composition of the plus/comma survivor
-    selection with the join of the carried parents and lambda children,
-    and carries the exact matrix.  On a box it draws the generation as
-    one batch.  Sampling leaves the schedule alone.
-    """
+    mu, lam = config.mu, config.lam
     if isinstance(problem.space, FiniteSpace):
         if config.rho != 1:
             raise ConfigError("finite-space strategies support rho = 1 only")
-        mu = config.mu
-        carried = [projection(mu, [i]) for i in range(mu)] if config.mode == "plus" else []
         child = compose(
             proposal_kernel(problem, config.mutation),
             selection_kernel(problem, uniform(), mu),
         )
-        pool = len(carried) + config.lam
-        survivors = compose(projection(pool, range(mu)), sort_kernel(problem, pool))
-        return compose(survivors, join(carried + [child] * config.lam))
+        return join([child] * lam)
+    return Kernel(
+        mu,
+        lam,
+        lambda pop, state, rng: next_sub_pop(problem, pop, config, rng, lam),
+        name="es-children",
+    )
 
-    def sample_fn(pop, state, rng):
-        parents = ESBatch.of(pop)
-        children = next_sub_pop(problem, parents, config, rng, config.lam)
-        return replace_es(problem, parents, children, config.mode).population()
 
-    return Kernel(config.mu, config.mu, sample_fn, name=f"es-next-pop-{config.mode}")
+def replace_es(problem: Problem, pool_size: int, mu: int) -> Kernel:
+    """Survivor selection over a pool of ``pool_size`` members: a stable
+    best-first sort, then the first mu, ``proj[first mu] . sort(pool)``."""
+    return compose(projection(pool_size, range(mu)), sort_kernel(problem, pool_size))
+
+
+def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
+    """Per-generation kernel: lambda children, then survivor selection over
+    the parents followed by the children (plus) or the children only
+    (comma).  Sampling leaves the schedule alone."""
+    children = child_kernel(problem, config)
+    pool = join([identity(config.mu), children]) if config.mode == "plus" else children
+    return compose(replace_es(problem, pool.arity_out, config.mu), pool)
 
 
 def init_es_population(
     problem: Problem, config: ESConfig, rng: np.random.Generator
 ) -> Population:
-    """mu fresh individuals: uniform in the box with sigma_init step sizes,
+    """mu fresh members: uniform in the box with sigma_init step sizes,
     or uniform finite states."""
     space = problem.space
     if isinstance(space, ContinuousBox):
         y = rng.uniform(space.lower, space.upper, size=(config.mu, space.dim))
         s = np.full(y.shape, config.sigma_init)
-        return ESBatch(y, s, problem.evaluate_batch(y)).population()
+        return Population(np.stack([y, s], axis=1), problem.evaluate_batch(y))
     members = tuple(space.sample_uniform(rng) for _ in range(config.mu))
     return Population.evaluated(members, problem)
 
 
 def mean_sigma(pop: Population) -> float:
-    """Mean step size over every coordinate of every member."""
-    return float(np.mean([m.s for m in pop.members]))
+    """Mean step size over every coordinate of every box member."""
+    return float(np.mean([m[1] for m in pop.members]))
 
 
 def make_es(problem: Problem, config: ESConfig) -> Algorithm:

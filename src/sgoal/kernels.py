@@ -77,7 +77,10 @@ class Population:
     def take(self, indices) -> "Population":
         """The members at ``indices`` (a list or an index array), in that
         order, with their fitness."""
-        return Population(tuple(self.members[i] for i in indices), self.fitness[indices])
+        members = self.members
+        # Python ints index a tuple faster than numpy integer scalars do
+        picks = indices.tolist() if isinstance(indices, np.ndarray) else indices
+        return Population([members[i] for i in picks], self.fitness[indices])
 
     def __add__(self, other: "Population") -> "Population":
         return Population(
@@ -335,11 +338,12 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
 
 
 def join(kernels: Sequence[Kernel]) -> Kernel:
-    """Independent parallel application of single-output kernels.
+    """Independent parallel application of kernels.
 
-    Every component reads the same input population and contributes one
-    output member with its fitness; the joint matrix row is the Kronecker product of the
-    component rows, so its width is the product of theirs.
+    Every component reads the same input population; their output members
+    and fitness concatenate in order.  The joint matrix row is the
+    Kronecker product of the component rows, so its width is the product
+    of theirs.
     """
     kernels = list(kernels)
     if not kernels:
@@ -348,14 +352,15 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     for k in kernels:
         if k.arity_in != arity_in:
             raise ConfigError("joined kernels must share their input arity")
-        if k.arity_out != 1:
-            raise ConfigError("joined kernels must each emit a single point")
     if len(kernels) == 1:
         return kernels[0]
 
     def sample_fn(pop, state, rng):
         outs = [k.sample(pop, state, rng) for k in kernels]
-        return Population(tuple(o.members[0] for o in outs), [o.fitness[0] for o in outs])
+        return Population(
+            itertools.chain.from_iterable(o.members for o in outs),
+            np.concatenate([o.fitness for o in outs]),
+        )
 
     matrix_fn = None
     if all(k.has_matrix for k in kernels):
@@ -369,14 +374,15 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
                     f"exact-enumeration cap {JOIN_WIDTH_CAP}; use a smaller instance"
                 )
             cols, mass = parts[0]
-            for c, p in parts[1:]:
-                cols = (cols[:, :, None] * len(space) + c[:, None, :]).reshape(idx.size, -1)
+            for k, (c, p) in zip(kernels[1:], parts[1:]):
+                radix = space.n_tuples(k.arity_out)
+                cols = (cols[:, :, None] * radix + c[:, None, :]).reshape(idx.size, -1)
                 mass = (mass[:, :, None] * p[:, None, :]).reshape(idx.size, -1)
             return cols, mass
 
     return Kernel(
         arity_in=arity_in,
-        arity_out=len(kernels),
+        arity_out=sum(k.arity_out for k in kernels),
         sample_fn=sample_fn,
         matrix_fn=matrix_fn,
         name="join(" + ", ".join(k.name for k in kernels) + ")",

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sgoal.core import Problem, Relation, closeness
 from sgoal.errors import UsageError
-from sgoal.es import replace_es
 from sgoal.kernels import FiniteSpace, Kernel, Population, ScheduleState, dense_rows
 from sgoal.sa import acceptance_probability, fixed, linear
 
@@ -149,11 +148,13 @@ def brute_sa_matrix(problem, mutation, elitist: bool, temperature: float) -> np.
 
 
 def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.ndarray:
-    """Oracle: enumerate every child tuple of every population through
-    ``replace_es``, with fitness read from the objective.
+    """Oracle: enumerate every child tuple of every population, with
+    fitness read from the objective.
 
     Each child is the proposal draw of a uniformly picked parent, so its
-    distribution is the mean of the parents' proposal rows.
+    distribution is the mean of the parents' proposal rows.  The survivors
+    are the first mu of a stable best-first sort of parents + children
+    (plus) or of the children only (comma).
     """
     space = problem.space
     n = len(space)
@@ -165,10 +166,11 @@ def brute_es_matrix(problem, mu: int, lam: int, mode: str, mutation=None) -> np.
             p = 1.0
             for c in combo:
                 p *= mix[c]
-            parents = population(pop, problem)
-            children = population((space.points[c] for c in combo), problem)
-            survivors = replace_es(problem, parents, children, mode)
-            m[r, tuple_index(space, survivors.members)] += p
+            children = [space.points[c] for c in combo]
+            pool = (list(pop) if mode == "plus" else []) + children
+            maximize = problem.relation is Relation.MAXIMIZE
+            survivors = sorted(pool, key=problem.evaluate, reverse=maximize)[:mu]
+            m[r, tuple_index(space, survivors)] += p
     return m
 
 

@@ -18,19 +18,18 @@ from sgoal.bench import make_benchmark, rastrigin, sphere
 from sgoal.core import ContinuousBox, Problem, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import (
-    ESBatch,
     ESConfig,
-    ESIndividual,
     es_next_pop,
     init_es_population,
     make_es,
+    mean_sigma,
     mutate_y,
     next_sub_pop,
     recombine,
     replace_es,
     update_strategies,
 )
-from sgoal.kernels import ScheduleState, compose, join, projection, sort_kernel
+from sgoal.kernels import Population, ScheduleState, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, geometric, linear, logarithmic, make_sa
 from sgoal.selection import selection_kernel, uniform
@@ -38,14 +37,18 @@ from sgoal.stats import chisquare_gof
 from sgoal.verify import check_premises, extract_chain
 
 
-def individual(y, s):
-    return ESIndividual(np.asarray(y, float), np.asarray(s, float))
-
-
-def batch(y, s, f=None):
+def box_population(y, s, f=None):
+    """Box members ``[y; s]`` from (k, d) object and step-size rows, with
+    fitness ``f`` (zero by default)."""
     y = np.asarray(y, float)
-    f = np.zeros(len(y)) if f is None else np.asarray(f, float)
-    return ESBatch(y, np.asarray(s, float), f)
+    f = np.zeros(len(y)) if f is None else f
+    return Population(np.stack([y, np.asarray(s, float)], axis=1), f)
+
+
+def rows(pop):
+    """The (k, d) object and step-size rows of a box population."""
+    stacked = np.stack(pop.members)
+    return stacked[:, 0], stacked[:, 1]
 
 
 def zero_objective(x):
@@ -54,12 +57,12 @@ def zero_objective(x):
 
 class TestTypes:
     def test_step_sizes_must_be_positive(self):
+        # a member with a zero step size cannot breed: the strategy update refuses it
+        problem = Problem(ContinuousBox(np.array([-1.0]), np.array([1.0])), zero_objective)
+        parents = box_population([[0.0]], [[0.0]])
         with pytest.raises(UsageError):
-            individual([0.0], [0.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            individual([0.0, 1.0], [1.0])
+            next_sub_pop(problem, parents, ESConfig(mu=1, rho=1, lam=1),
+                         np.random.default_rng(0), 1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -141,10 +144,10 @@ class TestPickParents:
         problem = Problem(box, zero_objective)
         config = ESConfig(mu=2, rho=2, lam=1, tau=0.0, recomb_y="intermediate",
                           sigma_init=1e-9, sigma_min=1e-9, sigma_max=1e-9)
-        parents = batch([[0.0], [1.0]], [[1e-9], [1e-9]])
+        parents = box_population([[0.0], [1.0]], [[1e-9], [1e-9]])
         n = 20_000
-        children = next_sub_pop(problem, parents, config, rng, n)
-        counts = np.bincount(np.rint(children.y[:, 0] * 2.0).astype(int), minlength=3)
+        y, _ = rows(next_sub_pop(problem, parents, config, rng, n))
+        counts = np.bincount(np.rint(y[:, 0] * 2.0).astype(int), minlength=3)
         assert np.all(np.abs(counts / n - [0.25, 0.5, 0.25]) < 0.02)
 
     def test_rho_cannot_exceed_population(self):
@@ -248,10 +251,10 @@ class TestNextSubPop:
         config = ESConfig(mu=1, rho=1, lam=1, tau=0.0, sigma_init=1e-6,
                           sigma_min=1e-6, sigma_max=1e-6)
         rng = np.random.default_rng(40)
-        parent = batch([[1.0, 1.0]], [[1e-6, 1e-6]], [2.0])
-        children = next_sub_pop(problem, parent, config, rng, 20_000)
-        assert np.all(children.s == 1e-6)
-        assert np.all(np.abs(children.y - 1.0) < 1e-5 * 6)
+        parent = box_population([[1.0, 1.0]], [[1e-6, 1e-6]], [2.0])
+        y, s = rows(next_sub_pop(problem, parent, config, rng, 20_000))
+        assert np.all(s == 1e-6)
+        assert np.all(np.abs(y - 1.0) < 1e-5 * 6)
 
     def test_exactly_one_evaluation_per_call(self):
         # k children cost k evaluations and one objective call
@@ -267,10 +270,10 @@ class TestNextSubPop:
         rng = np.random.default_rng(41)
         pop = init_es_population(problem, config, rng)
         before = problem.evals
-        children = next_sub_pop(problem, ESBatch.of(pop), config, rng, 7)
+        children = next_sub_pop(problem, pop, config, rng, 7)
         assert problem.evals == before + 7
         assert shapes == [(1, 2), (7, 2)]
-        assert np.array_equal(children.fitness, sphere(children.y))
+        assert np.array_equal(children.fitness, sphere(rows(children)[0]))
 
     def test_variate_with_single_child_reduces_to_next_sub_pop(self):
         # lambda = 1, comma: the one survivor is the next_sub_pop child
@@ -280,11 +283,10 @@ class TestNextSubPop:
         pop = init_es_population(problem, config, np.random.default_rng(0))
         rng, replay = np.random.default_rng(46), np.random.default_rng(46)
         out = es_next_pop(problem, config).sample(pop, ScheduleState(), rng)
-        child = next_sub_pop(problem, ESBatch.of(pop), config, replay, 1)
+        child = next_sub_pop(problem, pop, config, replay, 1)
         (survivor,) = out.members
-        assert isinstance(survivor, ESIndividual)
-        assert np.array_equal(survivor.y, child.y[0])
-        assert np.array_equal(survivor.s, child.s[0])
+        assert survivor.shape == (2, 2)  # [y; s]
+        assert np.array_equal(survivor, child.members[0])
         assert out.fitness[0] == child.fitness[0]
 
     def test_variate_evaluates_lambda_times(self):
@@ -305,7 +307,7 @@ class TestNextSubPop:
         config = ESConfig(mu=3, rho=2, lam=4)
         rng = np.random.default_rng(43)
         pop = init_es_population(problem, config, rng)
-        children = next_sub_pop(problem, ESBatch.of(pop), config, rng, 5000 * config.lam)
+        children = next_sub_pop(problem, pop, config, rng, 5000 * config.lam)
         slot_values = children.fitness.reshape(-1, config.lam)
         means = slot_values.mean(axis=0)
         pooled_sd = slot_values.std() / math.sqrt(slot_values.shape[0])
@@ -319,17 +321,23 @@ class TestNextSubPop:
         box = ContinuousBox(np.full(3, -2.5), np.full(3, 2.5))
         problem = Problem(box, sphere, f_star=0.0)
         config = ESConfig(mu=3, rho=2, lam=1, recomb_y=recomb_y)
-        parents = batch(
+        parents = box_population(
             [[-1.0, 0.5, 2.0], [0.3, -2.0, 1.0], [1.5, 1.0, -0.5]],
             [[0.2, 0.2, 0.2], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]],
         )
         n = 4000
-        children = next_sub_pop(problem, parents, config, np.random.default_rng(49), n)
+        y, s = rows(next_sub_pop(problem, parents, config, np.random.default_rng(49), n))
         ref_y, ref_s = reference_es_children(
-            parents.y, parents.s, config, box, n, np.random.default_rng(50)
+            *rows(parents), config, box, n, np.random.default_rng(50)
         )
-        assert ks_2samp(children.y[:, 0], ref_y[:, 0]).pvalue > 0.001
-        assert ks_2samp(children.s[:, 0], ref_s[:, 0]).pvalue > 0.001
+        assert ks_2samp(y[:, 0], ref_y[:, 0]).pvalue > 0.001
+        assert ks_2samp(s[:, 0], ref_s[:, 0]).pvalue > 0.001
+
+
+def survivors(problem, pool, mu):
+    """The survivor kernel's one draw from the pool population ``pool``."""
+    kernel = replace_es(problem, pool.n, mu)
+    return kernel.sample(pool, ScheduleState(), np.random.default_rng(0))
 
 
 class TestReplace:
@@ -337,32 +345,36 @@ class TestReplace:
         problem = line_problem([5.0, 1.0, 3.0, 0.0, 4.0], f_star=0.0)
         parents = population((0, 1), problem)      # fitness 5, 1
         children = population((2, 3, 4), problem)  # fitness 3, 0, 4
-        survivors = replace_es(problem, parents, children, "plus")
-        assert survivors.members == (3, 1) and survivors.fitness.tolist() == [0.0, 1.0]
+        kept = survivors(problem, parents + children, 2)
+        assert kept.members == (3, 1) and kept.fitness.tolist() == [0.0, 1.0]
 
     def test_comma_takes_best_children_only(self):
         problem = line_problem([9.0, 3.0, 4.0], f_star=3.0)
-        survivors = replace_es(
-            problem, population((0,), problem), population((1, 2), problem), "comma"
-        )
-        assert survivors.members == (1,) and survivors.fitness.tolist() == [3.0]
+        kept = survivors(problem, population((1, 2), problem), 1)
+        assert kept.members == (1,) and kept.fitness.tolist() == [3.0]
 
     def test_comma_requires_enough_children(self):
+        # the survivors cannot outnumber the pool; ESConfig refuses lambda < mu
         problem = line_problem([1.0, 2.0])
         with pytest.raises(ConfigError):
-            replace_es(problem, population((0, 1), problem), population((0,), problem), "comma")
+            replace_es(problem, 1, 2)
+        with pytest.raises(ConfigError):
+            ESConfig(mu=2, rho=1, lam=1, mode="comma")
 
     def test_deterministic(self):
         problem = line_problem([2.0, 2.0, 1.0, 1.0], f_star=1.0)
-        args = (population((0, 1), problem), population((2, 3), problem), "plus")
-        assert replace_es(problem, *args).members == replace_es(problem, *args).members
+        pool = population((0, 1, 2, 3), problem)
+        assert survivors(problem, pool, 2).members == survivors(problem, pool, 2).members
 
     def test_ties_favor_parents_in_plus(self):
+        # the generation pools the parent first: a tied child never displaces it
         problem = line_problem([1.0, 1.0], f_star=1.0)
-        survivors = replace_es(
-            problem, population((0,), problem), population((1,), problem), "plus"
-        )
-        assert survivors.members == (0,)
+        kernel = es_next_pop(problem, ESConfig(mu=1, rho=1, lam=1, mode="plus"))
+        assert np.array_equal(kernel.exact_matrix(problem.space), np.eye(2))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            out = kernel.sample(population((0,), problem), ScheduleState(), rng)
+            assert out.members == (0,)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_plus_elitism_never_loses_best(self, seed):
@@ -370,33 +382,34 @@ class TestReplace:
         values = rng.normal(size=8).tolist()
         problem = line_problem(values)
         parents = population(range(3), problem)
-        children = population(rng.integers(0, 8, size=4).tolist(), problem)
-        survivors = replace_es(problem, parents, children, "plus")
-        assert survivors.fitness.min() <= parents.fitness.min()
-
+        kernel = es_next_pop(problem, ESConfig(mu=3, rho=1, lam=4, mode="plus"))
+        out = kernel.sample(parents, ScheduleState(), rng)
+        assert out.fitness.min() <= parents.fitness.min()
 
     def test_batch_ties_favor_parents_in_plus(self):
         problem = make_benchmark("sphere", 1).problem
-        parents = batch([[1.0], [2.0]], [[1.0], [1.0]], [1.0, 4.0])
-        children = batch([[-1.0], [0.5]], [[2.0], [2.0]], [1.0, 0.25])
-        plus = replace_es(problem, parents, children, "plus")
-        assert np.array_equal(plus.fitness, [0.25, 1.0]) and np.array_equal(plus.y, [[0.5], [1.0]])
-        comma = replace_es(problem, parents, children, "comma")
+        parents = box_population([[1.0], [2.0]], [[1.0], [1.0]], [1.0, 4.0])
+        children = box_population([[-1.0], [0.5]], [[2.0], [2.0]], [1.0, 0.25])
+        plus = survivors(problem, parents + children, 2)
+        assert np.array_equal(plus.fitness, [0.25, 1.0])
+        assert np.array_equal(rows(plus)[0], [[0.5], [1.0]])
+        comma = survivors(problem, children, 2)
         assert np.array_equal(comma.fitness, [0.25, 1.0])
-        assert np.array_equal(comma.y, [[0.5], [-1.0]])
+        assert np.array_equal(rows(comma)[0], [[0.5], [-1.0]])
 
     @pytest.mark.parametrize("mode", ["plus", "comma"])
     @pytest.mark.parametrize("seed", range(5))
     def test_batch_survivors_equal_tuple_oracle(self, seed, mode):
-        # rows carry their point index in y; tied fitness values exercise stability
+        # box members carry their pool index in y; tied fitness values exercise
+        # stability against Python's stable sorted over the same indices
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 3, size=9).astype(float)
-        problem = line_problem(values)
-        parents, children = population(range(3), problem), population(range(3, 9), problem)
-        rows = batch(np.arange(9.0)[:, None], np.ones((9, 1)), values)
-        survivors = replace_es(problem, rows.take(np.arange(3)), rows.take(np.arange(3, 9)), mode)
-        oracle = replace_es(problem, parents, children, mode)
-        assert survivors.y[:, 0].astype(int).tolist() == list(oracle.members)
+        problem = make_benchmark("sphere", 1).problem
+        pop = box_population(np.arange(9.0)[:, None], np.ones((9, 1)), values)
+        pool = range(9) if mode == "plus" else range(3, 9)
+        kept = survivors(problem, pop.take(list(pool)), 3)
+        oracle = sorted(pool, key=lambda i: values[i])[:3]
+        assert rows(kept)[0][:, 0].astype(int).tolist() == oracle
 
 
 class TestFiniteKernels:
@@ -467,6 +480,73 @@ class TestFiniteKernels:
         assert delta == pytest.approx(0.25, abs=1e-12)  # uniform mass on the optimum
 
 
+def floor_sphere(x):
+    """A box objective with many tied values, so survivor order shows."""
+    return np.floor(sphere(x))
+
+
+class TestBoxGeneration:
+    @pytest.mark.parametrize("recomb", [("discrete", "intermediate"), ("intermediate", "discrete")])
+    @pytest.mark.parametrize("rho", [1, 2])
+    @pytest.mark.parametrize("mode", ["plus", "comma"])
+    def test_generation_replays_bit_for_bit(self, mode, rho, recomb):
+        # one sample of the generation kernel is next_sub_pop, then a stable
+        # best-first argsort of parents + children (plus) or children (comma)
+        problem = Problem(ContinuousBox(np.full(6, -2.0), np.full(6, 2.0)), floor_sphere)
+        config = ESConfig(mu=5, rho=rho, lam=30, mode=mode, recomb_y=recomb[0],
+                          recomb_s=recomb[1], tau=0.5)
+        kernel = es_next_pop(problem, config)
+        pop = init_es_population(problem, config, np.random.default_rng(3))
+        rng, replay = np.random.default_rng(51), np.random.default_rng(51)
+        for _ in range(3):
+            out = kernel.sample(pop, ScheduleState(), rng)
+            children = next_sub_pop(problem, pop, config, replay, config.lam)
+            pool = pop + children if mode == "plus" else children
+            keep = np.argsort(pool.fitness, kind="stable")[: config.mu]
+            expected = np.stack(pool.members)[keep]
+            assert np.stack(out.members).tobytes() == expected.tobytes()
+            assert out.fitness.tobytes() == pool.fitness[keep].tobytes()
+            assert rng.bit_generator.state == replay.bit_generator.state
+            # the mean step size of the per-individual rows, as a contiguous list
+            era = np.mean([row for row in np.ascontiguousarray(expected[:, 1])])
+            assert mean_sigma(out) == float(era)
+            pop = out
+
+    def test_mean_sigma_reads_the_member_rows_in_order(self):
+        # past numpy's 8192-element reduction buffer a strided (k, d) view of the
+        # step sizes sums in another order than the list of member rows does
+        problem = Problem(ContinuousBox(np.full(100, -2.0), np.full(100, 2.0)), sphere)
+        config = ESConfig(mu=2, rho=2, lam=120, tau=0.5)
+        rng = np.random.default_rng(52)
+        parents = init_es_population(problem, config, rng)
+        for _ in range(10):
+            children = next_sub_pop(problem, parents, config, rng, config.lam)
+            s = np.ascontiguousarray(rows(children)[1])
+            assert mean_sigma(children) == float(np.mean([row for row in s]))
+
+
+class TestTracerContract:
+    def test_es_layers_are_looked_up_per_call(self, monkeypatch):
+        # the benchmark's tracer wraps these module globals: a kernel that bound
+        # them when it was built would leave their per-layer metrics at zero
+        import sgoal.es
+
+        algo = make_es(make_benchmark("sphere", 3).problem.copy(),
+                       ESConfig(mu=3, rho=2, lam=6, mode="comma"))
+        calls = dict.fromkeys(["next_sub_pop", "recombine", "update_strategies", "mutate_y"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sgoal.es, name, counted(name, getattr(sgoal.es, name)))
+        run_algorithm(algo, max_iters(5), seed=0)
+        assert calls == dict.fromkeys(calls, 5)
+
+
 class TestRuns:
     @pytest.mark.parametrize("seed", range(10))
     def test_plus_mode_trace_monotone(self, seed):
@@ -501,7 +581,7 @@ class TestRuns:
         for _ in range(40):
             pop = kernel.sample(pop, state, rng)
             for m in pop.members:
-                assert np.all(m.s >= 1e-3) and np.all(m.s <= 2.0)
+                assert np.all(m[1] >= 1e-3) and np.all(m[1] <= 2.0)
 
     def test_schedule_clock_advances_once_per_generation(self):
         # sampling a kernel is the step-t transition only; the run loop ticks,

@@ -157,9 +157,34 @@ class TestJoin:
         with pytest.raises(ConfigError):
             join([projection(2, [0]), projection(3, [0])])
 
-    def test_multi_output_component_rejected(self):
-        with pytest.raises(ConfigError):
-            join([projection(2, [0, 1]), projection(2, [0])])
+    def test_multi_output_component_is_join_of_its_outputs(self):
+        # a multi-output component contributes its members in order, as the
+        # join of single-output components would, whatever its position
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            problem = line_problem(rng.normal(size=3))
+            sp = problem.space
+            k1, k2 = (
+                compose(matrix_kernel(random_stochastic(rng, 3), sp), projection(3, [i]))
+                for i in (1, 2)
+            )
+            cases = [
+                (join([projection(3, [0, 1]), k1]),
+                 join([projection(3, [0]), projection(3, [1]), k1])),
+                (join([k1, join([k2, projection(3, [0, 2])])]),
+                 join([k1, k2, projection(3, [0]), projection(3, [2])])),
+            ]
+            start = population(rng.integers(0, 3, size=3).tolist(), problem)
+            for nested, flat in cases:
+                assert nested.arity_out == flat.arity_out
+                assert np.array_equal(nested.exact_matrix(sp), flat.exact_matrix(sp))
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(50):
+                    x = nested.sample(start, ScheduleState(), a)
+                    y = flat.sample(start, ScheduleState(), b)
+                    assert x.members == y.members
+                    assert np.array_equal(x.fitness, y.fitness)
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestProjectionAndSort:
