@@ -10,7 +10,8 @@ the sampler and the matrix.
 Matrix convention: distributions are row vectors, so applying kernel K1
 and then K2 multiplies as ``M1 @ M2``.  Inside the combinators a matrix
 travels as fixed-width sparse rows (width one for a deterministic
-kernel); ``exact_matrix`` builds the dense matrix once.
+kernel); ``exact_matrix`` builds the dense matrix once, and a kernel
+that does not read the time index keeps it for later steps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +47,22 @@ class ScheduleState:
 
     def tick(self) -> None:
         self.t += 1
+
+
+class _ScheduleView:
+    """A schedule's ``t`` as ``exact_matrix`` hands it to ``matrix_fn``,
+    recording whether any block read it."""
+
+    __slots__ = ("_state", "read_t")
+
+    def __init__(self, state: ScheduleState) -> None:
+        self._state = state
+        self.read_t = False
+
+    @property
+    def t(self) -> int:
+        self.read_t = True
+        return self._state.t
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -81,11 +98,6 @@ class Population:
         # Python ints index a tuple faster than numpy integer scalars do
         picks = indices.tolist() if isinstance(indices, np.ndarray) else indices
         return Population([members[i] for i in picks], self.fitness[indices])
-
-    def __add__(self, other: "Population") -> "Population":
-        return Population(
-            self.members + other.members, np.concatenate([self.fitness, other.fitness])
-        )
 
     @classmethod
     def evaluated(cls, members: Iterable[Any], problem: "Problem") -> "Population":
@@ -222,7 +234,9 @@ class Kernel:
     it returns the rows of the input tuple states ``idx`` as sparse rows
     ``(cols, mass)``, two ``(len(idx), w)`` arrays of output tuple indices
     and their masses (a repeated column adds up).  A deterministic kernel
-    gives width-1 rows of mass one.
+    gives width-1 rows of mass one.  The rows are a function of the space
+    and ``state.t`` only: a kernel whose ``matrix_fn`` never reads ``t``
+    is stationary, and ``exact_matrix`` builds its matrix once per space.
     """
 
     arity_in: int
@@ -230,6 +244,9 @@ class Kernel:
     sample_fn: Callable[[Population, ScheduleState, np.random.Generator], Population]
     matrix_fn: Callable[[FiniteSpace, ScheduleState, np.ndarray], Rows] | None = None
     name: str = "kernel"
+    # (space, matrix) of the last build that read no ``t``; never copied by
+    # ``dataclasses.replace``
+    _memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.arity_in < 1 or self.arity_out < 1:
@@ -254,18 +271,25 @@ class Kernel:
     def exact_matrix(
         self, space: FiniteSpace, state: ScheduleState | None = None
     ) -> np.ndarray:
-        """The dense row-stochastic matrix, filled in blocks of input rows."""
+        """The dense row-stochastic matrix at step ``state.t``, filled in
+        blocks of input rows.
+
+        When no block reads ``t`` the matrix is the same at every step: it
+        is kept, read-only, and every later call on the same ``space``
+        object returns that array, whatever the step.
+        """
         if self.matrix_fn is None:
             raise UsageError(f"{self.name} has no exact matrix realization")
-        if state is None:
-            state = ScheduleState()
+        if self._memo is not None and self._memo[0] is space:
+            return self._memo[1]
+        view = _ScheduleView(ScheduleState() if state is None else state)
         n_in = space.n_tuples(self.arity_in)
         n_out = space.n_tuples(self.arity_out)
         m = np.empty((n_in, n_out))
         step = max(1, BLOCK_ENTRIES // n_out)
         for start in range(0, n_in, step):
             idx = np.arange(start, min(start + step, n_in))
-            cols, mass = self.matrix_fn(space, state, idx)
+            cols, mass = self.matrix_fn(space, view, idx)
             if (
                 cols.shape != mass.shape
                 or cols.shape[0] != idx.size
@@ -279,6 +303,9 @@ class Kernel:
                 )
             m[start : start + idx.size] = _scatter_rows(cols, mass, n_out)
         check_row_stochastic(m, name=self.name)
+        if not view.read_t:
+            m.flags.writeable = False
+            object.__setattr__(self, "_memo", (space, m))
         return m
 
 

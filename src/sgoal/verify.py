@@ -26,6 +26,7 @@ from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
 STATE_CAP = 4096
+MATRIX_BYTES_CAP = 1 << 30  # dense bytes a chain whose matrices change with t may hold
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,13 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
     """Enumerate an algorithm's exact population chain on a finite space.
 
     The states are the tuples of the problem's own ``FiniteSpace``, in its
-    enumeration order.  Builds the chain kernel's transition matrix on
-    that space at each step t = 0 .. t_max - 1 (a non-stationary kernel
-    reads ``state.t`` and yields distinct matrices), and marks the
-    near-optimal states, those ``eps_inside`` finds.
+    enumeration order.  Asks for the chain kernel's transition matrix on
+    that space at each step t = 0 .. t_max - 1 and marks the near-optimal
+    states, those ``eps_inside`` finds.  A stationary kernel, one that does
+    not read ``state.t``, builds its matrix once and the chain holds that
+    one matrix.  A kernel that reads ``t`` builds one matrix per step; once
+    step 1 shows that it does, the ``t_max`` matrices must fit in
+    ``MATRIX_BYTES_CAP`` before step 2 is built.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -236,12 +240,19 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
             f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
+    need = inside.size**2 * 8 * t_max  # bytes when every step builds its own matrix
     schedule = ScheduleState()
     matrices = []
-    for _ in range(max(1, t_max)):
+    for step in range(max(1, t_max)):
+        if step == 2 and matrices[1] is not matrices[0] and need > MATRIX_BYTES_CAP:
+            raise UsageError(
+                f"the chain kernel reads t, so its {t_max} matrices over {inside.size} "
+                f"states need {need:,} bytes ({need >> 20} MiB), above the "
+                f"{MATRIX_BYTES_CAP >> 20} MiB cap; lower verify.t_max or use a smaller instance"
+            )
         matrices.append(kernel.exact_matrix(space, schedule))
         schedule.tick()
-    if all(np.array_equal(matrices[0], m) for m in matrices[1:]):
+    if all(m is matrices[0] or np.array_equal(matrices[0], m) for m in matrices[1:]):
         matrices = matrices[:1]  # stationary: one matrix serves every step
     return FiniteChain(
         states=space.tuples(kernel.arity_in),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import math
@@ -57,6 +58,13 @@ def population(members, problem=None) -> Population:
     return Population(members, [problem.objective(m) for m in members])
 
 
+def concat(first: Population, second: Population) -> Population:
+    """The members of ``first`` and then of ``second``, with their fitness."""
+    return Population(
+        first.members + second.members, np.concatenate([first.fitness, second.fitness])
+    )
+
+
 def tuple_index(space: FiniteSpace, members) -> int:
     """Index of the tuple state ``members`` in ``space``'s enumeration."""
     idx = 0
@@ -78,6 +86,20 @@ def matrix_kernel(matrix: np.ndarray, space: FiniteSpace) -> Kernel:
         return dense_rows(matrix[idx])
 
     return Kernel(1, 1, sample_fn, matrix_fn, name="matrix-kernel")
+
+
+def counting_builds(kernel: Kernel) -> tuple[Kernel, list]:
+    """A copy of ``kernel`` and a list that gains one entry, the space,
+    whenever the copy builds its matrix (a ``matrix_fn`` call on the block
+    that starts at input row 0)."""
+    builds = []
+
+    def matrix_fn(space, state, idx):
+        if idx[0] == 0:
+            builds.append(space)
+        return kernel.matrix_fn(space, state, idx)
+
+    return dataclasses.replace(kernel, matrix_fn=matrix_fn), builds
 
 
 def schedule_at(temperature: float):

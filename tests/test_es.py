@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     brute_es_matrix,
+    concat,
     in_box,
     line_problem,
     population,
@@ -345,7 +346,7 @@ class TestReplace:
         problem = line_problem([5.0, 1.0, 3.0, 0.0, 4.0], f_star=0.0)
         parents = population((0, 1), problem)      # fitness 5, 1
         children = population((2, 3, 4), problem)  # fitness 3, 0, 4
-        kept = survivors(problem, parents + children, 2)
+        kept = survivors(problem, concat(parents, children), 2)
         assert kept.members == (3, 1) and kept.fitness.tolist() == [0.0, 1.0]
 
     def test_comma_takes_best_children_only(self):
@@ -390,7 +391,7 @@ class TestReplace:
         problem = make_benchmark("sphere", 1).problem
         parents = box_population([[1.0], [2.0]], [[1.0], [1.0]], [1.0, 4.0])
         children = box_population([[-1.0], [0.5]], [[2.0], [2.0]], [1.0, 0.25])
-        plus = survivors(problem, parents + children, 2)
+        plus = survivors(problem, concat(parents, children), 2)
         assert np.array_equal(plus.fitness, [0.25, 1.0])
         assert np.array_equal(rows(plus)[0], [[0.5], [1.0]])
         comma = survivors(problem, children, 2)
@@ -501,7 +502,7 @@ class TestBoxGeneration:
         for _ in range(3):
             out = kernel.sample(pop, ScheduleState(), rng)
             children = next_sub_pop(problem, pop, config, replay, config.lam)
-            pool = pop + children if mode == "plus" else children
+            pool = concat(pop, children) if mode == "plus" else children
             keep = np.argsort(pool.fitness, kind="stable")[: config.mu]
             expected = np.stack(pool.members)[keep]
             assert np.stack(out.members).tobytes() == expected.tobytes()

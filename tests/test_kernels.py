@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -8,10 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    counting_builds,
     line_problem,
     matrix_kernel,
     population,
     random_stochastic,
+    state_at,
     transition_counts,
     tuple_index,
 )
@@ -443,3 +446,67 @@ class TestKernelValidation:
         )
         with pytest.raises(UsageError):
             k.exact_matrix(space2)
+
+
+class TestStationaryMemo:
+    """A kernel whose rows never read ``state.t`` builds its matrix once per space."""
+
+    @staticmethod
+    def decaying(space, state, idx):
+        stay = 1.0 / (state.t + 1)
+        return dense_rows(np.tile([stay, 1.0 - stay], (idx.size, 1)))
+
+    def test_t_free_kernel_builds_once_per_space(self, rng):
+        m = random_stochastic(rng, 3)
+        space = FiniteSpace((0, 1, 2))
+        kernel, builds = counting_builds(matrix_kernel(m, space))
+        first = kernel.exact_matrix(space)
+        for t in range(1, 50):
+            assert kernel.exact_matrix(space, state_at(t)) is first
+        assert builds == [space] and np.array_equal(first, m)
+        other = FiniteSpace((0, 1, 2))  # equal points, another space object
+        assert kernel.exact_matrix(other) is not first
+        assert builds == [space, other]
+
+    def test_kernel_that_reads_t_builds_every_step(self, space2):
+        kernel, builds = counting_builds(Kernel(1, 1, lambda pop, state, rng: pop, self.decaying))
+        for t in range(50):
+            m = kernel.exact_matrix(space2, state_at(t))
+            assert m[0, 0] == 1.0 / (t + 1) and m.flags.writeable
+        assert len(builds) == 50
+
+    def test_combinators_pass_the_read_down(self, space2):
+        # one component reads t, deep inside a composition and a join
+        decay = Kernel(1, 1, lambda pop, state, rng: pop, self.decaying)
+        kernels = [
+            compose(identity(1), decay),
+            compose(decay, identity(1)),
+            compose(projection(2, [1]), join([identity(1), decay])),
+        ]
+        for kernel in kernels:
+            at_0 = kernel.exact_matrix(space2, state_at(0))
+            at_1 = kernel.exact_matrix(space2, state_at(1))
+            assert at_0[0, 0] == 1.0 and at_1[0, 0] == 0.5
+
+    def test_memoized_matrix_refuses_writes(self, space2):
+        m = identity(1).exact_matrix(space2)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.5
+
+    def test_failed_build_is_not_kept(self, space2):
+        k = Kernel(
+            1, 1,
+            lambda pop, state, rng: pop,
+            lambda space, state, idx: dense_rows(np.array([[0.5, 0.4], [0.0, 1.0]])[idx]),
+        )
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                k.exact_matrix(space2)
+
+    def test_replace_starts_without_the_memo(self, space2):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        kernel = identity(1)
+        kernel.exact_matrix(space2)
+        other = dataclasses.replace(kernel, matrix_fn=lambda sp, st, idx: dense_rows(swap[idx]))
+        assert np.array_equal(other.exact_matrix(space2), swap)

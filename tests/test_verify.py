@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import binomial_se, population, random_stochastic
+from conftest import binomial_se, counting_builds, population, random_stochastic, state_at
 
+import sgoal.verify
 from sgoal.bench import make_benchmark
+from sgoal.cli import build_algorithm, load_config
 from sgoal.core import max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
@@ -245,6 +248,81 @@ class TestExtractChain:
         algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
         with pytest.raises(UsageError):
             extract_chain(algo, eps=100.0)
+
+
+SA_COOLINGS = (
+    ["sa.cooling=geometric", "sa.T0=2", "sa.gamma=0.8"],
+    ["sa.cooling=linear", "sa.T0=2", "sa.step=0.3", "sa.floor=0.1"],
+    ["sa.cooling=log", "sa.c=1.5"],
+)
+TOY_CONFIGS = [
+    *(["algorithm=sa", f"sa.elitist={elitist}", *cooling]
+      for elitist in (True, False) for cooling in SA_COOLINGS),
+    *(["algorithm=es", f"es.mode={mode}", f"es.mu={mu}", f"es.lambda={lam}"]
+      for mode in ("plus", "comma") for mu in (1, 2)
+      for lam in range(1 if mode == "plus" else mu, 4)),
+]
+
+
+def toy_algorithm(overrides, problem=None):
+    values = load_config(None, ["problem=onemax", "dim=3", *overrides])
+    return build_algorithm(values, problem=problem)
+
+
+def with_counted_builds(algo):
+    """``algo`` with its chain kernel's matrix builds counted."""
+    kernel, builds = counting_builds(algo.chain_kernel)
+    return dataclasses.replace(algo, chain_kernel=kernel), builds
+
+
+class TestStationaryExtraction:
+    """A chain whose kernel never reads ``t`` is built once and held once."""
+
+    @pytest.mark.parametrize("overrides", TOY_CONFIGS, ids=" ".join)
+    def test_kept_matrix_equals_a_fresh_build(self, overrides):
+        algo = toy_algorithm(overrides)
+        space = algo.problem.space
+        for t in range(6):
+            kept = algo.chain_kernel.exact_matrix(space, state_at(t))
+            fresh = toy_algorithm(overrides, problem=algo.problem).chain_kernel
+            assert np.array_equal(kept, fresh.exact_matrix(space, state_at(t)))
+
+    @pytest.mark.parametrize("overrides", TOY_CONFIGS, ids=" ".join)
+    def test_lumped_then_full_chain_equal_fresh_builds(self, overrides):
+        algo = toy_algorithm(overrides)
+        for lump in (True, False):
+            chain = extract_chain(algo, eps=0.5, t_max=4, lump=lump)
+            fresh = extract_chain(toy_algorithm(overrides), eps=0.5, t_max=4, lump=lump)
+            assert chain.states == fresh.states and chain.lumped == fresh.lumped
+            assert len(chain.matrices) == len(fresh.matrices)
+            for m, f in zip(chain.matrices, fresh.matrices):
+                assert np.array_equal(m, f)
+
+    def test_t_free_chain_builds_once(self):
+        algo, builds = with_counted_builds(toy_algorithm(TOY_CONFIGS[-1]))
+        chain = extract_chain(algo, eps=0.5, t_max=50)
+        assert len(builds) == 1 and len(chain.matrices) == 1
+
+    def test_metropolis_chain_builds_every_step(self):
+        algo, builds = with_counted_builds(
+            toy_algorithm(["algorithm=sa", "sa.elitist=false", *SA_COOLINGS[0]])
+        )
+        chain = extract_chain(algo, eps=0.5, t_max=50)
+        assert len(builds) == 50 and len(chain.matrices) == 50
+
+    def test_memory_cap_refuses_a_chain_that_reads_t(self, monkeypatch):
+        # onemax d3, full chain: 8 states, 8 * 8 * 8 * 50 = 25,600 bytes
+        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 25_599)
+        cooling = ["algorithm=sa", "sa.elitist=false", *SA_COOLINGS[0]]
+        algo, builds = with_counted_builds(toy_algorithm(cooling))
+        with pytest.raises(UsageError, match="its 50 matrices over 8 states need 25,600 bytes"):
+            extract_chain(algo, eps=0.5, t_max=50)
+        assert len(builds) == 2  # refused before step 2 is built
+        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 25_600)
+        assert len(extract_chain(toy_algorithm(cooling), eps=0.5, t_max=50).matrices) == 50
+        # a stationary chain never trips the cap
+        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 0)
+        assert len(extract_chain(toy_algorithm(TOY_CONFIGS[0]), eps=0.5, t_max=50).matrices) == 1
 
 
 class TestEstimateConvergence:
