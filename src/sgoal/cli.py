@@ -214,6 +214,43 @@ def _write_trace_csv(path: Path, trace) -> None:
             fh.write("".join([_TRACE_ROW % row for row in zip(*block)]))
 
 
+SUMMARY_BLOCK_ITEMS = 2048  # list items encoded per write; bounds the text held at once
+
+
+def _write_summary_json(path: Path, summary: dict) -> None:
+    """Write ``summary`` with the bytes of ``json.dump(summary, fh, indent=2,
+    sort_keys=True)`` and a final newline.
+
+    Its keys are strings and its lists hold no containers: each list is
+    encoded by the C encoder, ``SUMMARY_BLOCK_ITEMS`` items at a time, with
+    the indented item separator; ``json.dump`` with an indent would encode
+    every item in Python.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        _dump_indented(fh, summary, "\n")
+        fh.write("\n")
+
+
+def _dump_indented(fh, value, newline: str) -> None:
+    """Write one JSON value whose lines start with ``newline``'s indent."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "") + inner + json.dumps(key) + ": ")
+            _dump_indented(fh, value[key], inner)
+        fh.write(newline + "}")
+    elif isinstance(value, list) and value:
+        encode = json.JSONEncoder(check_circular=False, separators=("," + inner, ": ")).encode
+        fh.write("[")
+        for start in range(0, len(value), SUMMARY_BLOCK_ITEMS):
+            block = encode(value[start : start + SUMMARY_BLOCK_ITEMS])
+            fh.write(("," if start else "") + inner + block[1:-1])
+        fh.write(newline + "]")
+    else:
+        fh.write(json.dumps(value))
+
+
 def cmd_run(values: dict) -> int:
     base = build_algorithm(values).problem  # full validation up front
     eps_list = _eps_list(values)
@@ -238,17 +275,14 @@ def cmd_run(values: dict) -> int:
         "replicates": replicates,
         "seed": base_seed,
         "budget": budget,
-        "t": [int(v) for v in traces[0].t],
-        "mean_d": [float(v) for v in stacked.mean(axis=0)],
-        "median_d": [float(v) for v in np.median(stacked, axis=0)],
+        "t": traces[0].t.tolist(),
+        "mean_d": stacked.mean(axis=0).tolist(),
+        "median_d": np.median(stacked, axis=0).tolist(),
         "pr_d_above": {
-            f"{eps:.17g}": [float(v) for v in (stacked > eps).mean(axis=0)]
-            for eps in eps_list
+            f"{eps:.17g}": (stacked > eps).mean(axis=0).tolist() for eps in eps_list
         },
     }
-    with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary_json(out_dir / "summary.json", summary)
     print(f"wrote {replicates} trace file(s) and summary.json to {out_dir}")
     return 0
 

@@ -44,10 +44,14 @@ class Relation(enum.Enum):
         key = values if self is Relation.MINIMIZE else -values
         return np.argsort(key, axis=axis, kind="stable")
 
-    def argbest(self, values: np.ndarray) -> int:
-        """Index of the best value; ties go to the earliest occurrence."""
+    def argbest(self, values: np.ndarray, axis: int | None = None):
+        """Index of the best value; ties go to the earliest occurrence.
+
+        With ``axis``, the index array of the best value along that axis.
+        """
         values = np.asarray(values)
-        return int(values.argmin() if self is Relation.MINIMIZE else values.argmax())
+        i = values.argmin(axis) if self is Relation.MINIMIZE else values.argmax(axis)
+        return int(i) if axis is None else i
 
     def gap(self, f, f_star):
         """How far ``f`` falls short of the optimum ``f_star``: nonnegative
@@ -247,13 +251,16 @@ def max_iters(limit: int) -> Callable[[Population, int], bool]:
 # ---------------------------------------------------------------------------
 # The iteration loop and its trace.
 
+TRACE_ROWS_INIT = 1024  # fitness rows the run loop allocates before it first doubles
+
 
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of a single run.
 
     ``d[t]`` is the population closeness at step t (NaN when the optimum
-    is unknown), ``f_best[t]`` the best objective value seen so far over
+    is unknown), computed after the run from the recorded fitness of every
+    step's population, ``f_best[t]`` the best objective value seen so far over
     every evaluated point, ``evals[t]`` the cumulative evaluation count,
     and ``param[t]`` the active schedule parameter (temperature or mean
     step size; NaN when the algorithm has none).
@@ -295,8 +302,11 @@ def run_sgoal(
     advancing a fresh ``ScheduleState`` once after every step, so the step
     kernel reads its time index as ``state.t``, and records the trace
     at t = 0 and after every step.  The kernel returns each population
-    with its fitness, so the loop scores nothing itself.  Identical seeds
-    and configuration produce bit-identical traces.
+    with its fitness, so the loop scores nothing itself.  A step records
+    its population's fitness row; the closeness column ``d`` is computed
+    from those rows once the loop ends, with the same operations as
+    ``closeness``.  Identical seeds and configuration produce
+    bit-identical traces.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -311,30 +321,40 @@ def run_sgoal(
             f"does not match population size {pop.n}"
         )
 
-    ts: list[int] = []
-    ds: list[float] = []
+    # one fitness row per recorded step, in a buffer that doubles when full
+    fitness = np.empty((TRACE_ROWS_INIT, pop.n))
+    rows = 0
     fbest: list[float] = []
     evals: list[int] = []
     params: list[float] = []
 
-    def record(t: int) -> None:
-        ts.append(t)
-        ds.append(closeness(pop, problem) if problem.f_star is not None else math.nan)
+    def record() -> None:
+        nonlocal fitness, rows
+        if rows == len(fitness):
+            fitness = np.concatenate((fitness, np.empty_like(fitness)))
+        fitness[rows] = pop.fitness
+        rows += 1
         fbest.append(problem.best_seen_fitness)
         evals.append(problem.evals)
         params.append(param_fn(pop, schedule) if param_fn is not None else math.nan)
 
     t = 0
-    record(t)
+    record()
     while not end(pop, t):
         pop = next_pop.sample(pop, schedule, rng)
         schedule.tick()
         t += 1
-        record(t)
+        record()
 
+    if problem.f_star is None:
+        d = np.full(rows, math.nan)
+    else:
+        fitness = fitness[:rows]
+        best_f = fitness[np.arange(rows), problem.relation.argbest(fitness, axis=1)]
+        d = problem.relation.gap(best_f, problem.f_star)
     trace = ConvergenceTrace(
-        t=np.array(ts, dtype=int),
-        d=np.array(ds, dtype=float),
+        t=np.arange(rows),
+        d=d,
         f_best=np.array(fbest, dtype=float),
         evals=np.array(evals, dtype=int),
         param=np.array(params, dtype=float),

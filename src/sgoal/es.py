@@ -42,6 +42,12 @@ from .mutation import proposal_kernel
 from .selection import selection_kernel, uniform
 
 
+# The largest accepted ``tau``.  ``tau * g + tau * local`` stays finite for
+# any two draws below 8e7 in magnitude, and numpy's Gaussian draws stay
+# below 14.  An ``exp`` that overflows to inf clips to ``sigma_max``.
+TAU_MAX = 1e300
+
+
 @dataclass(frozen=True)
 class ESConfig:
     mu: int
@@ -65,8 +71,8 @@ class ESConfig:
             raise ConfigError("mode must be 'plus' or 'comma'")
         if self.mode == "comma" and self.lam < self.mu:
             raise ConfigError("comma replacement requires lambda >= mu")
-        if self.tau is not None and not 0 <= self.tau < math.inf:
-            raise ConfigError("tau must be finite and nonnegative")
+        if self.tau is not None and not 0 <= self.tau <= TAU_MAX:
+            raise ConfigError(f"tau must lie in [0, {TAU_MAX:g}]")
         if not (0 < self.sigma_min <= self.sigma_max):
             raise ConfigError("need 0 < sigma_min <= sigma_max")
         if not self.sigma_min <= self.sigma_init <= self.sigma_max:
@@ -109,13 +115,16 @@ def update_strategies(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Log-normal self-adaptation of step-size rows: one global draw per row
-    and one per coordinate, clamped into [sigma_min, sigma_max]."""
+    and one per coordinate, clamped into [sigma_min, sigma_max].  A factor
+    that overflows to inf clamps to sigma_max."""
     s = np.asarray(s, dtype=float)
     if not np.all(s > 0):
         raise UsageError("step sizes must be strictly positive")
     g = rng.standard_normal(s.shape[:-1] + (1,))
     local = rng.standard_normal(s.shape)
-    return np.clip(s * np.exp(tau * g + tau * local), sigma_min, sigma_max)
+    with np.errstate(over="ignore"):
+        factor = np.exp(tau * g + tau * local)
+    return np.clip(s * factor, sigma_min, sigma_max)
 
 
 def mutate_y(

@@ -106,18 +106,31 @@ class SAConfig:
             raise ConfigError("neighborhood sigma must be positive")
 
 
+def gaussian_move(problem: Problem, sigma: float):
+    """The box proposal on one point: ``move(x, rng) -> (y, f_y)``, an
+    isotropic Gaussian step of scale ``sigma`` reflected into the box, and
+    the fitness it scored."""
+    space = problem.space
+
+    def move(x, rng):
+        x = np.asarray(x, dtype=float)
+        y = space.reflect(x + sigma * rng.standard_normal(space.dim))
+        return y, problem.evaluate(y)
+
+    return move
+
+
 def sa_proposal(problem: Problem, config: SAConfig) -> Kernel:
     """The 1 -> 1 proposal: the finite-space proposal kernel, or on a box
-    an isotropic Gaussian step reflected into the box (no matrix).  Both
-    score the candidate they draw."""
-    space = problem.space
-    if isinstance(space, FiniteSpace):
+    the ``gaussian_move`` of its one member (no matrix).  Both score the
+    candidate they draw."""
+    if isinstance(problem.space, FiniteSpace):
         return proposal_kernel(problem, config.mutation)
+    move = gaussian_move(problem, config.sigma)
 
     def step(pop, state, rng):
-        x = np.asarray(pop.members[0], dtype=float)
-        y = space.reflect(x + config.sigma * rng.standard_normal(space.dim))
-        return Population((y,), (problem.evaluate(y),))
+        y, f_y = move(pop.members[0], rng)
+        return Population((y,), (f_y,))
 
     return Kernel(1, 1, step, name="gaussian-step")
 
@@ -152,8 +165,11 @@ def acceptance_probability(
     if temperature <= 0.0:
         return np.where(problem.better(f_cand, f_inc), 1.0, 0.0)
     # math.exp as in metropolis_accept: np.exp differs from it in the last
-    # bit on some inputs.  It runs once per distinct fitness difference.
-    x, inverse = np.unique(-np.abs(f_cand - f_inc) / temperature, return_inverse=True)
+    # bit on some inputs.  It runs once per distinct fitness difference.  A
+    # subnormal temperature overflows the quotient to -inf, whose exp is 0,
+    # as in metropolis_accept.
+    with np.errstate(over="ignore"):
+        x, inverse = np.unique(-np.abs(f_cand - f_inc) / temperature, return_inverse=True)
     worse = np.array([math.exp(v) for v in x])[inverse].reshape(f_cand.shape)
     return np.where(problem.better_eq(f_cand, f_inc), 1.0, worse)
 
@@ -205,11 +221,16 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     if not config.elitist:
         return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
     temperature = config.schedule.temperature
+    # on a box the walker moves point to point, with no one-member population
+    move = None if isinstance(problem.space, FiniteSpace) else gaussian_move(problem, config.sigma)
 
     def sample_fn(pop, state, rng):
         (current, best_pt), (f_current, f_best) = pop.members, pop.fitness.tolist()
-        candidate = proposal.sample_fn(Population((current,), (f_current,)), state, rng)
-        (x,), (f_x,) = candidate.members, candidate.fitness.tolist()
+        if move is not None:
+            x, f_x = move(current, rng)
+        else:
+            candidate = proposal.sample_fn(Population((current,), (f_current,)), state, rng)
+            (x,), (f_x,) = candidate.members, candidate.fitness.tolist()
         if replace_sa(problem, f_x, f_current, temperature(state.t), rng) == 0:
             current, f_current = x, f_x
         if problem.better(f_x, f_best):

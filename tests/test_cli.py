@@ -9,10 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgoal.cli import (
     _ALL_KEYS,
+    SUMMARY_BLOCK_ITEMS,
     TRACE_BLOCK_ROWS,
+    _write_summary_json,
     _write_trace_csv,
     load_config,
     main,
@@ -165,17 +169,27 @@ class TestRunCommand:
             (["algorithm=es", "es.sigma_init=5000", "budget=3"], "sigma_init"),
             (["algorithm=es", "es.sigma_init=1e-12", "budget=3"], "sigma_init"),
             (["algorithm=sa", "budget=3", "seed=-1"], "seed"),
+            (["algorithm=es", "es.tau=1e308", "budget=3"], "tau"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
         # a linear floor above T0 would raise the temperature; a sigma_init
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
-        # negative seed cannot seed the generator
+        # negative seed cannot seed the generator; a tau of 1e308 would make
+        # NaN step sizes (inf + -inf)
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tau_runs_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), "algorithm=es", "problem=sphere", "dim=5",
+                "budget=20", "es.tau=1e300"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_required_key_exits_2(self, tmp_path):
         assert main(["run", "algorithm=sa", "problem=onemax"]) == 2
@@ -254,6 +268,85 @@ class TestTraceCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+
+def special_summary(rows: int, eps_keys: int, seed: int) -> dict:
+    """A summary shaped like ``cmd_run``'s, with ``rows`` steps, whose float
+    lists mix ``SPECIAL`` with random values of every magnitude."""
+    columns = special_trace(rows)
+    rng = np.random.default_rng(seed)
+
+    def floats(column):
+        return rng.permutation(column).tolist()
+
+    return {
+        "algorithm": "sa",
+        "problem": "sphere",
+        "dim": 10,
+        "replicates": 3,
+        "seed": seed,
+        "budget": max(rows - 1, 0),
+        "t": list(range(rows)),
+        "mean_d": floats(columns.d),
+        "median_d": floats(columns.f_best),
+        "pr_d_above": {
+            f"{eps:.17g}": floats(columns.param)
+            for eps in [0.1, 1 / 3, 5e-324, 2.5, 1e300][:eps_keys]
+        },
+    }
+
+
+def json_dump_bytes(summary: dict) -> bytes:
+    """Oracle: the stdlib's indented writer."""
+    return (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+class TestSummaryJson:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.sampled_from(
+            [0, 1, SUMMARY_BLOCK_ITEMS - 1, SUMMARY_BLOCK_ITEMS, SUMMARY_BLOCK_ITEMS + 1]
+        ),
+        eps_keys=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_json_dump(self, tmp_path_factory, rows, eps_keys, seed):
+        summary = special_summary(rows, eps_keys, seed)
+        path = tmp_path_factory.mktemp("summary") / "summary.json"
+        _write_summary_json(path, summary)
+        assert path.read_bytes() == json_dump_bytes(summary)
+
+    def test_special_values_and_empty_containers(self, tmp_path):
+        summary = {"a": [], "b": {}, "c": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3],
+                   "d": {"x": [1], "w": []}, "e": "text", "f": True, "g": None}
+        _write_summary_json(tmp_path / "s.json", summary)
+        assert (tmp_path / "s.json").read_bytes() == json_dump_bytes(summary)
+
+    def test_memory_stays_one_block(self, tmp_path):
+        summary = special_summary(20_001, 1, seed=0)
+        tracemalloc.start()
+        try:
+            _write_summary_json(tmp_path / "summary.json", summary)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["algorithm=sa", "problem=sphere", "dim=10", "budget=3000", "replicates=2"],
+            ["algorithm=es", "problem=onemax", "dim=6", "es.mu=2", "es.lambda=3",
+             "budget=100", "replicates=2", "eps=0.5,1.5"],
+        ],
+        ids=["sa-sphere", "es-onemax"],
+    )
+    def test_run_summary_round_trips(self, tmp_path, overrides):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), *overrides]) == 0
+        written = (out / "summary.json").read_bytes()
+        reread = json.loads(written)
+        assert written == json_dump_bytes(reread)
 
 
 class TestVerifyCommand:

@@ -357,6 +357,59 @@ class TestRunSgoal:
         assert res.trace.d[-1] == 0.0
 
 
+class TestTraceCloseness:
+    """The trace's ``d``, computed from the recorded fitness rows after the
+    loop, equals ``closeness`` of every step's population bit for bit."""
+
+    @staticmethod
+    def run(values, relation, f_star, n, steps, seed):
+        problem = line_problem(values, relation=relation, f_star=f_star)
+        seen = []  # every population the loop records, in order
+
+        def draw(rng):
+            seen.append(Population.evaluated(rng.integers(len(values), size=n).tolist(), problem))
+            return seen[-1]
+
+        kernel = Kernel(n, n, lambda pop, state, rng: draw(rng))
+        result = run_sgoal(problem, draw, kernel, max_iters(steps), seed=seed)
+        return problem, seen, result.trace
+
+    @pytest.mark.parametrize("steps", [0, 2, 3, 4, 5, 8, 17])
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    @pytest.mark.parametrize("relation", [Relation.MINIMIZE, Relation.MAXIMIZE])
+    def test_equals_the_per_step_closeness(self, monkeypatch, relation, n, steps):
+        # a 4-row buffer doubles at 4, 8 and 16 recorded rows
+        monkeypatch.setattr("sgoal.core.TRACE_ROWS_INIT", 4)
+        values = [1.0, -0.0, 2.5, 1.0, 0.0, 2.5]  # ties, and -0.0 ties 0.0
+        f_star = 0.0 if relation is Relation.MINIMIZE else 2.5
+        problem, seen, trace = self.run(values, relation, f_star, n, steps, seed=steps + n)
+        oracle = np.array([closeness(pop, problem) for pop in seen])
+        assert len(trace) == len(seen) == steps + 1
+        assert trace.d.tobytes() == oracle.tobytes()
+        assert trace.t.tolist() == list(range(steps + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]), min_size=1, max_size=5),
+        relation=st.sampled_from([Relation.MINIMIZE, Relation.MAXIMIZE]),
+        n=st.sampled_from([1, 2, 15]),
+        steps=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_step_closeness_on_random_lines(self, values, relation, n, steps, seed):
+        f_star = min(values) if relation is Relation.MINIMIZE else max(values)
+        problem, seen, trace = self.run(values, relation, f_star, n, steps, seed)
+        oracle = np.array([closeness(pop, problem) for pop in seen])
+        assert trace.d.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("relation", [Relation.MINIMIZE, Relation.MAXIMIZE])
+    def test_nan_without_a_known_optimum(self, monkeypatch, relation):
+        monkeypatch.setattr("sgoal.core.TRACE_ROWS_INIT", 4)
+        _, _, trace = self.run([1.0, 2.0, 2.0], relation, None, 2, 9, seed=1)
+        assert len(trace) == 10
+        assert np.isnan(trace.d).all()
+
+
 def test_public_names_resolve():
     # a stale export would only surface on ``from sgoal import *``
     import sgoal

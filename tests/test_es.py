@@ -19,6 +19,7 @@ from sgoal.bench import make_benchmark, rastrigin, sphere
 from sgoal.core import ContinuousBox, Problem, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import (
+    TAU_MAX,
     ESConfig,
     es_next_pop,
     init_es_population,
@@ -77,6 +78,8 @@ class TestTypes:
             dict(mu=1, rho=1, lam=1, recomb_y="blend"),
             dict(mu=1, rho=1, lam=1, tau=math.nan),
             dict(mu=1, rho=1, lam=1, tau=math.inf),
+            dict(mu=1, rho=1, lam=1, tau=1e308),
+            dict(mu=1, rho=1, lam=1, tau=math.nextafter(TAU_MAX, math.inf)),
             dict(mu=1, rho=1, lam=1, sigma_init=math.nan),
             dict(mu=1, rho=1, lam=1, sigma_init=-1.0),
             dict(mu=1, rho=1, lam=1, sigma_init=0.0),
@@ -197,6 +200,22 @@ class TestUpdateStrategies:
         rng = np.random.default_rng(35)
         out = update_strategies(np.ones((20_000, 1)), 50.0, 1e-8, 1.0, rng)
         assert np.all(out <= 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tau_clips_to_the_bounds_silently(self):
+        # exp overflows to inf (clipped to sigma_max) or underflows to 0
+        # (clipped to sigma_min), without numpy's overflow warning
+        tau = ESConfig(mu=1, rho=1, lam=1, tau=TAU_MAX).tau_for(4)
+        s = np.full((50, 4), 2.0)
+        out = update_strategies(s, tau, 1e-3, 10.0, np.random.default_rng(39))
+        draws = np.random.default_rng(39)
+        g = draws.standard_normal((50, 1))
+        local = draws.standard_normal((50, 4))
+        want = np.where(tau * g + tau * local > 0, 10.0, 1e-3)
+        assert np.array_equal(out, want)
+        assert 0 < (out == 10.0).sum() < out.size
+        # the limit's margin: finite for draws far beyond any numpy makes
+        assert math.isfinite(TAU_MAX * 8e7 + TAU_MAX * 8e7)
 
     def test_positive_input_required(self, rng):
         for bad in (0.0, math.nan):

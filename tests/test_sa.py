@@ -16,11 +16,13 @@ from sgoal.sa import (
     SAConfig,
     acceptance_probability,
     fixed,
+    gaussian_move,
     geometric,
     linear,
     logarithmic,
     make_sa,
     metropolis_accept,
+    metropolis_kernel,
     replace_sa,
     sa_proposal,
 )
@@ -120,6 +122,20 @@ class TestVariate:
             assert in_box(bench.problem.space, pop.members[0])
             assert pop.fitness[0] == bench.problem.objective(pop.members[0])
 
+    def test_box_step_is_the_point_move(self):
+        # the kernel and the elitist walker make the same draws and points
+        problem = make_benchmark("sphere", 3).problem
+        move = gaussian_move(problem, 0.7)
+        proposal = sa_proposal(problem, SAConfig(schedule=geometric(1.0), sigma=0.7))
+        x = np.array([0.5, -1.0, 2.0])
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(20):
+            y, f_y = move(x, a)
+            out = proposal.sample(population((x,), problem), ScheduleState(), b)
+            assert y.tobytes() == out.members[0].tobytes() and f_y == out.fitness[0]
+            assert f_y == problem.objective(y)
+            x = y
+
 
 class TestMetropolis:
     def test_improvement_always_accepted(self, rng):
@@ -150,6 +166,39 @@ class TestMetropolis:
         # candidate 0 is worse than incumbent 1 when maximizing
         assert acceptance_probability(p, 0.0, 1.0, 2.0) == pytest.approx(math.exp(-0.5))
         assert acceptance_probability(p, 1.0, 0.0, 2.0) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("relation", [Relation.MINIMIZE, Relation.MAXIMIZE])
+    def test_subnormal_temperature_is_the_greedy_limit(self, relation):
+        # -|df| / 5e-324 overflows to -inf: every worsening is refused, as
+        # metropolis_accept refuses it, and no overflow warning is printed
+        p = line_problem([0.0, 1.0, 1.0, 3.0], relation=relation)
+        f = np.array([0.0, 1.0, 1.0, 3.0])
+        f_cand, f_inc = np.meshgrid(f, f, indexing="ij")
+        got = acceptance_probability(p, f_cand, f_inc, 5e-324)
+        assert np.array_equal(got, np.where(p.better_eq(f_cand, f_inc), 1.0, 0.0))
+        rng = np.random.default_rng(0)
+        values = f.tolist()  # the run loop hands it Python floats
+        accepted = [[metropolis_accept(p, a, b, 5e-324, rng) for b in values] for a in values]
+        assert np.array_equal(got, np.array(accepted, dtype=float))
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_schedule_builds_greedy_rows(self):
+        # geometric(1, 0.5) reaches 2**-1074 = 5e-324 at step 1074
+        problem = make_benchmark("onemax", 3).problem
+        config = SAConfig(schedule=geometric(1.0, 0.5), elitist=False)
+        assert config.schedule.temperature(1074) == 5e-324
+        state = ScheduleState()
+        state.t = 1074
+        space = problem.space
+        m = metropolis_kernel(problem, config).exact_matrix(space, state)
+        f = space.fitness(problem)[space.digits(np.arange(space.n_tuples(2)), 2)]
+        accept = np.where(problem.better_eq(f[:, 0], f[:, 1]), 1.0, 0.0)
+        want = np.zeros_like(m)
+        rows = np.arange(m.shape[0])
+        want[rows, space.digits(rows, 2)[:, 0]] += accept
+        want[rows, space.digits(rows, 2)[:, 1]] += 1.0 - accept
+        assert np.array_equal(m, want)
 
 
 class TestReplace:
