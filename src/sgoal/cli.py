@@ -23,12 +23,11 @@ import numpy as np
 from . import es as es_mod
 from . import sa as sa_mod
 from .bench import BENCHMARKS, make_benchmark
-from .core import Algorithm, Relation, max_iters, run_algorithm
+from .core import Algorithm, Relation, exceedance, max_iters, run_algorithm
 from .errors import ConfigError, SgoalError, UsageError
-from .selection import exact_probs, ranking, roulette, select_many, tournament, uniform
-from .selection import proportional as proportional_scheme
+from .selection import SelectionScheme, exact_probs, select_many
 from .stats import chisquare_gof
-from .verify import check_bound, extract_chain, write_bound_csv, write_bound_json
+from .verify import T_MAX_CAP, check_bound, extract_chain, write_bound_csv, write_bound_json
 
 _DEFAULTS = {
     "replicates": 1,
@@ -167,6 +166,8 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
         raise ConfigError("budget must be >= 1")
     if values["seed"] < 0:
         raise ConfigError("seed must be >= 0")
+    if not 1 <= values["verify.t_max"] <= T_MAX_CAP:
+        raise ConfigError(f"verify.t_max must lie in [1, {T_MAX_CAP}]")
     if problem is None:
         problem = make_benchmark(values["problem"], values["dim"]).problem
     algorithm = values["algorithm"].strip().lower()
@@ -278,9 +279,7 @@ def cmd_run(values: dict) -> int:
         "t": traces[0].t.tolist(),
         "mean_d": stacked.mean(axis=0).tolist(),
         "median_d": np.median(stacked, axis=0).tolist(),
-        "pr_d_above": {
-            f"{eps:.17g}": (stacked > eps).mean(axis=0).tolist() for eps in eps_list
-        },
+        "pr_d_above": {f"{eps:.17g}": exceedance(stacked, eps).tolist() for eps in eps_list},
     }
     _write_summary_json(out_dir / "summary.json", summary)
     print(f"wrote {replicates} trace file(s) and summary.json to {out_dir}")
@@ -307,14 +306,6 @@ def cmd_verify(values: dict) -> int:
     return 0 if report.verified() else 1
 
 
-_SCHEMES = {
-    "uniform": uniform,
-    "proportional": proportional_scheme,
-    "roulette": roulette,
-    "ranking": ranking,
-}
-
-
 def cmd_select_test(args) -> int:
     try:
         fitness = np.array([float(v) for v in args.fitness.split(",") if v.strip() != ""])
@@ -323,12 +314,7 @@ def cmd_select_test(args) -> int:
     if fitness.size == 0:
         raise UsageError("empty fitness vector")
     relation = Relation.parse(args.relation)
-    if args.scheme == "tournament":
-        scheme = tournament(args.m)
-    elif args.scheme in _SCHEMES:
-        scheme = _SCHEMES[args.scheme]()
-    else:
-        raise UsageError(f"unknown scheme {args.scheme!r}")
+    scheme = SelectionScheme(args.scheme, m=args.m)
     probs = exact_probs(scheme, fitness, relation)
     rng = np.random.default_rng(args.seed)
     draws = select_many(scheme, fitness, relation, args.samples, rng)

@@ -211,12 +211,6 @@ class Problem:
             i = int(np.argmax(bad))
             self._check(points[i], float(values[i]))
 
-    def better(self, a: float, b: float) -> bool:
-        return self.relation.better(a, b)
-
-    def better_eq(self, a: float, b: float) -> bool:
-        return self.relation.better_eq(a, b)
-
     def copy(self) -> "Problem":
         """Fresh problem sharing space and objective but with zeroed counters."""
         return Problem(self.space, self.objective, self.relation, self.f_star)
@@ -274,6 +268,25 @@ class ConvergenceTrace:
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+
+def exceedance(d, eps: float) -> np.ndarray:
+    """The exceedance sequence ``Pr{D_t > eps}`` per step t, estimated from
+    replicate closeness rows: ``d`` is ``(replicates, steps)``, one run's
+    ``ConvergenceTrace.d`` per row.
+
+    A run at ``D_t == eps`` does not exceed, while the verifier's
+    near-optimal set is ``D < eps``: such a run counts in neither (on
+    onemax, a gap equal to an integer eps).
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2:
+        raise UsageError("closeness must be a (replicates, steps) array")
+    if not eps > 0:
+        raise UsageError("eps must be positive")
+    if np.isnan(d).any():
+        raise UsageError("closeness rows carry NaN; is the optimum known?")
+    return (d > eps).mean(axis=0)
 
 
 @dataclass

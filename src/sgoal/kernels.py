@@ -264,10 +264,6 @@ class Kernel:
             raise UsageError(f"{self.name}: sampler produced wrong output arity")
         return out
 
-    @property
-    def has_matrix(self) -> bool:
-        return self.matrix_fn is not None
-
     def exact_matrix(
         self, space: FiniteSpace, state: ScheduleState | None = None
     ) -> np.ndarray:
@@ -343,7 +339,7 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
         return k2.sample(k1.sample(pop, state, rng), state, rng)
 
     matrix_fn = None
-    if k1.has_matrix and k2.has_matrix:
+    if k1.matrix_fn is not None and k2.matrix_fn is not None:
 
         def matrix_fn(space, state, idx):
             cols1, mass1 = k1.matrix_fn(space, state, idx)
@@ -390,7 +386,7 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
         )
 
     matrix_fn = None
-    if all(k.has_matrix for k in kernels):
+    if all(k.matrix_fn is not None for k in kernels):
 
         def matrix_fn(space, state, idx):
             parts = [k.matrix_fn(space, state, idx) for k in kernels]

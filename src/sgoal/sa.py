@@ -145,14 +145,16 @@ def metropolis_accept(
     """Metropolis rule: improvements always pass; a worsening of size
     |df| passes with probability exp(-|df|/T).  T <= 0 is the greedy
     limit (strict improvements only); equal fitness is accepted with
-    probability one when T > 0."""
-    if problem.better(f_candidate, f_incumbent):
+    probability one when T > 0.  The difference is a Python float, so a
+    subnormal T overflows the quotient to -inf silently, numpy scalar
+    arguments included."""
+    if problem.relation.better(f_candidate, f_incumbent):
         return True
     if f_candidate == f_incumbent:
         return temperature > 0.0
     if temperature <= 0.0:
         return False
-    return rng.random() < math.exp(-abs(f_candidate - f_incumbent) / temperature)
+    return rng.random() < math.exp(-abs(float(f_candidate - f_incumbent)) / temperature)
 
 
 def acceptance_probability(
@@ -163,7 +165,7 @@ def acceptance_probability(
     f_cand = np.asarray(f_candidate, dtype=float)
     f_inc = np.asarray(f_incumbent, dtype=float)
     if temperature <= 0.0:
-        return np.where(problem.better(f_cand, f_inc), 1.0, 0.0)
+        return np.where(problem.relation.better(f_cand, f_inc), 1.0, 0.0)
     # math.exp as in metropolis_accept: np.exp differs from it in the last
     # bit on some inputs.  It runs once per distinct fitness difference.  A
     # subnormal temperature overflows the quotient to -inf, whose exp is 0,
@@ -171,7 +173,7 @@ def acceptance_probability(
     with np.errstate(over="ignore"):
         x, inverse = np.unique(-np.abs(f_cand - f_inc) / temperature, return_inverse=True)
     worse = np.array([math.exp(v) for v in x])[inverse].reshape(f_cand.shape)
-    return np.where(problem.better_eq(f_cand, f_inc), 1.0, worse)
+    return np.where(problem.relation.better_eq(f_cand, f_inc), 1.0, worse)
 
 
 def replace_sa(
@@ -233,7 +235,7 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
             (x,), (f_x,) = candidate.members, candidate.fitness.tolist()
         if replace_sa(problem, f_x, f_current, temperature(state.t), rng) == 0:
             current, f_current = x, f_x
-        if problem.better(f_x, f_best):
+        if problem.relation.better(f_x, f_best):
             best_pt, f_best = x, f_x
         return Population((current, best_pt), (f_current, f_best))
 

@@ -5,8 +5,7 @@ traps whatever enters it, and every step reaches it from anywhere else
 with probability at least delta > 0.  Under those premises the t-step
 mass on the set is at least 1 - (1 - delta)^t.  On finite spaces this
 module checks the premises and the bound exactly from the transition
-matrices; on continuous problems it estimates the exceedance sequence
-Pr{D_t > eps} from replicated run traces.
+matrices.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
 STATE_CAP = 4096
+T_MAX_CAP = 1000  # a chain that reads t costs O(t_max^2) matrix-vector products
 MATRIX_BYTES_CAP = 1 << 30  # dense bytes a chain whose matrices change with t may hold
 
 
@@ -197,7 +197,7 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
     ``STATE_CAP`` bounds the number of states actually built.
     """
     kernel = algo.chain_kernel
-    if not kernel.has_matrix:
+    if kernel.matrix_fn is None:
         raise ConfigError(
             f"{algo.name} has no exact chain kernel (continuous space or "
             "unsupported configuration)"
@@ -291,59 +291,6 @@ def chain_from_files(matrix_paths: Sequence, eps_set) -> FiniteChain:
         states=tuple(range(size)),
         eps_set=frozenset(int(i) for i in eps_set),
         matrices=tuple(matrices),
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceEstimate:
-    """Empirical exceedance probabilities and their partial sums."""
-
-    eps: float
-    p: np.ndarray
-    partial_sums: np.ndarray
-    plateaued: bool
-    tail_increase: float
-    threshold: float
-
-
-def estimate_convergence(
-    traces: Sequence,
-    eps: float,
-    plateau_threshold: float = 0.01,
-) -> ConvergenceEstimate:
-    """Estimate Pr{D_t > eps} per step from replicate traces.
-
-    The partial sums proxy the convergence series: the run is flagged
-    as plateaued when the last quarter adds less than the threshold.
-    Needs at least 30 traces of a common length.
-    """
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    ds = []
-    for trace in traces:
-        d = np.asarray(getattr(trace, "d", trace), dtype=float)
-        if d.ndim != 1:
-            raise UsageError("each trace must be a 1-d closeness sequence")
-        ds.append(d)
-    if len(ds) < 30:
-        raise UsageError("need at least 30 traces for a meaningful estimate")
-    length = ds[0].size
-    if any(d.size != length for d in ds):
-        raise UsageError("traces must share a common length")
-    stacked = np.stack(ds)
-    if np.any(np.isnan(stacked)):
-        raise UsageError("traces carry NaN closeness; is the optimum known?")
-    p = (stacked > eps).mean(axis=0)
-    sums = np.cumsum(p)
-    tail_start = (3 * length) // 4
-    tail_increase = float(sums[-1] - sums[tail_start]) if length > 1 else 0.0
-    return ConvergenceEstimate(
-        eps=eps,
-        p=p,
-        partial_sums=sums,
-        plateaued=tail_increase < plateau_threshold,
-        tail_increase=tail_increase,
-        threshold=plateau_threshold,
     )
 
 

@@ -161,7 +161,7 @@ def brute_sa_matrix(problem, mutation, elitist: bool, temperature: float) -> np.
         for j, c in enumerate(points):
             f_c = problem.evaluate(c)
             if elitist:
-                accept = 1.0 if problem.better_eq(f_c, f_x) else 0.0
+                accept = 1.0 if problem.relation.better_eq(f_c, f_x) else 0.0
             else:
                 accept = float(acceptance_probability(problem, f_c, f_x, temperature))
             m[i, j] += rows[i, j] * accept

@@ -17,7 +17,7 @@ from conftest import binomial_se, brute_tournament_probs, population, transition
 
 from sgoal.bench import make_benchmark
 from sgoal.cli import main as cli_main
-from sgoal.core import Relation, max_iters, run_algorithm
+from sgoal.core import Relation, exceedance, max_iters, run_algorithm
 from sgoal.es import ESConfig, make_es
 from sgoal.sa import SAConfig, fixed, geometric, make_sa, metropolis_accept
 from sgoal.selection import (
@@ -34,7 +34,6 @@ from sgoal.verify import (
     FiniteChain,
     check_bound,
     check_premises,
-    estimate_convergence,
     extract_chain,
 )
 
@@ -282,7 +281,7 @@ def test_criterion_8_convergence_trend_links_lemma_to_theorem():
         run_algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.99)))
         traces.append(run_algorithm(run_algo, max_iters(horizon), seed=seed).trace)
     # closeness is integer-valued on onemax, so {D > 0.5} is exactly {D > 0}
-    exceed = estimate_convergence(traces, eps=0.5).p
+    exceed = exceedance(np.stack([trace.d for trace in traces]), eps=0.5)
 
     for t in range(1, horizon + 1):
         bound = (1.0 - delta) ** t

@@ -24,6 +24,7 @@ from sgoal.cli import (
 )
 from sgoal.core import ConvergenceTrace
 from sgoal.errors import ConfigError
+from sgoal.verify import T_MAX_CAP
 
 SA_CFG = """
 algorithm = sa
@@ -170,13 +171,16 @@ class TestRunCommand:
             (["algorithm=es", "es.sigma_init=1e-12", "budget=3"], "sigma_init"),
             (["algorithm=sa", "budget=3", "seed=-1"], "seed"),
             (["algorithm=es", "es.tau=1e308", "budget=3"], "tau"),
+            (["algorithm=sa", "verify.t_max=2000000"], "t_max"),
+            (["algorithm=sa", f"verify.t_max={T_MAX_CAP + 1}"], "t_max"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
         # a linear floor above T0 would raise the temperature; a sigma_init
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
         # negative seed cannot seed the generator; a tau of 1e308 would make
-        # NaN step sizes (inf + -inf)
+        # NaN step sizes (inf + -inf); a t_max above the cap would take
+        # O(t_max^2) matrix-vector products in verify
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
@@ -374,6 +378,14 @@ class TestVerifyCommand:
         data = json.loads((out / "bound.json").read_text())
         assert data["premise_absorbing"] is False
 
+    def test_t_max_cap_is_accepted(self, tmp_path):
+        # a stationary chain takes one matrix-vector product per t
+        out = tmp_path / "v"
+        args = ["verify", "--out", str(out), "algorithm=sa", "problem=onemax", "dim=3",
+                "eps=0.5", f"verify.t_max={T_MAX_CAP}"]
+        assert main(args) == 0
+        assert len(json.loads((out / "bound.json").read_text())["per_t"]) == T_MAX_CAP
+
     def test_t_max_one_reduces_to_premises(self, tmp_path):
         cfg = write_cfg(tmp_path, ES_CFG)
         out = tmp_path / "v"
@@ -391,11 +403,13 @@ class TestVerifyCommand:
         "overrides",
         [
             ["verify.t_max=0"],
+            # 4 class states, but two million matrices and O(t_max^2) products
+            ["sa.elitist=false", "verify.t_max=2000000"],
             ["problem=sphere", "dim=2"],  # a box has no exact chain
             ["algorithm=es", "dim=8"],  # 9^5 = 59049 class states, over the cap
             ["dim=4", "eps=10"],  # every state is near-optimal
         ],
-        ids=["t_max", "continuous", "over_cap", "eps_marks_all"],
+        ids=["t_max", "t_max_over_cap", "continuous", "over_cap", "eps_marks_all"],
     )
     def test_rejected_verify_creates_no_output_dir(self, tmp_path, overrides):
         cfg = write_cfg(tmp_path, SA_CFG)
@@ -471,13 +485,17 @@ class TestSelectTest:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.stats is imported only when a chi-square p-value is computed
-    probe = "import sys, sgoal.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    # scipy is a test dependency only: not even a chi-square p-value imports it
+    probe = (
+        "import sys, sgoal.cli; "
+        "sgoal.cli.main(['select-test', '--scheme', 'ranking', '--fitness', '1,2,3']); "
+        "print(any(m.startswith('scipy') for m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -10,7 +10,8 @@ from conftest import binomial_se, counting_builds, population, random_stochastic
 import sgoal.verify
 from sgoal.bench import make_benchmark
 from sgoal.cli import build_algorithm, load_config
-from sgoal.core import max_iters, run_algorithm
+from sgoal.cli import main as cli_main
+from sgoal.core import exceedance, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ScheduleState, iterated_products, save_matrix
@@ -20,7 +21,6 @@ from sgoal.verify import (
     chain_from_files,
     check_bound,
     check_premises,
-    estimate_convergence,
     extract_chain,
     write_bound_csv,
     write_bound_json,
@@ -325,54 +325,58 @@ class TestStationaryExtraction:
         assert len(extract_chain(toy_algorithm(TOY_CONFIGS[0]), eps=0.5, t_max=50).matrices) == 1
 
 
-class TestEstimateConvergence:
-    def make_traces(self, arrays):
-        return [np.asarray(a, dtype=float) for a in arrays]
+class TestExceedance:
+    def test_all_optimal_rows_give_zero(self):
+        assert np.array_equal(exceedance(np.zeros((30, 10)), eps=0.5), np.zeros(10))
 
-    def test_all_optimal_runs(self):
-        traces = self.make_traces([[0.0] * 10] * 30)
-        est = estimate_convergence(traces, eps=0.5)
-        assert np.all(est.p == 0.0)
-        assert np.all(est.partial_sums == 0.0)
-        assert est.plateaued
+    def test_always_outside_rows_give_one(self):
+        assert np.array_equal(exceedance(np.ones((30, 40)), eps=0.5), np.ones(40))
 
-    def test_geometric_decay_partial_sums_approach_two(self):
-        # synthetic exceedance with P(D_t > eps) = 0.5^t sums to 2
-        rng = np.random.default_rng(50)
-        n_traces, length = 600, 25
-        traces = []
-        p = 0.5 ** np.arange(length)
-        for _ in range(n_traces):
-            traces.append((rng.random(length) < p).astype(float) * 2.0)
-        est = estimate_convergence(traces, eps=1.0)
-        assert est.partial_sums[-1] == pytest.approx(2.0, abs=0.2)
-        assert est.plateaued
+    def test_closeness_equal_to_eps_does_not_exceed(self):
+        d = np.array([[1.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        assert exceedance(d, eps=1.0).tolist() == [0.0, 0.0, 0.5]
+        assert exceedance(d, eps=np.nextafter(1.0, 0.0)).tolist() == [1.0, 0.5, 1.0]
 
-    def test_identity_outside_never_converges(self):
-        traces = self.make_traces([[1.0] * 40] * 30)
-        est = estimate_convergence(traces, eps=0.5)
-        assert np.all(est.p == 1.0)
-        assert not est.plateaued
-        assert est.partial_sums[-1] == pytest.approx(40.0)
+    def test_nan_closeness_raises(self):
+        d = np.zeros((3, 4))
+        d[1, 2] = np.nan
+        with pytest.raises(UsageError, match="NaN"):
+            exceedance(d, eps=0.5)
 
-    def test_needs_thirty_traces(self):
-        with pytest.raises(UsageError):
-            estimate_convergence(self.make_traces([[0.0]] * 29), eps=0.5)
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+    def test_nonpositive_eps_raises(self, eps):
+        with pytest.raises(UsageError, match="eps"):
+            exceedance(np.zeros((3, 4)), eps=eps)
 
-    def test_common_length_required(self):
-        traces = self.make_traces([[0.0, 0.0]] * 29 + [[0.0]])
-        with pytest.raises(UsageError):
-            estimate_convergence(traces, eps=0.5)
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)])
+    def test_input_must_be_two_dimensional(self, shape):
+        with pytest.raises(UsageError, match="replicates, steps"):
+            exceedance(np.zeros(shape), eps=0.5)
 
-    def test_accepts_run_traces(self):
+    def test_elitist_runs_never_increase(self):
         bench = make_benchmark("onemax", 3)
-        traces = []
+        rows = []
         for seed in range(30):
             algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
-            traces.append(run_algorithm(algo, max_iters(20), seed=seed).trace)
-        est = estimate_convergence(traces, eps=0.5)
-        assert est.p.shape == (21,)
-        assert np.all(np.diff(est.p) <= 1e-12)  # elitist runs only improve
+            rows.append(run_algorithm(algo, max_iters(20), seed=seed).trace.d)
+        p = exceedance(np.stack(rows), eps=0.5)
+        assert p.shape == (21,)
+        assert np.all(np.diff(p) <= 0.0)  # elitist runs only improve
+
+    def test_equals_the_run_summary(self, tmp_path):
+        # onemax gaps are integers, so eps=1 puts runs at D == eps
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), "--replicates", "3", "algorithm=sa",
+                "problem=onemax", "dim=6", "budget=30", "eps=0.5,1", "sa.elitist=false"]
+        assert cli_main(args) == 0
+        d = np.stack([
+            np.loadtxt(out / f"trace_{seed}.csv", delimiter=",", skiprows=1, usecols=1)
+            for seed in range(3)
+        ])
+        assert np.any(d == 1.0)
+        summary = json.loads((out / "summary.json").read_text())
+        for eps in (0.5, 1.0):
+            assert summary["pr_d_above"][f"{eps:.17g}"] == exceedance(d, eps).tolist()
 
 
 class TestReports:
