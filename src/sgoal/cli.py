@@ -24,10 +24,11 @@ from . import es as es_mod
 from . import sa as sa_mod
 from .bench import BENCHMARKS, make_benchmark
 from .core import Algorithm, Relation, exceedance, max_iters, run_algorithm
-from .errors import ConfigError, SgoalError, UsageError
+from .errors import ConfigError, SgoalError, UsageError, check_cap
 from .selection import SelectionScheme, exact_probs, select_many
 from .stats import chisquare_gof
-from .verify import T_MAX_CAP, check_bound, extract_chain, write_bound_csv, write_bound_json
+from .verify import MATRIX_BYTES_CAP, T_MAX_CAP, check_bound, extract_chain
+from .verify import write_bound_csv, write_bound_json
 
 _DEFAULTS = {
     "replicates": 1,
@@ -150,9 +151,9 @@ def _cooling(values: dict) -> sa_mod.Cooling:
     raise ConfigError(f"unknown cooling {values['sa.cooling']!r}")
 
 
-def build_algorithm(values: dict, problem=None) -> Algorithm:
-    """Assemble the configured algorithm, on a fresh benchmark problem unless
-    one is given; this validates every setting but the eps thresholds."""
+def build_algorithm(values: dict) -> Algorithm:
+    """Assemble the configured algorithm on a fresh benchmark problem; this
+    validates every setting but the eps thresholds, sizes before allocating."""
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
@@ -168,9 +169,12 @@ def build_algorithm(values: dict, problem=None) -> Algorithm:
         raise ConfigError("seed must be >= 0")
     if not 1 <= values["verify.t_max"] <= T_MAX_CAP:
         raise ConfigError(f"verify.t_max must lie in [1, {T_MAX_CAP}]")
-    if problem is None:
-        problem = make_benchmark(values["problem"], values["dim"]).problem
     algorithm = values["algorithm"].strip().lower()
+    entries = values["dim"]  # numbers in the largest population or child batch
+    if algorithm == "es":
+        entries *= max(1, values["es.mu"], values["es.lambda"] * values["es.rho"])
+    check_cap(8 * entries, MATRIX_BYTES_CAP, "bytes of population arrays")
+    problem = make_benchmark(values["problem"], values["dim"]).problem
     if algorithm == "sa":
         config = sa_mod.SAConfig(
             schedule=_cooling(values),
@@ -253,22 +257,30 @@ def _dump_indented(fh, value, newline: str) -> None:
 
 
 def cmd_run(values: dict) -> int:
-    base = build_algorithm(values).problem  # full validation up front
+    algo = build_algorithm(values)  # a run resets its count: one serves every replicate
     eps_list = _eps_list(values)
-    out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     replicates = values["replicates"]
     base_seed = values["seed"]
     budget = values["budget"]
+    # bytes held per step, at the peak of a run or of the summary: the
+    # closeness rows (stacked, and copied for the median, in the summary);
+    # the last trace's 5 columns; a run's fitness buffer (3 rows while it
+    # doubles) and 8 arrays at its end; 40-byte list items (slot and
+    # number), 2 in a run and 3 + len(eps) in the summary
+    run_bytes = 8 * (replicates + 5 + 3 * algo.next_pop.arity_in + 8) + 40 * 2
+    summary_bytes = 8 * (3 * replicates + 5) + 40 * (3 + len(eps_list))
+    per_step = max(run_bytes, summary_bytes)
+    check_cap(per_step * (budget + 1), MATRIX_BYTES_CAP, "bytes of traces")
+    out_dir = Path(values["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    traces = []
+    closeness = []
     for seed in range(base_seed, base_seed + replicates):
-        algo = build_algorithm(values, problem=base.copy())
-        result = run_algorithm(algo, max_iters(budget), seed=seed)
-        _write_trace_csv(out_dir / f"trace_{seed}.csv", result.trace)
-        traces.append(result.trace)
+        trace = run_algorithm(algo, max_iters(budget), seed=seed).trace
+        _write_trace_csv(out_dir / f"trace_{seed}.csv", trace)
+        closeness.append(trace.d)
 
-    stacked = np.stack([t.d for t in traces])
+    stacked = np.stack(closeness)
     summary = {
         "algorithm": values["algorithm"],
         "problem": values["problem"],
@@ -276,7 +288,7 @@ def cmd_run(values: dict) -> int:
         "replicates": replicates,
         "seed": base_seed,
         "budget": budget,
-        "t": traces[0].t.tolist(),
+        "t": trace.t.tolist(),
         "mean_d": stacked.mean(axis=0).tolist(),
         "median_d": np.median(stacked, axis=0).tolist(),
         "pr_d_above": {f"{eps:.17g}": exceedance(stacked, eps).tolist() for eps in eps_list},

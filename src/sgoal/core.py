@@ -1,9 +1,9 @@
 """Problems, populations, closeness, and the generic iterate-a-population loop.
 
 A stochastic optimizer here is a loop that repeatedly feeds a population
-through a next-population kernel until a stopping predicate fires.  The
-loop itself is deterministic given a seed; all randomness flows through
-an explicitly passed ``numpy.random.Generator``.
+through a next-population kernel until a stopping predicate fires.  A run
+is a function of the algorithm and its seed: all randomness flows through
+one seeded ``numpy.random.Generator``, and the run owns its state.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ class Relation(enum.Enum):
         values = np.asarray(values)
         i = values.argmin(axis) if self is Relation.MINIMIZE else values.argmax(axis)
         return int(i) if axis is None else i
+
+    def running_best(self, values: np.ndarray) -> np.ndarray:
+        """The best of ``values[:t + 1]`` at every t."""
+        return (np.minimum if self is Relation.MINIMIZE else np.maximum).accumulate(values)
 
     def gap(self, f, f_star):
         """How far ``f`` falls short of the optimum ``f_star``: nonnegative
@@ -127,8 +131,8 @@ class Problem:
     the true optimum ``f_star`` is declared, any evaluation that beats it
     raises: that always means a mis-declared optimum.
 
-    The memo and counters are per-run mutable state: concurrent
-    replicates must each work on their own ``copy()``.
+    The memo and the count belong to the run: ``run_sgoal`` empties and
+    zeroes them, so only concurrent runs need a problem each.
     """
 
     def __init__(
@@ -146,8 +150,6 @@ class Problem:
         self.f_star = None if f_star is None else float(f_star)
         self._cache: dict = {}
         self.evals: int = 0
-        self.best_seen_point: Any = None
-        self.best_seen_fitness: float = math.nan
 
     def evaluate(self, x: Any) -> float:
         finite = isinstance(self.space, FiniteSpace)
@@ -158,9 +160,6 @@ class Problem:
         if finite:
             self._cache[x] = value
         self.evals += 1
-        if self.best_seen_point is None or self.relation.better(value, self.best_seen_fitness):
-            self.best_seen_point = x
-            self.best_seen_fitness = value
         return value
 
     def _check(self, x: Any, value: float) -> None:
@@ -186,8 +185,7 @@ class Problem:
         """Objective values of the k rows of a (k, d) box batch, from one
         objective call that must return k values.
 
-        Checked as ``evaluate`` checks, counted, and followed by
-        ``best_seen_*``.
+        Checked and counted as ``evaluate`` checks and counts.
         """
         values = np.asarray(self.objective(points), dtype=float)
         if values.shape != (len(points),):
@@ -197,10 +195,6 @@ class Problem:
             )
         self._check_all(points, values)
         self.evals += len(values)
-        i = self.relation.argbest(values)
-        if self.best_seen_point is None or self.relation.better(values[i], self.best_seen_fitness):
-            self.best_seen_point = points[i]
-            self.best_seen_fitness = float(values[i])
         return values
 
     def _check_all(self, points: Sequence[Any], values: np.ndarray) -> None:
@@ -210,10 +204,6 @@ class Problem:
         if bad.any():
             i = int(np.argmax(bad))
             self._check(points[i], float(values[i]))
-
-    def copy(self) -> "Problem":
-        """Fresh problem sharing space and objective but with zeroed counters."""
-        return Problem(self.space, self.objective, self.relation, self.f_star)
 
 
 def best(pop: Population, relation: Relation) -> int:
@@ -253,11 +243,10 @@ class ConvergenceTrace:
     """Per-iteration record of a single run.
 
     ``d[t]`` is the population closeness at step t (NaN when the optimum
-    is unknown), computed after the run from the recorded fitness of every
-    step's population, ``f_best[t]`` the best objective value seen so far over
-    every evaluated point, ``evals[t]`` the cumulative evaluation count,
-    and ``param[t]`` the active schedule parameter (temperature or mean
-    step size; NaN when the algorithm has none).
+    is unknown) and ``f_best[t]`` the best fitness any population of steps
+    0..t has held, both from every step's recorded fitness; ``evals[t]`` is
+    the run's cumulative evaluation count and ``param[t]`` the active
+    schedule parameter (temperature or mean step size; NaN when none).
     """
 
     t: np.ndarray
@@ -293,8 +282,6 @@ def exceedance(d, eps: float) -> np.ndarray:
 class SGoalResult:
     best_point: Any
     best_fitness: float
-    best_seen_point: Any
-    best_seen_fitness: float
     trace: ConvergenceTrace
     final_population: Population
     iterations: int
@@ -306,7 +293,6 @@ def run_sgoal(
     next_pop: Kernel,
     end: Callable[[Population, int], bool],
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
     param_fn: Callable[[Population, ScheduleState], float] | None = None,
 ) -> SGoalResult:
     """Run the generic population-iteration loop.
@@ -316,14 +302,15 @@ def run_sgoal(
     kernel reads its time index as ``state.t``, and records the trace
     at t = 0 and after every step.  The kernel returns each population
     with its fitness, so the loop scores nothing itself.  A step records
-    its population's fitness row; the closeness column ``d`` is computed
-    from those rows once the loop ends, with the same operations as
-    ``closeness``.  Identical seeds and configuration produce
-    bit-identical traces.
+    its population's fitness row; once the loop ends, ``d`` is computed
+    from those rows as ``closeness`` computes it, and ``f_best`` is the
+    running best of each row's best.  The run starts from a zero count and
+    an empty memo, so identical seeds give bit-identical traces.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     schedule = ScheduleState()
+    problem.evals = 0
+    problem._cache.clear()
 
     pop = init(rng)
     if not isinstance(pop, Population):
@@ -337,7 +324,6 @@ def run_sgoal(
     # one fitness row per recorded step, in a buffer that doubles when full
     fitness = np.empty((TRACE_ROWS_INIT, pop.n))
     rows = 0
-    fbest: list[float] = []
     evals: list[int] = []
     params: list[float] = []
 
@@ -347,7 +333,6 @@ def run_sgoal(
             fitness = np.concatenate((fitness, np.empty_like(fitness)))
         fitness[rows] = pop.fitness
         rows += 1
-        fbest.append(problem.best_seen_fitness)
         evals.append(problem.evals)
         params.append(param_fn(pop, schedule) if param_fn is not None else math.nan)
 
@@ -359,16 +344,13 @@ def run_sgoal(
         t += 1
         record()
 
-    if problem.f_star is None:
-        d = np.full(rows, math.nan)
-    else:
-        fitness = fitness[:rows]
-        best_f = fitness[np.arange(rows), problem.relation.argbest(fitness, axis=1)]
-        d = problem.relation.gap(best_f, problem.f_star)
+    fitness = fitness[:rows]
+    best_f = fitness[np.arange(rows), problem.relation.argbest(fitness, axis=1)]
+    f_star = math.nan if problem.f_star is None else problem.f_star  # NaN gaps
     trace = ConvergenceTrace(
         t=np.arange(rows),
-        d=d,
-        f_best=np.array(fbest, dtype=float),
+        d=problem.relation.gap(best_f, f_star),
+        f_best=problem.relation.running_best(best_f),
         evals=np.array(evals, dtype=int),
         param=np.array(params, dtype=float),
     )
@@ -376,8 +358,6 @@ def run_sgoal(
     return SGoalResult(
         best_point=pop.members[i],
         best_fitness=float(pop.fitness[i]),
-        best_seen_point=problem.best_seen_point,
-        best_seen_fitness=problem.best_seen_fitness,
         trace=trace,
         final_population=pop,
         iterations=t,
@@ -416,15 +396,8 @@ def run_algorithm(
     algo: Algorithm,
     end: Callable[[Population, int], bool],
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SGoalResult:
     """Run an assembled algorithm from step 0."""
     return run_sgoal(
-        algo.problem,
-        algo.init,
-        algo.next_pop,
-        end,
-        seed=seed,
-        rng=rng,
-        param_fn=algo.param_fn,
+        algo.problem, algo.init, algo.next_pop, end, seed=seed, param_fn=algo.param_fn
     )

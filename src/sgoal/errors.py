@@ -15,3 +15,9 @@ class ConfigError(SgoalError):
 
 class NotLumpable(UsageError):
     """A kernel's rows do not lump onto the fitness classes of its space."""
+
+
+def check_cap(count: int, cap: int, what: str) -> None:
+    """Refuse a request for ``count`` of ``what`` above ``cap``, before any work."""
+    if count > cap:
+        raise UsageError(f"{count:,} {what} are over the cap of {cap:,}")

@@ -19,8 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .core import Population, Problem, Relation
-from .errors import UsageError
+from .errors import UsageError, check_cap
 from .kernels import Kernel
+
+DRAW_CAP = 10**7  # entries a batch of draws allocates: 1 per draw, m * m per tournament
+MULTISET_CAP = 10**5  # entrant multisets an exact tournament enumerates in Python, one at a time
+
 
 @dataclass(frozen=True)
 class SelectionScheme:
@@ -121,6 +125,7 @@ def _tournament_probs(f: np.ndarray, relation: Relation, m: int) -> np.ndarray:
     values, members = np.unique(f, return_inverse=True)
     members = np.argsort(relation.order(values))[members]  # relabel: best class first
     g = values.size
+    check_cap(math.comb(g + m - 1, m), MULTISET_CAP, "entrant multisets of an exact tournament")
     class_count = np.bincount(members, minlength=g).astype(float)
     probs = np.zeros(lam)
     for combo in itertools.combinations_with_replacement(range(g), m):
@@ -164,12 +169,14 @@ def select_many(
     lam = f.size
     if size < 1:
         raise UsageError("sample size must be >= 1")
+    m = scheme.m if scheme.kind == "tournament" else 1
+    check_cap(size * m * m, DRAW_CAP, f"entries of {size:,} draws")
     if scheme.kind == "uniform":
         return rng.integers(0, lam, size=size)
     if scheme.kind in ("roulette", "proportional", "ranking"):
         probs = exact_probs(scheme, f, relation)
         return rng.choice(lam, size=size, p=probs)
-    entrants = rng.integers(0, lam, size=(size, scheme.m))
+    entrants = rng.integers(0, lam, size=(size, m))
     fv = f[entrants]
     worse = relation.better(fv[:, :, None], fv[:, None, :])
     rates = 1.0 + worse.sum(axis=2)

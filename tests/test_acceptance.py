@@ -117,15 +117,15 @@ def test_criterion_3_algorithm_to_chain_conformance():
     # chain.  The cooling schedule also checks that sampling never ticks it:
     # the samples must fit the t = 0 matrix.
     bench = make_benchmark("onemax", 4)
-    sa_algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+    sa_algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
     worst_sa = _conformance_case(sa_algo, sa_algo.chain_kernel, 100_000)
     hot_algo = make_sa(
-        bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.5), elitist=False)
+        bench.problem, SAConfig(schedule=geometric(2.0, 0.5), elitist=False)
     )
     assert hot_algo.chain_kernel is hot_algo.next_pop
     worst_hot = _conformance_case(hot_algo, hot_algo.next_pop, 100_000)
     es_algo = make_es(
-        bench.problem.copy(), ESConfig(mu=1, rho=1, lam=1, mode="plus")
+        bench.problem, ESConfig(mu=1, rho=1, lam=1, mode="plus")
     )
     assert es_algo.chain_kernel is es_algo.next_pop
     worst_es = _conformance_case(es_algo, es_algo.next_pop, 100_000)
@@ -143,7 +143,7 @@ def test_criterion_4_elitism_zero_violations():
         bench = make_benchmark(name, dim)
         for seed in range(100):
             algo = make_sa(
-                bench.problem.copy(),
+                bench.problem,
                 SAConfig(schedule=geometric(2.0, 0.95), sigma=0.5),
             )
             trace = run_algorithm(algo, max_iters(60), seed=seed).trace
@@ -152,7 +152,7 @@ def test_criterion_4_elitism_zero_violations():
         for seed in range(100):
             rho = 2 if name == "sphere" else 1
             algo = make_es(
-                bench.problem.copy(),
+                bench.problem,
                 ESConfig(mu=5, rho=rho, lam=10, mode="plus"),
             )
             trace = run_algorithm(algo, max_iters(60), seed=seed).trace
@@ -166,7 +166,7 @@ def test_criterion_5_non_elitism_witness():
     comma_increases = 0
     for seed in range(100):
         algo = make_es(
-            bench.problem.copy(), ESConfig(mu=5, rho=1, lam=10, mode="comma")
+            bench.problem, ESConfig(mu=5, rho=1, lam=10, mode="comma")
         )
         trace = run_algorithm(algo, max_iters(40), seed=seed).trace
         comma_increases += int(np.any(np.diff(trace.d) > 0))
@@ -175,7 +175,7 @@ def test_criterion_5_non_elitism_witness():
     bench = make_benchmark("onemax", 4)
     sa_increases = 0
     for seed in range(100):
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=fixed(10.0), elitist=False))
+        algo = make_sa(bench.problem, SAConfig(schedule=fixed(10.0), elitist=False))
         trace = run_algorithm(algo, max_iters(40), seed=seed).trace
         sa_increases += int(np.any(np.diff(trace.d) > 0))
     assert sa_increases > 0
@@ -268,7 +268,7 @@ def test_criterion_7_selection_exactness():
 def test_criterion_8_convergence_trend_links_lemma_to_theorem():
     started = time.perf_counter()
     bench = make_benchmark("onemax", 8)
-    algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.99)))
+    algo = make_sa(bench.problem, SAConfig(schedule=geometric(2.0, 0.99)))
     chain = extract_chain(algo, eps=0.5, t_max=1)
     delta, absorbing = check_premises(chain)
     assert absorbing and delta > 0
@@ -278,7 +278,7 @@ def test_criterion_8_convergence_trend_links_lemma_to_theorem():
     horizon = 200
     traces = []
     for seed in range(seeds):
-        run_algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.99)))
+        run_algo = make_sa(bench.problem, SAConfig(schedule=geometric(2.0, 0.99)))
         traces.append(run_algorithm(run_algo, max_iters(horizon), seed=seed).trace)
     # closeness is integer-valued on onemax, so {D > 0.5} is exactly {D > 0}
     exceed = exceedance(np.stack([trace.d for trace in traces]), eps=0.5)

@@ -173,6 +173,11 @@ class TestRunCommand:
             (["algorithm=es", "es.tau=1e308", "budget=3"], "tau"),
             (["algorithm=sa", "verify.t_max=2000000"], "t_max"),
             (["algorithm=sa", f"verify.t_max={T_MAX_CAP + 1}"], "t_max"),
+            (["algorithm=sa", "dim=1000000000"], "8,000,000,000 bytes of population arrays"),
+            (["algorithm=es", "dim=10", "es.lambda=3000000000"], "population arrays"),
+            (["algorithm=es", "es.mu=2000000000"], "population arrays"),
+            (["algorithm=sa", "budget=100000000000"], "traces"),
+            (["algorithm=sa", "replicates=100000000"], "traces"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
@@ -180,12 +185,54 @@ class TestRunCommand:
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
         # negative seed cannot seed the generator; a tau of 1e308 would make
         # NaN step sizes (inf + -inf); a t_max above the cap would take
-        # O(t_max^2) matrix-vector products in verify
+        # O(t_max^2) matrix-vector products in verify; population arrays
+        # and traces over the byte cap would fail only once allocated
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["algorithm=sa", "eps=0.5,1", "budget=12000"],
+            ["algorithm=sa", "sa.elitist=false", "eps=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
+             "budget=12000"],
+            ["algorithm=sa", "replicates=8", "budget=6000"],
+            ["algorithm=es", "es.mu=20", "es.lambda=20", "budget=3000"],
+        ],
+        ids=["elitist", "many_eps", "replicates", "es"],
+    )
+    def test_trace_estimate_bounds_the_traced_peak(self, tmp_path, monkeypatch, overrides):
+        # the estimate the cap checks bounds what the run then holds at its
+        # peak: tracemalloc counts a float at the 24 bytes it asks for, the
+        # estimate at the allocator's 32, so it reads 5-12 % above the peak
+        import sgoal.cli as cli
+
+        estimates = {}
+
+        def record(count, cap, what):
+            estimates[what] = count
+            check_cap(count, cap, what)
+
+        check_cap = cli.check_cap
+        monkeypatch.setattr(cli, "check_cap", record)
+        args = ["problem=sphere", "dim=2", *overrides]
+        # a first run loads what the timed one would otherwise load
+        assert main(["run", "--out", str(tmp_path / "w"), *args, "budget=1", "replicates=1"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["run", "--out", str(tmp_path / "out"), *args]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = estimates["bytes of traces"]
+        assert 0.7 * estimate <= peak <= estimate
+
+        monkeypatch.setattr(cli, "MATRIX_BYTES_CAP", estimate - 1)
+        assert main(["run", "--out", str(tmp_path / "over"), *args]) == 2
+        assert not (tmp_path / "over").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_huge_tau_runs_without_warnings(self, tmp_path, capsys):
@@ -408,8 +455,9 @@ class TestVerifyCommand:
             ["problem=sphere", "dim=2"],  # a box has no exact chain
             ["algorithm=es", "dim=8"],  # 9^5 = 59049 class states, over the cap
             ["dim=4", "eps=10"],  # every state is near-optimal
+            ["algorithm=es", "es.lambda=3000000000"],  # the children's list alone
         ],
-        ids=["t_max", "t_max_over_cap", "continuous", "over_cap", "eps_marks_all"],
+        ids=["t_max", "t_max_over_cap", "continuous", "over_cap", "eps_marks_all", "lambda"],
     )
     def test_rejected_verify_creates_no_output_dir(self, tmp_path, overrides):
         cfg = write_cfg(tmp_path, SA_CFG)
@@ -471,6 +519,20 @@ class TestSelectTest:
     def test_non_numeric_fitness_exits_2(self, capsys):
         assert main(["select-test", "--scheme", "ranking", "--fitness", "1,abc"]) == 2
         assert "fitness values must be numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--scheme", "tournament", "--fitness", "1,2,3,4,5,6,7,8", "--m", "60",
+             "--samples", "10"],  # C(67, 60) entrant multisets
+            ["--scheme", "tournament", "--fitness", "1,2", "--m", "2000000"],
+            ["--scheme", "uniform", "--fitness", "1,2", "--samples", "10000000000"],
+        ],
+        ids=["multisets", "tournament_size", "samples"],
+    )
+    def test_oversized_request_exits_2(self, capsys, args):
+        assert main(["select-test", *args]) == 2
+        assert "over the cap" in capsys.readouterr().err
 
     def test_infinite_roulette_rate_exits_2(self, capsys):
         # an infinite rate, and finite rates whose total overflows

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import EpsClass, classify_eps, fold_into, in_box, line_problem, tuple_index
 
+from sgoal.bench import make_benchmark
 from sgoal.core import (
     ContinuousBox,
     Population,
@@ -14,9 +15,12 @@ from sgoal.core import (
     best,
     closeness,
     max_iters,
+    run_algorithm,
     run_sgoal,
 )
 from sgoal.errors import ConfigError, UsageError
+from sgoal.es import ESConfig, make_es
+from sgoal.sa import SAConfig, geometric, make_sa
 from sgoal.kernels import FiniteSpace, Kernel, ScheduleState, identity, sort_kernel
 from sgoal.verify import eps_inside
 
@@ -185,19 +189,6 @@ class TestProblem:
         assert p.evals == 2
         assert calls == [0, 1]
 
-    def test_copy_resets_counters(self):
-        p = line_problem([1.0, 2.0])
-        p.evaluate(0)
-        fresh = p.copy()
-        assert fresh.evals == 0 and p.evals == 1
-
-    def test_best_seen_tracks_all_evaluations(self):
-        p = line_problem([3.0, 1.0, 2.0])
-        for i in (0, 1, 2):
-            p.evaluate(i)
-        assert p.best_seen_point == 1
-        assert p.best_seen_fitness == 1.0
-
     def test_nan_objective_rejected(self):
         p = Problem(FiniteSpace((0,)), lambda i: float("nan"))
         with pytest.raises(UsageError):
@@ -222,7 +213,7 @@ class TestProblem:
         calls = []
         p = Problem(FiniteSpace((0, 1)), lambda i: calls.append(i) or float(i), f_star=0.0)
         assert p.values((0, 1)).tolist() == [0.0, 1.0]
-        assert p.evals == 0 and p.best_seen_point is None
+        assert p.evals == 0 and p._cache == {}
         p.evaluate(1)
         assert calls == [0, 1, 1]
 
@@ -239,11 +230,8 @@ class TestProblem:
         first = np.array([[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
         assert p.evaluate_batch(first).tolist() == [0.5, 0.25, 0.25]
         assert calls == [(3, 2)] and p.evals == 3 and p._cache == {}
-        assert np.array_equal(p.best_seen_point, first[1]) and p.best_seen_fitness == 0.25
-        p.evaluate_batch(np.array([[-0.5, 0.0], [1.0, 0.0]]))  # a tie does not replace
-        assert np.array_equal(p.best_seen_point, first[1]) and p.evals == 5
-        p.evaluate_batch(np.array([[1.0, 0.0], [0.0, 0.25]]))
-        assert np.array_equal(p.best_seen_point, [0.0, 0.25]) and p.best_seen_fitness == 0.0625
+        assert p.evaluate_batch(first).tolist() == [0.5, 0.25, 0.25]
+        assert len(calls) == 2 and p.evals == 6
 
     @pytest.mark.parametrize(
         "objective, message",
@@ -331,23 +319,21 @@ class TestRunSgoal:
         p = line_problem([4.0, 3.0, 2.0, 1.0], f_star=1.0)
 
         def one():
-            prob = p.copy()
-            init = lambda rng: Population.evaluated((0,), prob)
+            init = lambda rng: Population.evaluated((0,), p)
             kernel = Kernel(
-                1, 1, lambda pop, state, rng: Population.evaluated((int(rng.integers(4)),), prob)
+                1, 1, lambda pop, state, rng: Population.evaluated((int(rng.integers(4)),), p)
             )
-            return run_sgoal(prob, init, kernel, max_iters(20), seed=42).trace
+            return run_sgoal(p, init, kernel, max_iters(20), seed=42).trace
 
-        a, b = one(), one()
-        assert np.array_equal(a.d, b.d)
-        assert np.array_equal(a.evals, b.evals)
+        a, b = one(), one()  # one problem: the second run starts from a fresh count
+        for column in ("t", "d", "f_best", "evals", "param"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
     def test_stopping_predicates(self):
         p = line_problem([2.0, 1.0], f_star=1.0)
         init = lambda rng: Population.evaluated((0,), p)
 
-        by_evals = run_sgoal(p.copy(), lambda rng: Population.evaluated((0,), p), identity(1),
-                             lambda pop, t: p.evals >= 1, seed=0)
+        by_evals = run_sgoal(p, init, identity(1), lambda pop, t: p.evals >= 1, seed=0)
         assert by_evals.iterations == 0
 
         jump = Kernel(1, 1, lambda pop, state, rng: Population.evaluated((1,), p))
@@ -401,13 +387,73 @@ class TestTraceCloseness:
         problem, seen, trace = self.run(values, relation, f_star, n, steps, seed)
         oracle = np.array([closeness(pop, problem) for pop in seen])
         assert trace.d.tobytes() == oracle.tobytes()
+        assert trace.f_best.tolist() == running_best(
+            [pop.fitness[best(pop, relation)] for pop in seen], relation
+        )
 
     @pytest.mark.parametrize("relation", [Relation.MINIMIZE, Relation.MAXIMIZE])
     def test_nan_without_a_known_optimum(self, monkeypatch, relation):
         monkeypatch.setattr("sgoal.core.TRACE_ROWS_INIT", 4)
         _, _, trace = self.run([1.0, 2.0, 2.0], relation, None, 2, 9, seed=1)
         assert len(trace) == 10
-        assert np.isnan(trace.d).all()
+        assert trace.d.tobytes() == np.full(10, np.nan).tobytes()
+
+
+def running_best(values, relation):
+    """Oracle: the best of ``values[:t + 1]`` at every t, by strict comparison."""
+    out = []
+    for v in values:
+        out.append(v if not out or relation.better(v, out[-1]) else out[-1])
+    return out
+
+
+SHIPPED = {
+    "sa-elitist": lambda p, box: make_sa(p, SAConfig(schedule=geometric(2.0, 0.95))),
+    "sa": lambda p, box: make_sa(p, SAConfig(schedule=geometric(2.0, 0.95), elitist=False)),
+    "es-plus": lambda p, box: make_es(p, ESConfig(mu=3, rho=2 if box else 1, lam=4)),
+    "es-comma": lambda p, box: make_es(
+        p, ESConfig(mu=2, rho=2 if box else 1, lam=4, mode="comma")
+    ),
+}
+
+
+class TestShippedRuns:
+    """A run of every shipped algorithm is a function of its seed, and its
+    derived ``f_best`` is the best value the objective has returned."""
+
+    @staticmethod
+    def recording_problem(name, dim):
+        base = make_benchmark(name, dim).problem
+        returned = []
+
+        def objective(x):
+            value = base.objective(x)
+            returned.extend(np.atleast_1d(value).tolist())
+            return value
+
+        return Problem(base.space, objective, base.relation, base.f_star), returned
+
+    @pytest.mark.parametrize("name, dim", [("sphere", 3), ("onemax", 6)])
+    @pytest.mark.parametrize("algorithm", SHIPPED)
+    def test_repeated_runs_on_one_algorithm_agree(self, algorithm, name, dim):
+        problem = make_benchmark(name, dim).problem
+        algo = SHIPPED[algorithm](problem, name == "sphere")
+        first, again = (run_algorithm(algo, max_iters(60), seed=3).trace for _ in range(2))
+        for column in ("t", "d", "f_best", "evals", "param"):
+            assert getattr(first, column).tobytes() == getattr(again, column).tobytes()
+
+    @pytest.mark.parametrize("name, dim", [("rastrigin", 3), ("onemax", 6), ("trap5", 5)])
+    @pytest.mark.parametrize("algorithm", SHIPPED)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_f_best_is_the_best_value_returned(self, algorithm, name, dim, seed):
+        problem, returned = self.recording_problem(name, dim)
+        algo = SHIPPED[algorithm](problem, name == "rastrigin")
+        run_algorithm(algo, max_iters(5), seed=seed + 10)  # leaves a memo and a count behind
+        del returned[:]
+        trace = run_algorithm(algo, max_iters(80), seed=seed).trace
+        assert trace.evals[-1] == len(returned)
+        oracle = running_best(returned, problem.relation)
+        assert trace.f_best.tolist() == [oracle[n - 1] for n in trace.evals]
 
 
 def test_public_names_resolve():

@@ -267,7 +267,7 @@ class TestMutateY:
 class TestNextSubPop:
     def test_pipeline_collapse_with_tau_zero(self):
         bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        problem = bench.problem
         config = ESConfig(mu=1, rho=1, lam=1, tau=0.0, sigma_init=1e-6,
                           sigma_min=1e-6, sigma_max=1e-6)
         rng = np.random.default_rng(40)
@@ -298,7 +298,7 @@ class TestNextSubPop:
     def test_variate_with_single_child_reduces_to_next_sub_pop(self):
         # lambda = 1, comma: the one survivor is the next_sub_pop child
         bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        problem = bench.problem
         config = ESConfig(mu=1, rho=1, lam=1, mode="comma")
         pop = init_es_population(problem, config, np.random.default_rng(0))
         rng, replay = np.random.default_rng(46), np.random.default_rng(46)
@@ -311,7 +311,7 @@ class TestNextSubPop:
 
     def test_variate_evaluates_lambda_times(self):
         bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        problem = bench.problem
         config = ESConfig(mu=2, rho=1, lam=5)
         rng = np.random.default_rng(42)
         pop = init_es_population(problem, config, rng)
@@ -323,7 +323,7 @@ class TestNextSubPop:
     def test_children_exchangeable_across_slots(self):
         # per-slot marginal fitness distributions agree (same mean within noise)
         bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        problem = bench.problem
         config = ESConfig(mu=3, rho=2, lam=4)
         rng = np.random.default_rng(43)
         pop = init_es_population(problem, config, rng)
@@ -482,7 +482,7 @@ class TestFiniteKernels:
     def test_child_tuple_cap(self):
         # 32^3 child tuples per population exceed the enumeration cap
         bench = make_benchmark("onemax", 5)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=1, rho=1, lam=3, mode="plus"))
+        algo = make_es(bench.problem, ESConfig(mu=1, rho=1, lam=3, mode="plus"))
         with pytest.raises(UsageError, match="exact-enumeration cap"):
             extract_chain(algo, eps=0.5)
 
@@ -493,7 +493,7 @@ class TestFiniteKernels:
 
     def test_plus_chain_premises_on_onemax(self):
         bench = make_benchmark("onemax", 2)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=1, rho=1, lam=1, mode="plus"))
+        algo = make_es(bench.problem, ESConfig(mu=1, rho=1, lam=1, mode="plus"))
         chain = extract_chain(algo, eps=0.5, t_max=1)
         delta, absorbing = check_premises(chain)
         assert absorbing
@@ -551,7 +551,7 @@ class TestTracerContract:
         # them when it was built would leave their per-layer metrics at zero
         import sgoal.es
 
-        algo = make_es(make_benchmark("sphere", 3).problem.copy(),
+        algo = make_es(make_benchmark("sphere", 3).problem,
                        ESConfig(mu=3, rho=2, lam=6, mode="comma"))
         calls = dict.fromkeys(["next_sub_pop", "recombine", "update_strategies", "mutate_y"], 0)
 
@@ -571,7 +571,7 @@ class TestRuns:
     @pytest.mark.parametrize("seed", range(10))
     def test_plus_mode_trace_monotone(self, seed):
         bench = make_benchmark("sphere", 2)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=3, rho=2, lam=6, mode="plus"))
+        algo = make_es(bench.problem, ESConfig(mu=3, rho=2, lam=6, mode="plus"))
         res = run_algorithm(algo, max_iters(40), seed=seed)
         assert np.all(np.diff(res.trace.d) <= 0.0)
 
@@ -579,20 +579,20 @@ class TestRuns:
         bench = make_benchmark("trap5", 5)
         increases = 0
         for seed in range(60):
-            algo = make_es(bench.problem.copy(), ESConfig(mu=2, rho=1, lam=4, mode="comma"))
+            algo = make_es(bench.problem, ESConfig(mu=2, rho=1, lam=4, mode="comma"))
             res = run_algorithm(algo, max_iters(30), seed=seed)
             increases += int(np.any(np.diff(res.trace.d) > 0))
         assert increases > 0
 
     def test_population_size_constant(self):
         bench = make_benchmark("sphere", 2)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=4, rho=2, lam=9, mode="comma"))
+        algo = make_es(bench.problem, ESConfig(mu=4, rho=2, lam=9, mode="comma"))
         res = run_algorithm(algo, max_iters(10), seed=0)
         assert res.final_population.n == 4
 
     def test_sigma_stays_within_bounds_over_run(self):
         bench = make_benchmark("sphere", 2)
-        problem = bench.problem.copy()
+        problem = bench.problem
         config = ESConfig(mu=3, rho=2, lam=6, sigma_min=1e-3, sigma_max=2.0, tau=1.0)
         kernel = es_next_pop(problem, config)
         rng = np.random.default_rng(44)
@@ -608,10 +608,10 @@ class TestRuns:
         # so the trace's T_or_sigma column is temperature(t), exactly
         rng = np.random.default_rng(45)
         problems = {"sphere": 2, "onemax": 3}
-        es = [make_es(make_benchmark(name, dim).problem.copy(), ESConfig(mu=2, rho=1, lam=3))
+        es = [make_es(make_benchmark(name, dim).problem, ESConfig(mu=2, rho=1, lam=3))
               for name, dim in problems.items()]
         sa = [
-            (make_sa(make_benchmark(name, dim).problem.copy(),
+            (make_sa(make_benchmark(name, dim).problem,
                      SAConfig(schedule=schedule, elitist=elitist)), schedule)
             for name, dim in problems.items()
             for schedule in (geometric(4.0, 0.5), linear(4.0, 0.7, floor=0.5), logarithmic(2.0))
@@ -626,7 +626,7 @@ class TestRuns:
             assert np.array_equal(trace.param, [schedule.temperature(t) for t in range(7)])
 
     def test_box_run_evaluation_contract(self):
-        # one objective call per generation, no memo, best-seen over every child
+        # one objective call per generation, no memo, f_best over every child
         base = make_benchmark("rastrigin", 10).problem
         returned = []
 
@@ -641,5 +641,4 @@ class TestRuns:
         assert res.trace.evals[-1] == 15 + 50 * 100
         assert problem._cache == {}
         assert len(returned) == 51
-        assert problem.best_seen_fitness == np.concatenate(returned).min()
-        assert rastrigin(problem.best_seen_point) == problem.best_seen_fitness
+        assert res.trace.f_best[-1] == np.concatenate(returned).min()

@@ -162,7 +162,7 @@ class TestQuotientExactness:
     def test_table_leaves_the_memo_alone(self):
         problem = make_benchmark("onemax", 4).problem
         extract_chain(CASES["es-plus-1+2"](problem), eps=0.5, lump=True)
-        assert problem.evals == 0 and problem.best_seen_point is None
+        assert problem.evals == 0 and problem._cache == {}
 
 
 def lumps(rows: np.ndarray, values: list) -> bool:
@@ -254,8 +254,8 @@ class TestRefusal:
     def test_verify_reports_the_fallback(self, tmp_path, monkeypatch, capsys):
         real = sgoal.cli.build_algorithm
 
-        def with_mutation(values, problem=None):
-            algo = real(values, problem)
+        def with_mutation(values):
+            algo = real(values)
             return make_sa(algo.problem, SAConfig(schedule=fixed(2.0), mutation=self.mutation))
 
         monkeypatch.setattr(sgoal.cli, "build_algorithm", with_mutation)

@@ -231,21 +231,21 @@ class TestRuns:
     @pytest.mark.parametrize("seed", range(20))
     def test_elitist_trace_monotone_on_onemax(self, seed):
         bench = make_benchmark("onemax", 4)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(2.0, 0.95)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(2.0, 0.95)))
         res = run_algorithm(algo, max_iters(60), seed=seed)
         assert np.all(np.diff(res.trace.d) <= 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elitist_trace_monotone_on_five_state_landscape(self, seed):
         problem = line_problem([4.0, 1.0, 3.0, 0.0, 2.0], f_star=0.0)
-        algo = make_sa(problem.copy(), SAConfig(schedule=geometric(1.0, 0.98)))
+        algo = make_sa(problem, SAConfig(schedule=geometric(1.0, 0.98)))
         res = run_algorithm(algo, max_iters(100), seed=seed)
         assert np.all(np.diff(res.trace.d) <= 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_elitist_trace_monotone_on_sphere(self, seed):
         bench = make_benchmark("sphere", 2)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0, 0.9), sigma=0.5))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0, 0.9), sigma=0.5))
         res = run_algorithm(algo, max_iters(60), seed=seed)
         assert np.all(np.diff(res.trace.d) <= 0.0)
 
@@ -261,13 +261,13 @@ class TestRuns:
 
     def test_temperature_column_follows_schedule(self):
         bench = make_benchmark("onemax", 3)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(4.0, 0.5)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(4.0, 0.5)))
         res = run_algorithm(algo, max_iters(5), seed=0)
         assert np.allclose(res.trace.param, [4.0 * 0.5**k for k in range(6)])
 
     def test_elitist_init_pair_costs_one_evaluation(self):
         bench = make_benchmark("onemax", 3)
-        problem = bench.problem.copy()
+        problem = bench.problem
         algo = make_sa(problem, SAConfig(schedule=geometric(1.0)))
         res = run_algorithm(algo, max_iters(0), seed=0)
         assert res.trace.evals[0] == 1

@@ -147,6 +147,22 @@ class TestErrors:
 
 
 class TestSampling:
+    def test_caps_are_checked_before_any_work(self, monkeypatch, rng):
+        # 3 classes, m = 3: C(5, 3) = 10 multisets; 10 tournaments of 3 compare
+        # 10 * 3 * 3 = 90 entrant pairs; 90 uniform draws take one entry each
+        f = np.array([1.0, 2.0, 3.0])
+        for extra, fails in ((0, False), (-1, True)):
+            monkeypatch.setattr("sgoal.selection.MULTISET_CAP", 10 + extra)
+            monkeypatch.setattr("sgoal.selection.DRAW_CAP", 90 + extra)
+            for call in (lambda: exact_probs(tournament(3), f, MIN),
+                         lambda: select_many(tournament(3), f, MIN, 10, rng),
+                         lambda: select_many(uniform(), f, MIN, 90, rng)):
+                if fails:
+                    with pytest.raises(UsageError, match="over the cap"):
+                        call()
+                else:
+                    call()
+
     def test_singleton_always_zero(self, rng):
         problem = line_problem([3.0])
         for scheme in (uniform(), tournament(3)):

@@ -128,7 +128,7 @@ class TestBound:
     def test_cooling_annealer_matches_sampled_runs(self):
         bench = make_benchmark("onemax", 6)
         algo = make_sa(
-            bench.problem.copy(), SAConfig(schedule=geometric(3.0, 0.7), elitist=False)
+            bench.problem, SAConfig(schedule=geometric(3.0, 0.7), elitist=False)
         )
         t, runs = 8, 20_000
         chain = extract_chain(algo, eps=0.5, t_max=t)
@@ -197,7 +197,7 @@ class TestBound:
 class TestExtractChain:
     def test_elitist_sa_chain_absorbing_on_onemax(self):
         bench = make_benchmark("onemax", 3)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
         chain = extract_chain(algo, eps=0.5, t_max=4)
         assert len(chain.matrices) == 1  # greedy replacement is stationary
         delta, absorbing = check_premises(chain)
@@ -206,7 +206,7 @@ class TestExtractChain:
 
     def test_plus_es_chain_premises(self):
         bench = make_benchmark("onemax", 2)
-        algo = make_es(bench.problem.copy(), ESConfig(mu=1, rho=1, lam=2, mode="plus"))
+        algo = make_es(bench.problem, ESConfig(mu=1, rho=1, lam=2, mode="plus"))
         chain = extract_chain(algo, eps=0.5, t_max=1)
         delta, absorbing = check_premises(chain)
         assert absorbing
@@ -215,7 +215,7 @@ class TestExtractChain:
 
     def test_nonelitist_high_temperature_not_absorbing(self):
         bench = make_benchmark("onemax", 2)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=fixed(10.0), elitist=False))
+        algo = make_sa(bench.problem, SAConfig(schedule=fixed(10.0), elitist=False))
         chain = extract_chain(algo, eps=0.5, t_max=2)
         delta, absorbing = check_premises(chain)
         assert not absorbing
@@ -224,7 +224,7 @@ class TestExtractChain:
     def test_cooling_chain_is_nonstationary(self):
         bench = make_benchmark("onemax", 2)
         algo = make_sa(
-            bench.problem.copy(),
+            bench.problem,
             SAConfig(schedule=geometric(5.0, 0.5), elitist=False),
         )
         chain = extract_chain(algo, eps=0.5, t_max=3)
@@ -233,19 +233,19 @@ class TestExtractChain:
 
     def test_state_cap_enforced(self):
         bench = make_benchmark("onemax", 13)  # 8192 > 4096
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
         with pytest.raises(UsageError):
             extract_chain(algo, eps=0.5)
 
     def test_continuous_algorithm_rejected(self):
         bench = make_benchmark("sphere", 2)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
         with pytest.raises(ConfigError):
             extract_chain(algo, eps=0.5)
 
     def test_eps_covering_everything_rejected(self):
         bench = make_benchmark("onemax", 2)
-        algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+        algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
         with pytest.raises(UsageError):
             extract_chain(algo, eps=100.0)
 
@@ -264,9 +264,8 @@ TOY_CONFIGS = [
 ]
 
 
-def toy_algorithm(overrides, problem=None):
-    values = load_config(None, ["problem=onemax", "dim=3", *overrides])
-    return build_algorithm(values, problem=problem)
+def toy_algorithm(overrides):
+    return build_algorithm(load_config(None, ["problem=onemax", "dim=3", *overrides]))
 
 
 def with_counted_builds(algo):
@@ -284,7 +283,7 @@ class TestStationaryExtraction:
         space = algo.problem.space
         for t in range(6):
             kept = algo.chain_kernel.exact_matrix(space, state_at(t))
-            fresh = toy_algorithm(overrides, problem=algo.problem).chain_kernel
+            fresh = toy_algorithm(overrides).chain_kernel
             assert np.array_equal(kept, fresh.exact_matrix(space, state_at(t)))
 
     @pytest.mark.parametrize("overrides", TOY_CONFIGS, ids=" ".join)
@@ -357,7 +356,7 @@ class TestExceedance:
         bench = make_benchmark("onemax", 3)
         rows = []
         for seed in range(30):
-            algo = make_sa(bench.problem.copy(), SAConfig(schedule=geometric(1.0)))
+            algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
             rows.append(run_algorithm(algo, max_iters(20), seed=seed).trace.d)
         p = exceedance(np.stack(rows), eps=0.5)
         assert p.shape == (21,)
