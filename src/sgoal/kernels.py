@@ -42,8 +42,8 @@ class ScheduleState:
     kernel reads its step-t parameters as closed forms of ``t``.
     """
 
-    def __init__(self) -> None:
-        self.t: int = 0
+    def __init__(self, t: int = 0) -> None:
+        self.t = t
 
     def tick(self) -> None:
         self.t += 1

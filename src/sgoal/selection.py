@@ -127,19 +127,22 @@ def _tournament_probs(f: np.ndarray, relation: Relation, m: int) -> np.ndarray:
     g = values.size
     check_cap(math.comb(g + m - 1, m), MULTISET_CAP, "entrant multisets of an exact tournament")
     class_count = np.bincount(members, minlength=g).astype(float)
-    probs = np.zeros(lam)
+    log_share = (np.log(class_count) - math.log(lam)).tolist()
+    class_mass = [0.0] * g
     for combo in itertools.combinations_with_replacement(range(g), m):
-        k = np.bincount(np.array(combo), minlength=g).astype(float)
+        # the multiset's classes, best first, with their entrant counts k_j
+        counts = [(j, len(list(run))) for j, run in itertools.groupby(combo)]
         # multinomial(m; k) * prod (n_j / lam)^k_j
-        log_p = math.lgamma(m + 1) - sum(math.lgamma(kj + 1) for kj in k)
-        log_p += float(np.sum(k * (np.log(class_count) - math.log(lam))))
-        p_tuple = math.exp(log_p)
-        worse_after = np.concatenate([np.cumsum(k[::-1])[::-1][1:], [0.0]])
-        rates = 1.0 + worse_after  # per entrant of each class
-        total = float(np.sum(k * rates))
-        class_sel = k * rates / total
-        probs += p_tuple * class_sel[members] / class_count[members]
-    return probs
+        log_p = math.lgamma(m + 1) + sum(k * log_share[j] - math.lgamma(k + 1) for j, k in counts)
+        # each entrant's rate is 1 + the number of entrants in worse classes
+        worse, weights = m, []
+        for j, k in counts:
+            worse -= k
+            weights.append((j, k * (1.0 + worse)))
+        scale = math.exp(log_p) / sum(w for _, w in weights)
+        for j, w in weights:
+            class_mass[j] += scale * w
+    return (np.array(class_mass) / class_count)[members]
 
 
 def exact_probs(scheme: SelectionScheme, fitness, relation: Relation) -> np.ndarray:

@@ -12,50 +12,52 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import Algorithm, Problem
 from .errors import ConfigError, NotLumpable, UsageError
-from .kernels import ClassSpace, FiniteSpace, ScheduleState, check_row_stochastic
+from .kernels import ClassSpace, FiniteSpace, Kernel, ScheduleState, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
 STATE_CAP = 4096
-T_MAX_CAP = 1000  # a chain that reads t costs O(t_max^2) matrix-vector products
-MATRIX_BYTES_CAP = 1 << 30  # dense bytes a chain whose matrices change with t may hold
+T_MAX_CAP = 1000  # a chain that reads t costs one dense n x n product per step
+MATRIX_BYTES_CAP = 1 << 30  # bytes a run's arrays may take; three STATE_CAP^2 matrices fit
 
 
 @dataclass(frozen=True)
 class FiniteChain:
     """Enumerated population states, the near-optimal subset, and the
     per-step transition matrices (a single matrix means stationary).
-    ``lumped`` marks states that are tuples of fitness classes."""
+    The matrices are a tuple, or the ``KernelSteps`` of a kernel that
+    reads t.  ``lumped`` marks states that are tuples of fitness classes."""
 
     states: tuple
     eps_set: frozenset
-    matrices: tuple
+    matrices: Sequence
     lumped: bool = False
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
         eps_set = frozenset(int(i) for i in self.eps_set)
-        matrices = tuple(np.asarray(m, dtype=float) for m in self.matrices)
+        matrices = self.matrices
         if not states:
             raise UsageError("chain needs at least one state")
         if not eps_set or len(eps_set) >= len(states):
             raise UsageError("eps set must be nonempty and proper")
         if min(eps_set) < 0 or max(eps_set) >= len(states):
             raise UsageError("eps set indices out of range")
-        if not matrices:
-            raise UsageError("chain needs at least one transition matrix")
-        for m in matrices:
-            if m.shape != (len(states), len(states)):
-                raise UsageError("matrices must be square over the chain states")
-            check_row_stochastic(m)
+        if not isinstance(matrices, KernelSteps):  # exact_matrix checks each step it builds
+            matrices = tuple(np.asarray(m, dtype=float) for m in matrices)
+            if not matrices:
+                raise UsageError("chain needs at least one transition matrix")
+            for m in matrices:
+                if m.shape != (len(states), len(states)):
+                    raise UsageError("matrices must be square over the chain states")
+                check_row_stochastic(m)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "eps_set", eps_set)
         object.__setattr__(self, "matrices", matrices)
@@ -70,6 +72,30 @@ class FiniteChain:
         return mask
 
 
+class KernelSteps(Sequence):
+    """The step matrices of a kernel that reads t, built when read: item s
+    is ``kernel.exact_matrix(space)`` at ``t = s``.  Nothing is kept, so a
+    walk over the steps holds one of them at a time."""
+
+    def __init__(self, kernel: Kernel, space: FiniteSpace, steps: int) -> None:
+        self.kernel, self.space, self.steps = kernel, space, steps
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, s):
+        t = range(self.steps)[s]  # a step, or a range of them; IndexError past the last
+        if isinstance(t, range):
+            return tuple(map(self.__getitem__, t))
+        return self.kernel.exact_matrix(self.space, ScheduleState(t))
+
+
+def _premise_sums(m: np.ndarray, mask: np.ndarray) -> tuple[float, bool]:
+    """(least mass into the set from outside it, whether the set keeps its mass)"""
+    into = m[:, mask].sum(axis=1)
+    return float(into[~mask].min()), not np.any(np.abs(into[mask] - 1.0) > EXACT_TOL)
+
+
 def check_premises(chain: FiniteChain) -> tuple[float, bool]:
     """(delta, absorbing) for the chain.
 
@@ -79,18 +105,8 @@ def check_premises(chain: FiniteChain) -> tuple[float, bool]:
     delta means the reachability premise fails).
     """
     mask = chain.eps_mask()
-    absorbing = True
-    delta = math.inf
-    for m in chain.matrices:
-        into = m[:, mask].sum(axis=1)
-        if np.any(np.abs(into[mask] - 1.0) > EXACT_TOL):
-            absorbing = False
-        outside = into[~mask]
-        if outside.size:
-            delta = min(delta, float(outside.min()))
-    if not math.isfinite(delta):
-        delta = 0.0
-    return delta, absorbing
+    reach, keep = zip(*(_premise_sums(m, mask) for m in chain.matrices))
+    return min(reach), all(keep)
 
 
 @dataclass(frozen=True)
@@ -118,53 +134,50 @@ class BoundReport:
         return self.premises_hold and all(row.margin >= -EXACT_TOL for row in self.per_t)
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "premise_absorbing": self.premise_absorbing,
-            "premise_reach": self.premise_reach,
-            "states": self.states,
-            "lumped": self.lumped,
-            "per_t": [
-                {
-                    "t": row.t,
-                    "min_mass": row.min_mass,
-                    "bound": row.bound,
-                    "margin": row.margin,
-                }
-                for row in self.per_t
-            ],
-        }
+        return asdict(self)
 
 
 def check_bound(chain: FiniteChain, t_max: int) -> BoundReport:
     """Exact t-step masses on the near-optimal set against 1-(1-delta)^t.
 
     The kernels act in time order: the t-step mass from state i is entry
-    i of ``M_1 M_2 ... M_t 1_eps``, computed by matrix-vector products
-    only.  A stationary chain takes one product per step
-    (``v_t = M v_{t-1}``); a non-stationary one takes one backward pass
-    ``M_1 (M_2 (... (M_t 1_eps)))`` per t.  ``delta`` is the tightest
-    value the matrices support.  When the premises fail, the report still
-    carries the computed masses so the failure is inspectable, but
-    nothing is asserted.
+    i of ``M_1 M_2 ... M_t 1_eps``.  One pass reads each step matrix once,
+    taking its premise sums while it is held: a stationary chain takes
+    ``v_t = M v_{t-1}``, and a non-stationary one carries the forward
+    product ``P_t = P_{t-1} M_t``, so it holds three matrices whatever
+    t_max is.  ``delta`` is the tightest value steps 1 .. t_max support.
+    When the premises fail, the report still carries the computed masses
+    so the failure is inspectable, but nothing is asserted.
     """
     if t_max < 1:
         raise UsageError("t_max must be >= 1")
-    delta, absorbing = check_premises(chain)
     ms = chain.matrices
     if 1 < len(ms) < t_max:
         raise UsageError(f"non-stationary sequence has {len(ms)} kernels but t_max={t_max}")
-    eps = chain.eps_mask().astype(float)
-    v = eps
+    mask = chain.eps_mask()
+    sums = []
+
+    def read(s: int) -> np.ndarray:  # step s + 1's matrix, its premise sums taken
+        m = ms[s]
+        sums.append(_premise_sums(m, mask))
+        return m
+
+    v, masses = mask.astype(float), []
+    if len(ms) == 1:
+        m = read(0)
+        for _ in range(t_max):
+            v = m @ v
+            masses.append(float(v.min()))
+    else:
+        p = read(0)
+        for s in range(t_max):
+            if s:
+                p = p @ read(s)  # the step matrix is dropped once multiplied in
+            masses.append(float((p @ v).min()))
+    reach, keep = zip(*sums)
+    delta, absorbing = min(reach), all(keep)
     per_t = []
-    for t in range(1, t_max + 1):
-        if len(ms) == 1:
-            v = ms[0] @ v
-        else:
-            v = eps
-            for m in reversed(ms[:t]):
-                v = m @ v
-        min_mass = float(v.min())
+    for t, min_mass in enumerate(masses, 1):
         bound = 1.0 - (1.0 - delta) ** t
         per_t.append(BoundRow(t=t, min_mass=min_mass, bound=bound, margin=min_mass - bound))
     return BoundReport(
@@ -184,10 +197,9 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
     enumeration order.  Asks for the chain kernel's transition matrix on
     that space at each step t = 0 .. t_max - 1 and marks the near-optimal
     states, those ``eps_inside`` finds.  A stationary kernel, one that does
-    not read ``state.t``, builds its matrix once and the chain holds that
-    one matrix.  A kernel that reads ``t`` builds one matrix per step; once
-    step 1 shows that it does, the ``t_max`` matrices must fit in
-    ``MATRIX_BYTES_CAP`` before step 2 is built.
+    not read ``state.t``, hands back the one matrix it kept, and the chain
+    holds it.  A kernel that reads ``t`` hands back a new matrix at step 1;
+    the chain then holds its ``KernelSteps`` and keeps no matrix.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -240,24 +252,13 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
             f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
-    need = inside.size**2 * 8 * t_max  # bytes when every step builds its own matrix
-    schedule = ScheduleState()
-    matrices = []
-    for step in range(max(1, t_max)):
-        if step == 2 and matrices[1] is not matrices[0] and need > MATRIX_BYTES_CAP:
-            raise UsageError(
-                f"the chain kernel reads t, so its {t_max} matrices over {inside.size} "
-                f"states need {need:,} bytes ({need >> 20} MiB), above the "
-                f"{MATRIX_BYTES_CAP >> 20} MiB cap; lower verify.t_max or use a smaller instance"
-            )
-        matrices.append(kernel.exact_matrix(space, schedule))
-        schedule.tick()
-    if all(m is matrices[0] or np.array_equal(matrices[0], m) for m in matrices[1:]):
-        matrices = matrices[:1]  # stationary: one matrix serves every step
+    first = kernel.exact_matrix(space, ScheduleState())
+    later = (kernel.exact_matrix(space, ScheduleState(s)) for s in range(1, t_max))
+    reads_t = any(m is not first for m in later)  # a t-free kernel hands back its kept matrix
     return FiniteChain(
         states=space.tuples(kernel.arity_in),
         eps_set=frozenset(np.flatnonzero(inside).tolist()),
-        matrices=tuple(matrices),
+        matrices=KernelSteps(kernel, space, t_max) if reads_t else (first,),
         lumped=isinstance(space, ClassSpace),
     )
 
@@ -283,15 +284,10 @@ def chain_from_files(matrix_paths: Sequence, eps_set) -> FiniteChain:
     """Assemble a chain from plain-text matrix files (states are indices)."""
     from .kernels import load_matrix
 
-    matrices = [load_matrix(p) for p in matrix_paths]
+    matrices = tuple(load_matrix(p) for p in matrix_paths)
     if not matrices:
         raise UsageError("need at least one matrix file")
-    size = matrices[0].shape[0]
-    return FiniteChain(
-        states=tuple(range(size)),
-        eps_set=frozenset(int(i) for i in eps_set),
-        matrices=tuple(matrices),
-    )
+    return FiniteChain(tuple(range(matrices[0].shape[0])), eps_set, matrices)
 
 
 def write_bound_json(report: BoundReport, path) -> None:

@@ -119,6 +119,24 @@ def state_at(t: int) -> ScheduleState:
     return state
 
 
+def backward_bound(matrices, eps_set, t_max: int) -> tuple[float, bool, list]:
+    """Oracle: (delta, absorbing, min_mass per t) of steps 1 .. t_max, each
+    mass by its own backward pass ``M_1 (M_2 (... (M_t 1_eps)))``."""
+    mask = np.zeros(matrices[0].shape[0], dtype=bool)
+    mask[sorted(eps_set)] = True
+    steps = [matrices[0]] * t_max if len(matrices) == 1 else list(matrices[:t_max])
+    into = [m[:, mask].sum(axis=1) for m in steps]
+    delta = min(float(row[~mask].min()) for row in into)
+    absorbing = all(np.all(np.abs(row[mask] - 1.0) <= 1e-12) for row in into)
+    masses = []
+    for t in range(1, t_max + 1):
+        v = mask.astype(float)
+        for m in reversed(steps[:t]):
+            v = m @ v
+        masses.append(float(v.min()))
+    return delta, absorbing, masses
+
+
 def random_stochastic(rng, n: int) -> np.ndarray:
     """Random dense row-stochastic matrix (Dirichlet rows)."""
     return rng.dirichlet(np.ones(n), size=n)

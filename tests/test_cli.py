@@ -184,9 +184,9 @@ class TestRunCommand:
         # a linear floor above T0 would raise the temperature; a sigma_init
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
         # negative seed cannot seed the generator; a tau of 1e308 would make
-        # NaN step sizes (inf + -inf); a t_max above the cap would take
-        # O(t_max^2) matrix-vector products in verify; population arrays
-        # and traces over the byte cap would fail only once allocated
+        # NaN step sizes (inf + -inf); a t_max above the cap would build and
+        # multiply one matrix per step in verify; population arrays and
+        # traces over the byte cap would fail only once allocated
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
@@ -450,7 +450,7 @@ class TestVerifyCommand:
         "overrides",
         [
             ["verify.t_max=0"],
-            # 4 class states, but two million matrices and O(t_max^2) products
+            # 4 class states, but two million matrix builds and products
             ["sa.elitist=false", "verify.t_max=2000000"],
             ["problem=sphere", "dim=2"],  # a box has no exact chain
             ["algorithm=es", "dim=8"],  # 9^5 = 59049 class states, over the cap

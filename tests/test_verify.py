@@ -4,10 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import binomial_se, counting_builds, population, random_stochastic, state_at
+from conftest import (
+    backward_bound,
+    binomial_se,
+    counting_builds,
+    population,
+    random_stochastic,
+    state_at,
+)
 
-import sgoal.verify
 from sgoal.bench import make_benchmark
 from sgoal.cli import build_algorithm, load_config
 from sgoal.cli import main as cli_main
@@ -17,7 +25,10 @@ from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ScheduleState, iterated_products, save_matrix
 from sgoal.sa import SAConfig, fixed, geometric, make_sa
 from sgoal.verify import (
+    MATRIX_BYTES_CAP,
+    STATE_CAP,
     FiniteChain,
+    KernelSteps,
     chain_from_files,
     check_bound,
     check_premises,
@@ -25,6 +36,23 @@ from sgoal.verify import (
     write_bound_csv,
     write_bound_json,
 )
+
+
+@st.composite
+def nonstationary_chains(draw):
+    """A chain of 2-8 random steps over 2-6 states; each step keeps the
+    eps set's mass inside, or not, at random."""
+    n = draw(st.integers(2, 6))
+    eps = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = []
+    for _ in range(draw(st.integers(2, 8))):
+        m = random_stochastic(rng, n)
+        if draw(st.booleans()):
+            m[eps] = 0.0
+            m[np.ix_(eps, eps)] = rng.dirichlet(np.ones(len(eps)), size=len(eps))
+        matrices.append(m)
+    return FiniteChain(tuple(range(n)), set(eps), tuple(matrices))
 
 
 def two_state_chain(delta):
@@ -124,6 +152,17 @@ class TestBound:
         m2 = np.array([[1.0, 0.0], [0.6, 0.4]])
         with pytest.raises(UsageError):
             check_bound(FiniteChain((0, 1), {0}, (m1, m2)), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=nonstationary_chains(), data=st.data())
+    def test_forward_product_equals_backward_passes(self, chain, data):
+        t_max = data.draw(st.integers(1, len(chain.matrices)))
+        report = check_bound(chain, t_max)
+        delta, absorbing, masses = backward_bound(chain.matrices, chain.eps_set, t_max)
+        assert report.delta == delta and report.premise_absorbing == absorbing
+        assert [row.t for row in report.per_t] == list(range(1, t_max + 1))
+        for row, mass in zip(report.per_t, masses):
+            assert abs(row.min_mass - mass) <= 1e-12
 
     def test_cooling_annealer_matches_sampled_runs(self):
         bench = make_benchmark("onemax", 6)
@@ -307,21 +346,58 @@ class TestStationaryExtraction:
             toy_algorithm(["algorithm=sa", "sa.elitist=false", *SA_COOLINGS[0]])
         )
         chain = extract_chain(algo, eps=0.5, t_max=50)
-        assert len(builds) == 50 and len(chain.matrices) == 50
+        assert len(builds) == 2 and len(chain.matrices) == 50  # steps 0 and 1 show it reads t
+        builds.clear()
+        check_bound(chain, 50)
+        assert len(builds) == 50  # each step once
 
-    def test_memory_cap_refuses_a_chain_that_reads_t(self, monkeypatch):
-        # onemax d3, full chain: 8 states, 8 * 8 * 8 * 50 = 25,600 bytes
-        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 25_599)
-        cooling = ["algorithm=sa", "sa.elitist=false", *SA_COOLINGS[0]]
-        algo, builds = with_counted_builds(toy_algorithm(cooling))
-        with pytest.raises(UsageError, match="its 50 matrices over 8 states need 25,600 bytes"):
-            extract_chain(algo, eps=0.5, t_max=50)
-        assert len(builds) == 2  # refused before step 2 is built
-        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 25_600)
-        assert len(extract_chain(toy_algorithm(cooling), eps=0.5, t_max=50).matrices) == 50
-        # a stationary chain never trips the cap
-        monkeypatch.setattr(sgoal.verify, "MATRIX_BYTES_CAP", 0)
-        assert len(extract_chain(toy_algorithm(TOY_CONFIGS[0]), eps=0.5, t_max=50).matrices) == 1
+
+class TestStreamedChain:
+    """A chain whose kernel reads ``t`` builds each step's matrix when the
+    check reads it, and keeps none."""
+
+    @staticmethod
+    def cooling_algorithm(dim):
+        problem = make_benchmark("onemax", dim).problem
+        return make_sa(problem, SAConfig(schedule=geometric(2.0, 0.99), elitist=False))
+
+    @pytest.mark.parametrize("lump", [True, False])
+    def test_streamed_chain_equals_the_held_chain(self, lump):
+        chain = extract_chain(self.cooling_algorithm(4), eps=0.5, t_max=8, lump=lump)
+        assert isinstance(chain.matrices, KernelSteps) and chain.lumped == lump
+        held = dataclasses.replace(chain, matrices=tuple(chain.matrices))
+        assert check_bound(chain, 8) == check_bound(held, 8)
+        delta, absorbing, masses = backward_bound(held.matrices, held.eps_set, 8)
+        report = check_bound(chain, 8)
+        assert (report.delta, report.premise_absorbing) == (delta, absorbing)
+        assert max(abs(row.min_mass - m) for row, m in zip(report.per_t, masses)) <= 1e-12
+
+    def test_steps_index_and_slice_as_a_tuple(self):
+        steps = extract_chain(self.cooling_algorithm(3), eps=0.5, t_max=5).matrices
+        held = tuple(steps)
+        assert len(held) == 5 and not np.array_equal(held[0], held[1])
+        assert all(np.array_equal(steps[s], held[s]) for s in range(-5, 5))
+        assert all(np.array_equal(a, b) for a, b in zip(steps[1:4], held[1:4]))
+        with pytest.raises(IndexError):
+            steps[5]
+
+    def test_check_holds_a_few_matrices_whatever_t_max(self):
+        # onemax d8, full chain: 256 states; holding all 50 steps would
+        # take 50 * 256 * 256 * 8 bytes
+        algo, n = self.cooling_algorithm(8), 256
+        tracemalloc.start()
+        try:
+            report = check_bound(extract_chain(algo, eps=0.5, t_max=50), 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.states == n and len(report.per_t) == 50
+        assert peak < 6 * n * n * 8
+
+    def test_the_streamed_arrays_fit_the_byte_cap(self):
+        # the forward product, one step matrix and their product at the
+        # state cap: so a chain of allowed size is never refused for memory
+        assert 3 * STATE_CAP**2 * 8 <= MATRIX_BYTES_CAP
 
 
 class TestExceedance:
