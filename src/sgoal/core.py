@@ -297,10 +297,10 @@ def run_sgoal(
 ) -> SGoalResult:
     """Run the generic population-iteration loop.
 
-    Applies ``next_pop`` to the population until ``end(pop, t)`` is true,
-    advancing a fresh ``ScheduleState`` once after every step, so the step
-    kernel reads its time index as ``state.t``, and records the trace
-    at t = 0 and after every step.  The kernel returns each population
+    Applies ``next_pop`` to the population until ``end(pop, t)`` is true
+    and records the trace at t = 0 and after every step.  The loop's one
+    counter t is the step: step t samples with ``ScheduleState(t)``, which
+    ``param_fn`` reads for trace row t.  The kernel returns each population
     with its fitness, so the loop scores nothing itself.  A step records
     its population's fitness row; once the loop ends, ``d`` is computed
     from those rows as ``closeness`` computes it, and ``f_best`` is the
@@ -308,7 +308,6 @@ def run_sgoal(
     an empty memo, so identical seeds give bit-identical traces.
     """
     rng = np.random.default_rng(seed)
-    schedule = ScheduleState()
     problem.evals = 0
     problem._cache.clear()
 
@@ -327,22 +326,21 @@ def run_sgoal(
     evals: list[int] = []
     params: list[float] = []
 
-    def record() -> None:
+    def record(state: ScheduleState) -> None:
         nonlocal fitness, rows
         if rows == len(fitness):
             fitness = np.concatenate((fitness, np.empty_like(fitness)))
         fitness[rows] = pop.fitness
         rows += 1
         evals.append(problem.evals)
-        params.append(param_fn(pop, schedule) if param_fn is not None else math.nan)
+        params.append(param_fn(pop, state) if param_fn is not None else math.nan)
 
     t = 0
-    record()
+    record(state := ScheduleState(t))
     while not end(pop, t):
-        pop = next_pop.sample(pop, schedule, rng)
-        schedule.tick()
+        pop = next_pop.sample(pop, state, rng)
         t += 1
-        record()
+        record(state := ScheduleState(t))
 
     fitness = fitness[:rows]
     best_f = fitness[np.arange(rows), problem.relation.argbest(fitness, axis=1)]
@@ -369,7 +367,7 @@ class Algorithm:
     """A ready-to-run optimizer: problem, initializer and step kernel.
 
     ``init`` scores the first population and ``next_pop`` carries fitness
-    with its members from then on; it reads the time index from the run's
+    with its members from then on; it reads the step it acts at from its
     ``ScheduleState``.  ``param_fn`` reports the step's schedule parameter
     for the trace.
 

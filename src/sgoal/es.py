@@ -189,7 +189,7 @@ def replace_es(problem: Problem, pool_size: int, mu: int) -> Kernel:
 def es_next_pop(problem: Problem, config: ESConfig) -> Kernel:
     """Per-generation kernel: lambda children, then survivor selection over
     the parents followed by the children (plus) or the children only
-    (comma).  Sampling leaves the schedule alone."""
+    (comma)."""
     children = child_kernel(problem, config)
     pool = join([identity(config.mu), children]) if config.mode == "plus" else children
     return compose(replace_es(problem, pool.arity_out, config.mu), pool)

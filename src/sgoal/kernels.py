@@ -36,33 +36,24 @@ BLOCK_ENTRIES = 1 << 14  # dense matrix entries ``exact_matrix`` fills per block
 
 
 class ScheduleState:
-    """The time index threaded through kernel sampling.
+    """The step a kernel acts at: ``run_sgoal`` samples step t with
+    ``ScheduleState(t)``, and ``exact_matrix(space, t)`` builds with one.
 
-    ``t`` counts completed next-population applications; a non-stationary
-    kernel reads its step-t parameters as closed forms of ``t``.
+    A non-stationary kernel reads its step-t parameters as closed forms of
+    ``t``.  ``t`` is read-only, and reading it sets ``read_t``, so
+    ``exact_matrix`` keeps a matrix that no block read ``t`` for.
     """
 
+    __slots__ = ("_t", "read_t")
+
     def __init__(self, t: int = 0) -> None:
-        self.t = t
-
-    def tick(self) -> None:
-        self.t += 1
-
-
-class _ScheduleView:
-    """A schedule's ``t`` as ``exact_matrix`` hands it to ``matrix_fn``,
-    recording whether any block read it."""
-
-    __slots__ = ("_state", "read_t")
-
-    def __init__(self, state: ScheduleState) -> None:
-        self._state = state
+        self._t = t
         self.read_t = False
 
     @property
     def t(self) -> int:
         self.read_t = True
-        return self._state.t
+        return self._t
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -225,7 +216,7 @@ def _scatter_rows(cols: np.ndarray, mass: np.ndarray, n_out: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A time-indexed stochastic operation on populations.
+    """A stochastic operation on populations at the step ``state.t``.
 
     ``sample_fn(pop, state, rng)`` draws one output ``Population``: the
     members it keeps carry their input fitness, and a new point it makes
@@ -264,11 +255,9 @@ class Kernel:
             raise UsageError(f"{self.name}: sampler produced wrong output arity")
         return out
 
-    def exact_matrix(
-        self, space: FiniteSpace, state: ScheduleState | None = None
-    ) -> np.ndarray:
-        """The dense row-stochastic matrix at step ``state.t``, filled in
-        blocks of input rows.
+    def exact_matrix(self, space: FiniteSpace, t: int = 0) -> np.ndarray:
+        """The dense row-stochastic matrix at step ``t``, filled in blocks
+        of input rows that all read one ``ScheduleState(t)``.
 
         When no block reads ``t`` the matrix is the same at every step: it
         is kept, read-only, and every later call on the same ``space``
@@ -278,14 +267,14 @@ class Kernel:
             raise UsageError(f"{self.name} has no exact matrix realization")
         if self._memo is not None and self._memo[0] is space:
             return self._memo[1]
-        view = _ScheduleView(ScheduleState() if state is None else state)
+        state = ScheduleState(t)
         n_in = space.n_tuples(self.arity_in)
         n_out = space.n_tuples(self.arity_out)
         m = np.empty((n_in, n_out))
         step = max(1, BLOCK_ENTRIES // n_out)
         for start in range(0, n_in, step):
             idx = np.arange(start, min(start + step, n_in))
-            cols, mass = self.matrix_fn(space, view, idx)
+            cols, mass = self.matrix_fn(space, state, idx)
             if (
                 cols.shape != mass.shape
                 or cols.shape[0] != idx.size
@@ -299,7 +288,7 @@ class Kernel:
                 )
             m[start : start + idx.size] = _scatter_rows(cols, mass, n_out)
         check_row_stochastic(m, name=self.name)
-        if not view.read_t:
+        if not state.read_t:
             m.flags.writeable = False
             object.__setattr__(self, "_memo", (space, m))
         return m

@@ -216,8 +216,7 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
     Elitist: the walker plus the best-so-far point (arity 2), so closeness
     is read from the best member; the candidate replaces the best-so-far
     point when its carried fitness is strictly better.  Sampling reads ``T =
-    temperature(state.t)`` and leaves the schedule alone; the run loop
-    advances it.
+    temperature(state.t)``.
     """
     proposal = sa_proposal(problem, config)
     if not config.elitist:

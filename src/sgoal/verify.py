@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Algorithm, Problem
 from .errors import ConfigError, NotLumpable, UsageError
-from .kernels import ClassSpace, FiniteSpace, Kernel, ScheduleState, check_row_stochastic
+from .kernels import ClassSpace, FiniteSpace, Kernel, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
 EXACT_TOL = 1e-12
@@ -31,7 +31,7 @@ MATRIX_BYTES_CAP = 1 << 30  # bytes a run's arrays may take; three STATE_CAP^2 m
 @dataclass(frozen=True)
 class FiniteChain:
     """Enumerated population states, the near-optimal subset, and the
-    per-step transition matrices (a single matrix means stationary).
+    per-step transition matrices (a tuple of one matrix means stationary).
     The matrices are a tuple, or the ``KernelSteps`` of a kernel that
     reads t.  ``lumped`` marks states that are tuples of fitness classes."""
 
@@ -74,8 +74,9 @@ class FiniteChain:
 
 class KernelSteps(Sequence):
     """The step matrices of a kernel that reads t, built when read: item s
-    is ``kernel.exact_matrix(space)`` at ``t = s``.  Nothing is kept, so a
-    walk over the steps holds one of them at a time."""
+    is ``kernel.exact_matrix(space, s)``, the step ``run_sgoal`` samples
+    with ``ScheduleState(s)``.  Nothing is kept, so a walk over the steps
+    holds one of them at a time."""
 
     def __init__(self, kernel: Kernel, space: FiniteSpace, steps: int) -> None:
         self.kernel, self.space, self.steps = kernel, space, steps
@@ -87,7 +88,7 @@ class KernelSteps(Sequence):
         t = range(self.steps)[s]  # a step, or a range of them; IndexError past the last
         if isinstance(t, range):
             return tuple(map(self.__getitem__, t))
-        return self.kernel.exact_matrix(self.space, ScheduleState(t))
+        return self.kernel.exact_matrix(self.space, t)
 
 
 def _premise_sums(m: np.ndarray, mask: np.ndarray) -> tuple[float, bool]:
@@ -142,17 +143,19 @@ def check_bound(chain: FiniteChain, t_max: int) -> BoundReport:
 
     The kernels act in time order: the t-step mass from state i is entry
     i of ``M_1 M_2 ... M_t 1_eps``.  One pass reads each step matrix once,
-    taking its premise sums while it is held: a stationary chain takes
-    ``v_t = M v_{t-1}``, and a non-stationary one carries the forward
-    product ``P_t = P_{t-1} M_t``, so it holds three matrices whatever
-    t_max is.  ``delta`` is the tightest value steps 1 .. t_max support.
+    taking its premise sums while it is held: a stationary chain, a tuple
+    of one matrix, takes ``v_t = M v_{t-1}``; any other needs t_max steps
+    and carries the forward product ``P_t = P_{t-1} M_t``, so it holds
+    three matrices whatever t_max is.  ``delta`` is the tightest value
+    steps 1 .. t_max support.
     When the premises fail, the report still carries the computed masses
     so the failure is inspectable, but nothing is asserted.
     """
     if t_max < 1:
         raise UsageError("t_max must be >= 1")
     ms = chain.matrices
-    if 1 < len(ms) < t_max:
+    stationary = isinstance(ms, tuple) and len(ms) == 1
+    if not stationary and len(ms) < t_max:
         raise UsageError(f"non-stationary sequence has {len(ms)} kernels but t_max={t_max}")
     mask = chain.eps_mask()
     sums = []
@@ -163,7 +166,7 @@ def check_bound(chain: FiniteChain, t_max: int) -> BoundReport:
         return m
 
     v, masses = mask.astype(float), []
-    if len(ms) == 1:
+    if stationary:
         m = read(0)
         for _ in range(t_max):
             v = m @ v
@@ -195,11 +198,11 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
 
     The states are the tuples of the problem's own ``FiniteSpace``, in its
     enumeration order.  Asks for the chain kernel's transition matrix on
-    that space at each step t = 0 .. t_max - 1 and marks the near-optimal
+    that space at steps 0, 1, ... t_max - 1 and marks the near-optimal
     states, those ``eps_inside`` finds.  A stationary kernel, one that does
     not read ``state.t``, hands back the one matrix it kept, and the chain
     holds it.  A kernel that reads ``t`` hands back a new matrix at step 1;
-    the chain then holds its ``KernelSteps`` and keeps no matrix.
+    the chain then holds its ``KernelSteps``, which covers t_max steps only.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -252,8 +255,8 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
             f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
-    first = kernel.exact_matrix(space, ScheduleState())
-    later = (kernel.exact_matrix(space, ScheduleState(s)) for s in range(1, t_max))
+    first = kernel.exact_matrix(space)
+    later = (kernel.exact_matrix(space, s) for s in range(1, max(t_max, 2)))
     reads_t = any(m is not first for m in later)  # a t-free kernel hands back its kept matrix
     return FiniteChain(
         states=space.tuples(kernel.arity_in),

@@ -111,14 +111,6 @@ def schedule_at(temperature: float):
     return linear(1.0, step=1.0), 1
 
 
-def state_at(t: int) -> ScheduleState:
-    """A schedule state after t ticks."""
-    state = ScheduleState()
-    for _ in range(t):
-        state.tick()
-    return state
-
-
 def backward_bound(matrices, eps_set, t_max: int) -> tuple[float, bool, list]:
     """Oracle: (delta, absorbing, min_mass per t) of steps 1 .. t_max, each
     mass by its own backward pass ``M_1 (M_2 (... (M_t 1_eps)))``."""

@@ -114,8 +114,8 @@ def test_criterion_3_algorithm_to_chain_conformance():
     # The strategy and the non-elitist annealer run the very kernel that is
     # verified, so their running next_pop is sampled.  The elitist annealer
     # runs a (walker, best) pair; its verified chain is the arity-1 greedy
-    # chain.  The cooling schedule also checks that sampling never ticks it:
-    # the samples must fit the t = 0 matrix.
+    # chain.  The cooling schedule also checks that samples drawn with
+    # ScheduleState(0) fit the t = 0 matrix.
     bench = make_benchmark("onemax", 4)
     sa_algo = make_sa(bench.problem, SAConfig(schedule=geometric(1.0)))
     worst_sa = _conformance_case(sa_algo, sa_algo.chain_kernel, 100_000)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_es_matrix, brute_sa_matrix, instances, schedule_at, state_at
+from conftest import brute_es_matrix, brute_sa_matrix, instances, schedule_at
 
 from sgoal.es import ESConfig, make_es
 from sgoal.sa import SAConfig, make_sa
@@ -33,9 +33,7 @@ def test_annealer_chain_equals_enumeration(instance, elitist, temperature):
     problem, mutation = instance
     schedule, t = schedule_at(temperature)
     config = SAConfig(schedule=schedule, mutation=mutation, elitist=elitist)
-    m = make_sa(problem, config).chain_kernel.exact_matrix(
-        problem.space, state_at(t)
-    )
+    m = make_sa(problem, config).chain_kernel.exact_matrix(problem.space, t)
     assert_exact(m, brute_sa_matrix(problem, mutation, elitist, temperature))
 
 

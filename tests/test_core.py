@@ -329,6 +329,24 @@ class TestRunSgoal:
         for column in ("t", "d", "f_best", "evals", "param"):
             assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
+    def test_step_k_samples_with_schedule_state_k(self):
+        # the loop's one counter is the step: the k-th sample and trace row k
+        # both read t == k, and no kernel can move it
+        p = line_problem([2.0, 1.0], f_star=1.0)
+        seen = []
+
+        def sample_fn(pop, state, rng):
+            seen.append(state.t)
+            return pop
+
+        init = lambda rng: Population.evaluated((0,), p)
+        res = run_sgoal(p, init, Kernel(1, 1, sample_fn), max_iters(6), seed=0,
+                        param_fn=lambda pop, state: state.t)
+        assert seen == list(range(6))
+        assert res.trace.param.tolist() == list(range(7))
+        with pytest.raises(AttributeError):
+            ScheduleState(3).t = 4
+
     def test_stopping_predicates(self):
         p = line_problem([2.0, 1.0], f_star=1.0)
         init = lambda rng: Population.evaluated((0,), p)

@@ -604,8 +604,9 @@ class TestRuns:
                 assert np.all(m[1] >= 1e-3) and np.all(m[1] <= 2.0)
 
     def test_schedule_clock_advances_once_per_generation(self):
-        # sampling a kernel is the step-t transition only; the run loop ticks,
-        # so the trace's T_or_sigma column is temperature(t), exactly
+        # sampling a kernel is the step-t transition only; the run loop hands
+        # step t ScheduleState(t), so the trace's T_or_sigma column is
+        # temperature(t), exactly
         rng = np.random.default_rng(45)
         problems = {"sphere": 2, "onemax": 3}
         es = [make_es(make_benchmark(name, dim).problem, ESConfig(mu=2, rho=1, lam=3))

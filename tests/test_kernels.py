@@ -14,7 +14,6 @@ from conftest import (
     matrix_kernel,
     population,
     random_stochastic,
-    state_at,
     transition_counts,
     tuple_index,
 )
@@ -50,13 +49,12 @@ def space2():
 
 
 class TestScheduleState:
-    def test_tick_applies_rules_then_increments(self):
-        # the time index is all a schedule carries; kernels read it as state.t
+    def test_reading_t_is_recorded(self):
+        # the step is all a state carries; kernels read it as state.t
         state = ScheduleState()
-        assert state.t == 0
-        for expected_t in (1, 2, 3):
-            state.tick()
-            assert state.t == expected_t
+        assert not state.read_t
+        assert state.t == 0 and state.read_t
+        assert ScheduleState(3).t == 3
 
 
 class TestPopulation:
@@ -90,10 +88,9 @@ class TestCompose:
         k = matrix_kernel(m, space2)
         left = compose(identity(1), k)
         right = compose(k, identity(1))
-        state = ScheduleState()
-        assert np.allclose(left.exact_matrix(space2, state), m, atol=1e-12)
-        assert np.allclose(right.exact_matrix(space2, state), m, atol=1e-12)
-        assert left.sample(population(("a",)), state, rng).members[0] in ("a", "b")
+        assert np.allclose(left.exact_matrix(space2), m, atol=1e-12)
+        assert np.allclose(right.exact_matrix(space2), m, atol=1e-12)
+        assert left.sample(population(("a",)), ScheduleState(), rng).members[0] in ("a", "b")
 
     def test_hand_matrix_product(self, space2):
         m1 = np.array([[0.5, 0.5], [0.0, 1.0]])
@@ -462,7 +459,7 @@ class TestStationaryMemo:
         kernel, builds = counting_builds(matrix_kernel(m, space))
         first = kernel.exact_matrix(space)
         for t in range(1, 50):
-            assert kernel.exact_matrix(space, state_at(t)) is first
+            assert kernel.exact_matrix(space, t) is first
         assert builds == [space] and np.array_equal(first, m)
         other = FiniteSpace((0, 1, 2))  # equal points, another space object
         assert kernel.exact_matrix(other) is not first
@@ -471,7 +468,7 @@ class TestStationaryMemo:
     def test_kernel_that_reads_t_builds_every_step(self, space2):
         kernel, builds = counting_builds(Kernel(1, 1, lambda pop, state, rng: pop, self.decaying))
         for t in range(50):
-            m = kernel.exact_matrix(space2, state_at(t))
+            m = kernel.exact_matrix(space2, t)
             assert m[0, 0] == 1.0 / (t + 1) and m.flags.writeable
         assert len(builds) == 50
 
@@ -484,8 +481,8 @@ class TestStationaryMemo:
             compose(projection(2, [1]), join([identity(1), decay])),
         ]
         for kernel in kernels:
-            at_0 = kernel.exact_matrix(space2, state_at(0))
-            at_1 = kernel.exact_matrix(space2, state_at(1))
+            at_0 = kernel.exact_matrix(space2, 0)
+            at_1 = kernel.exact_matrix(space2, 1)
             assert at_0[0, 0] == 1.0 and at_1[0, 0] == 0.5
 
     def test_memoized_matrix_refuses_writes(self, space2):

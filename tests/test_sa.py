@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import binomial_se, brute_sa_matrix, in_box, line_problem, population, state_at
+from conftest import binomial_se, brute_sa_matrix, in_box, line_problem, population
 
 from sgoal.bench import make_benchmark
 from sgoal.core import Relation, max_iters, run_algorithm
@@ -39,7 +39,7 @@ class TestCooling:
         for k in range(25):
             at_k = make_sa(problem, SAConfig(schedule=fixed(2.0 * 0.9**k), elitist=False))
             assert np.array_equal(
-                cooling.next_pop.exact_matrix(space, state_at(k)),
+                cooling.next_pop.exact_matrix(space, k),
                 at_k.next_pop.exact_matrix(space),
             )
 
@@ -189,10 +189,8 @@ class TestMetropolis:
         problem = make_benchmark("onemax", 3).problem
         config = SAConfig(schedule=geometric(1.0, 0.5), elitist=False)
         assert config.schedule.temperature(1074) == 5e-324
-        state = ScheduleState()
-        state.t = 1074
         space = problem.space
-        m = metropolis_kernel(problem, config).exact_matrix(space, state)
+        m = metropolis_kernel(problem, config).exact_matrix(space, 1074)
         f = space.fitness(problem)[space.digits(np.arange(space.n_tuples(2)), 2)]
         accept = np.where(problem.relation.better_eq(f[:, 0], f[:, 1]), 1.0, 0.0)
         want = np.zeros_like(m)

@@ -13,7 +13,6 @@ from conftest import (
     counting_builds,
     population,
     random_stochastic,
-    state_at,
 )
 
 from sgoal.bench import make_benchmark
@@ -23,7 +22,7 @@ from sgoal.core import exceedance, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ScheduleState, iterated_products, save_matrix
-from sgoal.sa import SAConfig, fixed, geometric, make_sa
+from sgoal.sa import SAConfig, fixed, geometric, linear, logarithmic, make_sa
 from sgoal.verify import (
     MATRIX_BYTES_CAP,
     STATE_CAP,
@@ -179,10 +178,9 @@ class TestBound:
         rng = np.random.default_rng(0)
         hits = 0
         for _ in range(runs):
-            schedule, pop = ScheduleState(), start
-            for _ in range(t):  # sample, then tick, as run_sgoal does
-                pop = algo.next_pop.sample(pop, schedule, rng)
-                schedule.tick()
+            pop = start
+            for s in range(t):  # step s samples with ScheduleState(s), as run_sgoal does
+                pop = algo.next_pop.sample(pop, ScheduleState(s), rng)
             hits += pop.members == (bench.x_star,)
         assert abs(hits / runs - min_mass) <= 3.0 * binomial_se(min_mass, runs)
 
@@ -321,9 +319,9 @@ class TestStationaryExtraction:
         algo = toy_algorithm(overrides)
         space = algo.problem.space
         for t in range(6):
-            kept = algo.chain_kernel.exact_matrix(space, state_at(t))
+            kept = algo.chain_kernel.exact_matrix(space, t)
             fresh = toy_algorithm(overrides).chain_kernel
-            assert np.array_equal(kept, fresh.exact_matrix(space, state_at(t)))
+            assert np.array_equal(kept, fresh.exact_matrix(space, t))
 
     @pytest.mark.parametrize("overrides", TOY_CONFIGS, ids=" ".join)
     def test_lumped_then_full_chain_equal_fresh_builds(self, overrides):
@@ -380,6 +378,30 @@ class TestStreamedChain:
         assert all(np.array_equal(a, b) for a, b in zip(steps[1:4], held[1:4]))
         with pytest.raises(IndexError):
             steps[5]
+
+    @pytest.mark.parametrize(
+        "schedule", [geometric(2.0, 0.5), linear(2.0, 0.3), logarithmic(1.5)],
+        ids=["geometric", "linear", "logarithmic"],
+    )
+    def test_step_s_is_the_annealer_at_the_step_s_temperature(self, schedule):
+        # step s is the one run_sgoal samples with ScheduleState(s)
+        problem = make_benchmark("onemax", 4).problem
+        cooling = make_sa(problem, SAConfig(schedule=schedule, elitist=False))
+        steps = extract_chain(cooling, eps=0.5, t_max=6, lump=True).matrices
+        for s in range(6):
+            config = SAConfig(schedule=fixed(schedule.temperature(s)), elitist=False)
+            at_s = extract_chain(make_sa(problem, config), eps=0.5, lump=True).matrices[0]
+            assert np.array_equal(steps[s], at_s)
+
+    def test_a_short_extraction_is_not_checked_as_stationary(self):
+        # a chain that reads t, extracted for one step, covers that step only
+        problem = make_benchmark("onemax", 4).problem
+        algo = make_sa(problem, SAConfig(schedule=geometric(2.0, 0.5), elitist=False))
+        short = extract_chain(algo, eps=0.5, t_max=1, lump=True)
+        with pytest.raises(UsageError, match="t_max=20"):
+            check_bound(short, 20)
+        full = check_bound(extract_chain(algo, eps=0.5, t_max=20, lump=True), 20)
+        assert check_bound(short, 1).per_t[0].min_mass == full.per_t[0].min_mass
 
     def test_check_holds_a_few_matrices_whatever_t_max(self):
         # onemax d8, full chain: 256 states; holding all 50 steps would
