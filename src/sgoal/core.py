@@ -72,6 +72,11 @@ class Relation(enum.Enum):
         raise UsageError(f"unknown relation {text!r} (expected min or max)")
 
 
+# The largest Gaussian step scale (``sa.sigma``, ``es.sigma_max``): numpy's Gaussian
+# draws stay below 14 in magnitude, so a step from a box point stays finite.
+STEP_SCALE_MAX = 1e300
+
+
 @dataclass(frozen=True)
 class ContinuousBox:
     """Axis-aligned box in R^dim with strictly ordered bounds."""

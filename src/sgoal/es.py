@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Algorithm, ContinuousBox, Population, Problem
+from .core import STEP_SCALE_MAX, Algorithm, ContinuousBox, Population, Problem
 from .errors import ConfigError, UsageError
 from .kernels import FiniteSpace, Kernel, compose, identity, join, projection, sort_kernel
 from .mutation import proposal_kernel
@@ -73,8 +73,8 @@ class ESConfig:
             raise ConfigError("comma replacement requires lambda >= mu")
         if self.tau is not None and not 0 <= self.tau <= TAU_MAX:
             raise ConfigError(f"tau must lie in [0, {TAU_MAX:g}]")
-        if not (0 < self.sigma_min <= self.sigma_max):
-            raise ConfigError("need 0 < sigma_min <= sigma_max")
+        if not 0 < self.sigma_min <= self.sigma_max <= STEP_SCALE_MAX:
+            raise ConfigError(f"need 0 < sigma_min <= sigma_max <= {STEP_SCALE_MAX:g}")
         if not self.sigma_min <= self.sigma_init <= self.sigma_max:
             raise ConfigError("sigma_init must lie in [sigma_min, sigma_max]")
         for label, value in (("recomb_y", self.recomb_y), ("recomb_s", self.recomb_s)):
@@ -115,16 +115,16 @@ def update_strategies(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Log-normal self-adaptation of step-size rows: one global draw per row
-    and one per coordinate, clamped into [sigma_min, sigma_max].  A factor
-    that overflows to inf clamps to sigma_max."""
+    and one per coordinate, clamped into [sigma_min, sigma_max].  A step
+    size whose update overflows to inf clamps to sigma_max."""
     s = np.asarray(s, dtype=float)
     if not np.all(s > 0):
         raise UsageError("step sizes must be strictly positive")
     g = rng.standard_normal(s.shape[:-1] + (1,))
     local = rng.standard_normal(s.shape)
     with np.errstate(over="ignore"):
-        factor = np.exp(tau * g + tau * local)
-    return np.clip(s * factor, sigma_min, sigma_max)
+        s = s * np.exp(tau * g + tau * local)
+    return np.clip(s, sigma_min, sigma_max)
 
 
 def mutate_y(

@@ -119,7 +119,7 @@ class FiniteSpace:
             raise UsageError("finite-space points must be distinct")
         self.points = pts
         self._tuples: dict[int, tuple] = {}
-        self._fitness: dict["Problem", np.ndarray] = {}
+        self._fitness: tuple | None = None  # (problem, table) of the last problem asked
 
     def __len__(self) -> int:
         return len(self.points)
@@ -148,10 +148,11 @@ class FiniteSpace:
         return (digits * powers).sum(axis=-1)
 
     def fitness(self, problem: "Problem") -> np.ndarray:
-        """Objective value of every point, in enumeration order."""
-        if problem not in self._fitness:
-            self._fitness[problem] = problem.values(self.points)
-        return self._fitness[problem]
+        """Objective value of every point, in enumeration order; the table
+        of the last problem asked is kept."""
+        if self._fitness is None or self._fitness[0] is not problem:
+            self._fitness = (problem, problem.values(self.points))
+        return self._fitness[1]
 
 
 class ClassSpace(FiniteSpace):

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Algorithm, Population, Problem
+from .core import STEP_SCALE_MAX, Algorithm, Population, Problem
 from .errors import ConfigError
 from .kernels import FiniteSpace, Kernel, compose, identity, join, projection, sort_kernel
 from .mutation import proposal_kernel
@@ -90,10 +90,11 @@ def fixed(t0: float) -> Cooling:
 class SAConfig:
     """Neighborhood, cooling, and elitism switches.
 
-    ``sigma`` scales the isotropic Gaussian step on boxes.  ``mutation``
-    selects the finite-space proposal: None for uniform over the space,
-    a probability vector for a state-independent proposal, or a square
-    matrix of per-state proposal rows (all mass strictly positive).
+    ``sigma`` scales the isotropic Gaussian step on boxes, at most
+    ``STEP_SCALE_MAX`` on both spaces.  ``mutation`` selects the
+    finite-space proposal: None for uniform over the space, a probability
+    vector, the one row every point shares, or a square matrix that gives
+    each point its row (all mass strictly positive).
     """
 
     schedule: Cooling
@@ -102,8 +103,8 @@ class SAConfig:
     elitist: bool = True
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ConfigError("neighborhood sigma must be positive")
+        if not 0 < self.sigma <= STEP_SCALE_MAX:
+            raise ConfigError(f"neighborhood sigma must lie in (0, {STEP_SCALE_MAX:g}]")
 
 
 def gaussian_move(problem: Problem, sigma: float):

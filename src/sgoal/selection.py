@@ -83,10 +83,12 @@ def ranking_rates(fitness: np.ndarray, relation: Relation) -> np.ndarray:
     """Rate = 1 + number of strictly worse individuals.
 
     Equal fitness gets equal rates, better fitness strictly larger ones.
+    One sort of the shortfalls counts the worse members, in O(lambda) memory.
     """
     f = _as_fitness(fitness)
-    worse = relation.better(f[:, None], f[None, :])
-    return 1.0 + worse.sum(axis=1).astype(float)
+    key = relation.gap(f, 0.0)
+    worse = f.size - np.searchsorted(np.sort(key), key, side="right")
+    return 1.0 + worse.astype(float)
 
 
 def _roulette_rates(scheme: SelectionScheme, f: np.ndarray, relation: Relation) -> np.ndarray:

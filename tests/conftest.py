@@ -146,6 +146,95 @@ def transition_counts(kernel, space, start, n_samples, rng, state=None):
     return counts
 
 
+class _Branch(BaseException):
+    """Raised at the first draw past a replayed prefix: the masses of the
+    outcomes that draw can take.  A BaseException, so no sampler's
+    ``except Exception`` swallows it."""
+
+    def __init__(self, masses) -> None:
+        super().__init__()
+        self.masses = masses
+
+
+class ScriptedRng:
+    """A generator that replays a prefix of draw outcomes and branches at
+    the first new draw (exhaustive enumeration, Ramsey & Pfeffer 2002).
+
+    ``integers(n)`` opens n branches of mass 1/n, ``choice(n, p=p)`` n
+    branches of masses p, and ``random()`` returns a uniform whose ``< x``
+    opens two branches, True of mass x and False of mass 1 - x.  Any other
+    draw raises, rather than guess its law.  ``mass`` is the product of
+    the masses of the outcomes replayed so far.
+    """
+
+    def __init__(self, prefix: tuple) -> None:
+        self.prefix = prefix
+        self.depth = 0
+        self.mass = 1.0
+
+    def _draw(self, masses):
+        if self.depth == len(self.prefix):
+            raise _Branch(masses)
+        k = self.prefix[self.depth]
+        self.depth += 1
+        self.mass *= masses[k]
+        return k
+
+    def integers(self, n):
+        return np.int64(self._draw([1.0 / n] * int(n)))
+
+    def choice(self, n, p):
+        return np.int64(self._draw(np.asarray(p, dtype=float).tolist()))
+
+    def random(self):
+        return _ScriptedUniform(self)
+
+    def __getattr__(self, name):
+        raise TypeError(f"a scripted generator cannot enumerate the draws of {name!r}")
+
+
+class _ScriptedUniform:
+    """``random()``'s value: only ``< x`` is defined, and it branches."""
+
+    def __init__(self, rng: ScriptedRng) -> None:
+        self.rng = rng
+
+    def __lt__(self, x):
+        x = float(x)
+        assert 0.0 <= x <= 1.0, x
+        return self.rng._draw([x, 1.0 - x]) == 0
+
+
+def exact_law(draw) -> dict:
+    """Oracle: the exact law of ``draw(rng)``, a hashable outcome, as
+    ``{outcome: mass}``, by running ``draw`` once per branch of a
+    ``ScriptedRng``, each run replaying its prefix from the start."""
+    law: dict = {}
+    pending = [()]
+    while pending:
+        prefix = pending.pop()
+        rng = ScriptedRng(prefix)
+        try:
+            outcome = draw(rng)
+        except _Branch as branch:
+            pending.extend(prefix + (k,) for k in range(len(branch.masses)))
+            continue
+        law[outcome] = law.get(outcome, 0.0) + rng.mass
+    return law
+
+
+def sampler_law(kernel: Kernel, space: FiniteSpace, start: Population, t: int = 0) -> np.ndarray:
+    """Oracle: the exact law of one ``kernel.sample`` step from ``start``
+    at step t, as a vector over the output tuple states."""
+    law = np.zeros(space.n_tuples(kernel.arity_out))
+    outcomes = exact_law(
+        lambda rng: tuple_index(space, kernel.sample(start, ScheduleState(t), rng).members)
+    )
+    for idx, mass in outcomes.items():
+        law[idx] = mass
+    return law
+
+
 def proposal_rows(n: int, mutation=None) -> np.ndarray:
     """Oracle: the (n, n) proposal matrix of a mutation spec, built directly."""
     if mutation is None:

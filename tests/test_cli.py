@@ -178,15 +178,21 @@ class TestRunCommand:
             (["algorithm=es", "es.mu=2000000000"], "population arrays"),
             (["algorithm=sa", "budget=100000000000"], "traces"),
             (["algorithm=sa", "replicates=100000000"], "traces"),
+            (["algorithm=sa", "sa.sigma=1e308", "budget=50"], "sigma"),
+            (["algorithm=es", "es.sigma_max=1e308", "es.sigma_init=1e308", "budget=50"],
+             "sigma_max"),
+            (["algorithm=sa", "problem=onemax", "sa.sigma=1e301"], "sigma"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
         # a linear floor above T0 would raise the temperature; a sigma_init
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
         # negative seed cannot seed the generator; a tau of 1e308 would make
-        # NaN step sizes (inf + -inf); a t_max above the cap would build and
-        # multiply one matrix per step in verify; population arrays and
-        # traces over the byte cap would fail only once allocated
+        # NaN step sizes (inf + -inf); a step scale above 1e300 could step a
+        # box point to inf, and is refused on a finite problem too; a t_max
+        # above the cap would build and multiply one matrix per step in
+        # verify; population arrays and traces over the byte cap would fail
+        # only once allocated
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2
@@ -239,6 +245,20 @@ class TestRunCommand:
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "algorithm=es", "problem=sphere", "dim=5",
                 "budget=20", "es.tau=1e300"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "overrides",
+        [["algorithm=sa", "sa.sigma=1e300"],
+         ["algorithm=es", "es.sigma_max=1e300", "es.sigma_init=1e300", "es.tau=10"]],
+        ids=["sa", "es"],
+    )
+    def test_step_scale_at_the_cap_runs_without_warnings(self, tmp_path, capsys, overrides):
+        # an update that overflows clamps to sigma_max without a warning
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), "problem=sphere", "dim=2", "budget=50", *overrides]
         assert main(args) == 0
         assert capsys.readouterr().err == ""
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import importlib.util
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from conftest import (
     tuple_index,
 )
 
-from sgoal.core import Relation
+from sgoal.core import Problem, Relation
 from sgoal.errors import ConfigError, UsageError
 from sgoal.kernels import (
     FiniteSpace,
@@ -80,6 +82,20 @@ class TestFiniteSpace:
     def test_invalid_points_rejected(self, points, message):
         with pytest.raises(UsageError, match=message):
             FiniteSpace(points)
+
+    def test_fitness_table_keeps_only_the_last_problem(self):
+        # one table per space, so a loop over many objectives on one space
+        # holds one table and keeps no earlier problem alive
+        space = FiniteSpace(range(4))
+        first = Problem(space, float)
+        assert np.array_equal(space.fitness(first), [0.0, 1.0, 2.0, 3.0])
+        gone = weakref.ref(first)
+        del first
+        second = Problem(space, lambda x: -float(x))
+        assert np.array_equal(space.fitness(second), [0.0, -1.0, -2.0, -3.0])
+        assert space.fitness(second) is space.fitness(second)
+        gc.collect()
+        assert gone() is None
 
 
 class TestCompose:

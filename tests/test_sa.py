@@ -111,6 +111,18 @@ class TestVariate:
         with pytest.raises(ConfigError):
             proposal_kernel(line_problem([0, 1, 2]), spec)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(5,), (4, 5), (1, 4), (4, 4, 4)],
+        ids=["long-vector", "wide-matrix", "one-row-matrix", "3-d"],
+    )
+    def test_mutation_shape_refused(self, shape):
+        # only a vector of length n or an n x n matrix is a spec on n points;
+        # a (1, n) matrix is not the vector it would broadcast to
+        spec = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ConfigError, match="vector of length 4 or a 4 x 4 matrix"):
+            proposal_kernel(line_problem([0, 1, 2, 3]), spec)
+
     def test_continuous_step_reflects_into_box(self):
         bench = make_benchmark("sphere", 2)
         config = SAConfig(schedule=geometric(1.0), sigma=50.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,35 @@ class TestMonotonicity:
         assert np.array_equal(rates, [3.0, 2.0, 1.0])
         rates = ranking_rates(np.array([2.0, 1.0, 1.0]), MIN)
         assert np.array_equal(rates, [1.0, 2.0, 2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1.0, 2.5, np.inf])
+            | st.floats(allow_nan=False),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([MIN, MAX]),
+    )
+    def test_ranking_rates_equal_the_pairwise_count(self, values, relation):
+        # oracle: compare every pair, with ties, infinities and signed zeros
+        f = np.array(values, dtype=float)
+        pairwise = 1.0 + relation.better(f[:, None], f[None, :]).sum(axis=1)
+        assert ranking_rates(f, relation).tobytes() == pairwise.astype(float).tobytes()
+
+    @pytest.mark.parametrize("relation", [MIN, MAX])
+    def test_ranking_rates_memory_is_linear(self, relation):
+        # a (lambda, lambda) comparison matrix over 10^4 values is 100 MB
+        f = np.random.default_rng(7).choice(np.arange(500.0), size=10_000)
+        tracemalloc.start()
+        try:
+            rates = ranking_rates(f, relation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert rates.min() == 1.0 and np.unique(rates).size == 500
 
 
 class TestErrors:
