@@ -13,6 +13,7 @@ Exit codes: 0 success/verified, 1 runtime or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -344,6 +345,7 @@ def cmd_select_test(args) -> int:
     return 0 if result.passed else 1
 
 
+@functools.cache  # built at first use, not at import; parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgoal",

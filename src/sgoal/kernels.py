@@ -356,7 +356,8 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     Every component reads the same input population; their output members
     and fitness concatenate in order.  The joint matrix row is the
     Kronecker product of the component rows, so its width is the product
-    of theirs.
+    of theirs.  A component joined more than once (one object) is realized
+    once per block of rows; the sampler still draws every copy.
     """
     kernels = list(kernels)
     if not kernels:
@@ -378,8 +379,11 @@ def join(kernels: Sequence[Kernel]) -> Kernel:
     matrix_fn = None
     if all(k.matrix_fn is not None for k in kernels):
 
+        distinct = {id(k): k for k in kernels}
+
         def matrix_fn(space, state, idx):
-            parts = [k.matrix_fn(space, state, idx) for k in kernels]
+            built = {key: k.matrix_fn(space, state, idx) for key, k in distinct.items()}
+            parts = [built[id(k)] for k in kernels]
             width = math.prod(cols.shape[1] for cols, _ in parts)
             if width > JOIN_WIDTH_CAP:
                 raise UsageError(

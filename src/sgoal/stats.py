@@ -32,9 +32,11 @@ def chisquare_gof(
     probabilities.
 
     Cells whose expected count falls below ``min_expected`` are pooled
-    into one bucket (standard practice for sparse tails).  Cells with
-    zero probability must hold zero counts; observing mass there is an
-    immediate failure.
+    into one bucket (standard practice for sparse tails).  When every cell
+    falls below it, runs of consecutive cells are pooled instead, each
+    until it reaches ``min_expected``; a short last run joins the one
+    before.  Cells with zero probability must hold zero counts; observing
+    mass there is an immediate failure.
     """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -58,6 +60,16 @@ def chisquare_gof(
     if small.sum() >= 1 and (~small).sum() >= 1:
         counts = np.append(counts[~small], counts[small].sum())
         probs = np.append(probs[~small], probs[small].sum())
+        expected = probs * total
+    elif small.all():
+        starts, run = [0], 0.0
+        for i, e in enumerate(expected.tolist(), 1):
+            run += e
+            if run >= min_expected:
+                starts.append(i)
+                run = 0.0
+        starts = starts[:-1] or [0]  # the last start is past the end or opens a short run
+        counts, probs = np.add.reduceat(counts, starts), np.add.reduceat(probs, starts)
         expected = probs * total
     if counts.size < 2:
         # everything pooled into one cell: nothing to test

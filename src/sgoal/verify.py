@@ -10,8 +10,8 @@ matrices.
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -75,11 +75,11 @@ class FiniteChain:
 class KernelSteps(Sequence):
     """The step matrices of a kernel that reads t, built when read: item s
     is ``kernel.exact_matrix(space, s)``, the step ``run_sgoal`` samples
-    with ``ScheduleState(s)``.  Nothing is kept, so a walk over the steps
-    holds one of them at a time."""
+    with ``ScheduleState(s)``.  A step-0 matrix built already is handed out
+    once; nothing else is kept, so a walk over the steps holds one at a time."""
 
-    def __init__(self, kernel: Kernel, space: FiniteSpace, steps: int) -> None:
-        self.kernel, self.space, self.steps = kernel, space, steps
+    def __init__(self, kernel: Kernel, space: FiniteSpace, steps: int, first=None) -> None:
+        self.kernel, self.space, self.steps, self._first = kernel, space, steps, first
 
     def __len__(self) -> int:
         return self.steps
@@ -88,7 +88,8 @@ class KernelSteps(Sequence):
         t = range(self.steps)[s]  # a step, or a range of them; IndexError past the last
         if isinstance(t, range):
             return tuple(map(self.__getitem__, t))
-        return self.kernel.exact_matrix(self.space, t)
+        first, self._first = self._first, None
+        return first if t == 0 and first is not None else self.kernel.exact_matrix(self.space, t)
 
 
 def _premise_sums(m: np.ndarray, mask: np.ndarray) -> tuple[float, bool]:
@@ -201,8 +202,8 @@ def extract_chain(algo: Algorithm, eps: float, t_max: int = 1, lump: bool = Fals
     that space at steps 0, 1, ... t_max - 1 and marks the near-optimal
     states, those ``eps_inside`` finds.  A stationary kernel, one that does
     not read ``state.t``, hands back the one matrix it kept, and the chain
-    holds it.  A kernel that reads ``t`` hands back a new matrix at step 1;
-    the chain then holds its ``KernelSteps``, which covers t_max steps only.
+    holds it.  For a kernel whose step-0 build read ``t``, the chain holds its
+    ``KernelSteps``, which covers t_max steps only and starts from that build.
 
     With ``lump=True`` the states are tuples of fitness classes (a
     ``ClassSpace``) when the chain lumps onto them, and the full tuples
@@ -255,13 +256,13 @@ def _enumerate_chain(algo: Algorithm, space: FiniteSpace, eps: float, t_max: int
             f"eps={eps} marks {n_inside} of {inside.size} states as "
             "near-optimal; the premise check needs a nonempty proper subset"
         )
-    first = kernel.exact_matrix(space)
-    later = (kernel.exact_matrix(space, s) for s in range(1, max(t_max, 2)))
-    reads_t = any(m is not first for m in later)  # a t-free kernel hands back its kept matrix
+    first = kernel.exact_matrix(space)  # kept, read-only, unless its build read t
+    later = (kernel.exact_matrix(space, s) for s in range(1, t_max))  # the kept one, if any
+    stationary = not first.flags.writeable and all(m is first for m in later)
     return FiniteChain(
         states=space.tuples(kernel.arity_in),
         eps_set=frozenset(np.flatnonzero(inside).tolist()),
-        matrices=KernelSteps(kernel, space, t_max) if reads_t else (first,),
+        matrices=(first,) if stationary else KernelSteps(kernel, space, t_max, first),
         lumped=isinstance(space, ClassSpace),
     )
 
@@ -293,17 +294,18 @@ def chain_from_files(matrix_paths: Sequence, eps_set) -> FiniteChain:
     return FiniteChain(tuple(range(matrices[0].shape[0])), eps_set, matrices)
 
 
-def write_bound_json(report: BoundReport, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _overwrite(path, text: str) -> None:
+    # in place, then cut to length: on ext4 a truncating open starts writeback at close
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("ascii"))
+        fh.truncate()
+
+
+def write_bound_json(report: BoundReport, path) -> None:  # one write: json.dump writes per token
+    _overwrite(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def write_bound_csv(report: BoundReport, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "min_mass", "bound", "margin"])
-        for row in report.per_t:
-            writer.writerow(
-                [row.t, f"{row.min_mass:.17g}", f"{row.bound:.17g}", f"{row.margin:.17g}"]
-            )
+    # csv.writer's bytes: its \r\n line ending, and no field that needs quotes
+    rows = [f"{r.t},{r.min_mass:.17g},{r.bound:.17g},{r.margin:.17g}\r\n" for r in report.per_t]
+    _overwrite(path, "t,min_mass,bound,margin\r\n" + "".join(rows))

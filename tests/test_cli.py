@@ -504,6 +504,27 @@ class TestVerifyCommand:
         assert data["delta"] == pytest.approx(2.0**-13, abs=1e-12)
 
 
+def test_repeated_in_process_calls_give_the_same_verify_bytes(tmp_path, capsys):
+    # one process, one parser: a select-test, a rejected call and a run
+    # between two verify calls change none of the second one's bytes
+    cfg = write_cfg(tmp_path, ES_CFG)
+
+    def verify(name):
+        out = tmp_path / name
+        assert main(["verify", "--config", cfg, "--out", str(out), "verify.t_max=7"]) == 0
+        stdout = capsys.readouterr().out
+        return stdout, (out / "bound.json").read_bytes(), (out / "bound.csv").read_bytes()
+
+    first = verify("v1")
+    assert main(["select-test", "--scheme", "ranking", "--fitness", "1,2,3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert verify("v2") == first
+
+
 class TestSelectTest:
     def test_uniform_rows(self, capsys):
         code = main([
@@ -532,6 +553,15 @@ class TestSelectTest:
         assert code == 0
         out = capsys.readouterr().out
         assert f"{7 / 12:.6g}"[:8] in out
+
+    def test_all_sparse_cells_pass(self, capsys):
+        # 8000 ranking cells, 1000 draws: every expected count is below 5
+        fitness = np.random.default_rng(3).normal(size=8000)
+        code = main([
+            "select-test", "--scheme", "ranking", "--samples", "1000",
+            "--fitness", ",".join(map(repr, fitness.tolist())),
+        ])
+        assert code == 0 and "-> pass" in capsys.readouterr().out
 
     def test_bad_fitness_exits_2(self):
         assert main(["select-test", "--scheme", "uniform", "--fitness", ""]) == 2

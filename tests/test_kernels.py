@@ -203,6 +203,50 @@ class TestJoin:
                 assert a.bit_generator.state == b.bit_generator.state
 
 
+class TestJoinRepeatedComponent:
+    """A component joined more than once is realized once per block."""
+
+    def test_repeated_kernel_builds_its_rows_once_per_block(self, monkeypatch):
+        monkeypatch.setattr("sgoal.kernels.BLOCK_ENTRIES", 27)  # one input row per block
+        rng = np.random.default_rng(11)
+        sp = FiniteSpace(tuple(range(3)))
+        m = random_stochastic(rng, 3)
+        base = matrix_kernel(m, sp)
+        calls, blocks = [], []
+
+        def counted(space, state, idx):
+            calls.append(idx.tolist())
+            return base.matrix_fn(space, state, idx)
+
+        joint = join([dataclasses.replace(base, matrix_fn=counted)] * 3)
+
+        def counted_joint(space, state, idx):
+            blocks.append(idx.tolist())
+            return joint.matrix_fn(space, state, idx)
+
+        got = dataclasses.replace(joint, matrix_fn=counted_joint).exact_matrix(sp)
+        assert blocks == [[0], [1], [2]] and calls == blocks
+        distinct = join([matrix_kernel(m, sp) for _ in range(3)]).exact_matrix(sp)
+        assert np.array_equal(got, distinct)
+
+    def test_repeated_kernel_that_reads_t_marks_the_matrix(self, space2):
+        decay = Kernel(1, 1, lambda pop, state, rng: pop, TestStationaryMemo.decaying)
+        joint = join([decay] * 2)
+        at_0, at_1 = joint.exact_matrix(space2, 0), joint.exact_matrix(space2, 1)
+        assert at_0.flags.writeable and at_1.flags.writeable  # neither was kept
+        assert at_0[0, 0] == 1.0 and at_1[0, 0] == 0.25
+
+    def test_sampler_draws_every_copy_independently(self):
+        rng = np.random.default_rng(12)
+        sp = FiniteSpace(tuple(range(3)))
+        k = matrix_kernel(random_stochastic(rng, 3), sp)
+        joint = join([k] * 3)
+        row = joint.exact_matrix(sp)[2]
+        assert np.allclose(row, np.einsum("i,j,k->ijk", *[k.exact_matrix(sp)[2]] * 3).ravel())
+        counts = transition_counts(joint, sp, population((2,)), 20_000, rng)
+        assert chisquare_gof(counts, row, alpha=0.001).passed
+
+
 class TestProjectionAndSort:
     def test_projection_examples(self, rng):
         state = ScheduleState()

@@ -29,3 +29,30 @@ def test_chisquare_gof_pvalue_is_chi2_sf():
     assert (result.statistic, result.dof) == (statistic, 2)
     assert result.pvalue == chi2_sf(statistic, 2)
     assert result.pvalue == pytest.approx(float(chi2.sf(statistic, 2)), abs=1e-12)
+
+
+def test_sparse_tail_is_pooled_into_one_cell():
+    # some cell reaches min_expected: the cells below it form one bucket
+    counts, probs = np.array([50.0, 45.0, 3.0, 2.0]), np.array([0.5, 0.46, 0.02, 0.02])
+    expected = np.array([50.0, 46.0, 4.0])
+    result = chisquare_gof(counts, probs)
+    statistic = float(np.sum((np.array([50.0, 45.0, 5.0]) - expected) ** 2 / expected))
+    assert (result.statistic, result.dof) == (statistic, 2)
+
+
+def test_all_sparse_cells_are_pooled_in_runs():
+    # 38 cells of expected count 1.5 pool into runs of 4 (6.0 each); the
+    # short last run of 2 (3.0) joins the one before, a run of 6 (9.0)
+    probs = np.full(38, 1 / 38)
+    counts = np.tile([3.0, 0.0, 1.0, 2.0], 10)[:38]  # 57 draws
+    result = chisquare_gof(counts, probs)
+    pooled = np.append(np.full(8, 6.0), 9.0)
+    observed = np.add.reduceat(counts, range(0, 36, 4))
+    assert result.dof == 8
+    assert result.statistic == pytest.approx(float(np.sum((observed - pooled) ** 2 / pooled)))
+    assert result.passed
+
+
+def test_too_few_draws_to_pool_two_cells_test_nothing():
+    result = chisquare_gof(np.array([1.0, 0.0, 1.0]), np.full(3, 1 / 3))
+    assert (result.statistic, result.dof, result.pvalue) == (0.0, 0, 1.0)

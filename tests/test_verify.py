@@ -1,6 +1,9 @@
+import csv
 import dataclasses
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from sgoal.sa import SAConfig, fixed, geometric, linear, logarithmic, make_sa
 from sgoal.verify import (
     MATRIX_BYTES_CAP,
     STATE_CAP,
+    BoundReport,
+    BoundRow,
     FiniteChain,
     KernelSteps,
     chain_from_files,
@@ -344,10 +349,10 @@ class TestStationaryExtraction:
             toy_algorithm(["algorithm=sa", "sa.elitist=false", *SA_COOLINGS[0]])
         )
         chain = extract_chain(algo, eps=0.5, t_max=50)
-        assert len(builds) == 2 and len(chain.matrices) == 50  # steps 0 and 1 show it reads t
+        assert len(builds) == 1 and len(chain.matrices) == 50  # step 0 shows it reads t
         builds.clear()
         check_bound(chain, 50)
-        assert len(builds) == 50  # each step once
+        assert len(builds) == 49  # each later step once; step 0 is handed over
 
 
 class TestStreamedChain:
@@ -415,6 +420,16 @@ class TestStreamedChain:
             tracemalloc.stop()
         assert report.states == n and len(report.per_t) == 50
         assert peak < 6 * n * n * 8
+
+    def test_steps_give_up_the_step_0_matrix_at_the_first_read(self):
+        steps = extract_chain(self.cooling_algorithm(3), eps=0.5, t_max=5).matrices
+        first = steps[0]
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None  # the chain holds no matrix once step 0 is read
+        again = steps[0]  # built anew
+        assert again.flags.writeable and np.array_equal(again, steps[0])
 
     def test_the_streamed_arrays_fit_the_byte_cap(self):
         # the forward product, one step matrix and their product at the
@@ -497,6 +512,32 @@ class TestReports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,min_mass,bound,margin"
         assert len(lines) == 3
+
+    def test_bytes_equal_the_csv_and_json_modules(self, tmp_path):
+        rows = [(1, 0.1, 1 / 3, -0.0), (2, float("nan"), float("inf"), -float("inf")),
+                (3, 5e-324, 1.0, 1e300)]
+        report = BoundReport(0.25, True, False, tuple(BoundRow(*r) for r in rows), 7, True)
+        write_bound_json(report, tmp_path / "bound.json")
+        write_bound_csv(report, tmp_path / "bound.csv")
+        with open(tmp_path / "json.ref", "w", encoding="ascii") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(tmp_path / "csv.ref", "w", encoding="ascii", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "min_mass", "bound", "margin"])
+            writer.writerows([t, *(f"{v:.17g}" for v in vs)] for t, *vs in rows)
+        for name, ref in (("bound.json", "json.ref"), ("bound.csv", "csv.ref")):
+            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+
+    def test_rewrite_cuts_a_longer_report_to_length(self, tmp_path):
+        long_report = check_bound(two_state_chain(0.5), 9)
+        short_report = check_bound(two_state_chain(0.5), 1)
+        for write in (write_bound_json, write_bound_csv):
+            fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+            write(short_report, fresh)
+            write(long_report, reused)
+            write(short_report, reused)
+            assert reused.read_bytes() == fresh.read_bytes()
 
     def test_chain_from_matrix_files(self, tmp_path):
         m1 = np.array([[1.0, 0.0], [0.3, 0.7]])
