@@ -27,7 +27,6 @@ from .kernels import (
     ScheduleState,
     compose,
     identity,
-    iterated_products,
     join,
     load_matrix,
     projection,
@@ -55,7 +54,6 @@ __all__ = [
     "closeness",
     "compose",
     "identity",
-    "iterated_products",
     "join",
     "load_matrix",
     "max_iters",

@@ -328,9 +328,9 @@ def cmd_select_test(args) -> int:
         raise UsageError("empty fitness vector")
     relation = Relation.parse(args.relation)
     scheme = SelectionScheme(args.scheme, m=args.m)
-    probs = exact_probs(scheme, fitness, relation)
     rng = np.random.default_rng(args.seed)
-    draws = select_many(scheme, fitness, relation, args.samples, rng)
+    draws = select_many(scheme, fitness, relation, args.samples, rng)  # caps before exact_probs
+    probs = exact_probs(scheme, fitness, relation)
     counts = np.bincount(draws, minlength=fitness.size)
     result = chisquare_gof(counts, probs, alpha=0.001)
     print(f"scheme={args.scheme} relation={relation.value} samples={args.samples}")

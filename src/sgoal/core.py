@@ -377,10 +377,12 @@ class Algorithm:
     for the trace.
 
     ``chain_kernel`` is the one-step kernel used for exact finite-space
-    verification.  It is ``next_pop`` itself unless given: only the
-    elitist annealer passes its own, because its run carries a best-so-far
-    point that its arity-1 greedy chain leaves out.  A kernel without a
-    matrix (a continuous space) cannot be verified.
+    verification, ``next_pop`` itself unless given.  Only the elitist
+    annealer passes its own: a greedy chain composed from the proposal its
+    run draws from, on fitness classes the exact law of the run's best-so-far
+    when the proposal ignores the walker (uniform, or a ``mutation=`` vector),
+    but with a per-point matrix that of a search proposing from its best.  A
+    kernel without a matrix (a continuous space) cannot be verified.
     """
 
     name: str

@@ -118,7 +118,6 @@ class FiniteSpace:
         if distinct != len(pts):
             raise UsageError("finite-space points must be distinct")
         self.points = pts
-        self._tuples: dict[int, tuple] = {}
         self._fitness: tuple | None = None  # (problem, table) of the last problem asked
 
     def __len__(self) -> int:
@@ -133,9 +132,7 @@ class FiniteSpace:
     def tuples(self, arity: int) -> tuple:
         if arity < 1:
             raise UsageError("tuple arity must be >= 1")
-        if arity not in self._tuples:
-            self._tuples[arity] = tuple(itertools.product(self.points, repeat=arity))
-        return self._tuples[arity]
+        return tuple(itertools.product(self.points, repeat=arity))
 
     def digits(self, idx: np.ndarray, arity: int) -> np.ndarray:
         """Point indices of the tuple indices ``idx``, along a new last axis."""

@@ -4,14 +4,16 @@ The run-time algorithm follows the classic Metropolis loop: a proposal
 kernel draws and scores a candidate, and a 2 -> 1 Metropolis kernel keeps
 candidate or incumbent, reading the fitness they carry, at temperature
 ``T = schedule.temperature(t)``, a closed form of the step index t, so
-a step makes one objective call, for the candidate.  The non-elitist
-loop is ``compose(metropolis, join([proposal, identity(1)]))`` on both
-spaces; on a finite space that same kernel is verified.  In elitist mode
-the population carries the best point found so far next to the
-Metropolis walker, so the reported closeness never worsens; its verified
-chain is the arity-1 greedy chain ``compose(proj[0] . sort2,
-join([proposal, identity(1)]))``, which keeps the better of candidate and
-incumbent and whose eps-neighborhoods are absorbing.
+a step makes one objective call, for the candidate.  The non-elitist loop
+is ``compose(metropolis, join([proposal, identity(1)]))`` on both spaces;
+on a finite space that same kernel is verified.  In elitist mode the
+population carries the best point found so far next to the Metropolis
+walker, so the reported closeness never worsens; its verified chain, the
+greedy ``compose(proj[0] . sort2, join([proposal, identity(1)]))`` over
+the proposal object the run draws from, has absorbing eps-neighborhoods.
+On fitness classes it is the exact law of the run's best-so-far when the
+proposal ignores the walker (uniform, or a ``mutation=`` vector); with a
+per-point ``mutation=`` matrix, that of a search proposing from its best.
 """
 
 from __future__ import annotations
@@ -209,19 +211,10 @@ def metropolis_kernel(problem: Problem, config: SAConfig) -> Kernel:
     return Kernel(2, 1, sample_fn, matrix_fn, name="metropolis")
 
 
-def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
-    """The per-generation kernel run by the annealing loop.
-
-    Non-elitist: a single Metropolis walker (arity 1), ``compose(metropolis,
-    join([proposal, identity(1)]))`` on a finite space and on a box alike.
-    Elitist: the walker plus the best-so-far point (arity 2), so closeness
-    is read from the best member; the candidate replaces the best-so-far
-    point when its carried fitness is strictly better.  Sampling reads ``T =
-    temperature(state.t)``.
-    """
-    proposal = sa_proposal(problem, config)
-    if not config.elitist:
-        return compose(metropolis_kernel(problem, config), join([proposal, identity(1)]))
+def _elitist_step(problem: Problem, config: SAConfig, proposal: Kernel) -> Kernel:
+    """The elitist step: the Metropolis walker and the best-so-far point,
+    which the candidate (from ``proposal``, or ``gaussian_move`` on a box)
+    replaces when its carried fitness is strictly better."""
     temperature = config.schedule.temperature
     # on a box the walker moves point to point, with no one-member population
     move = None if isinstance(problem.space, FiniteSpace) else gaussian_move(problem, config.sigma)
@@ -243,22 +236,26 @@ def sa_next_pop(problem: Problem, config: SAConfig) -> Kernel:
 
 
 def make_sa(problem: Problem, config: SAConfig) -> Algorithm:
-    """Assemble the annealing loop for ``run_algorithm``."""
+    """Assemble the annealing loop for ``run_algorithm``: its run step and
+    its verified chain share one proposal kernel."""
     def init(rng: np.random.Generator) -> Population:
         x0 = problem.space.sample_uniform(rng)
         n = 2 if config.elitist else 1
         return Population((x0,) * n, (problem.evaluate(x0),) * n)
 
-    chain = None
+    proposal = sa_proposal(problem, config)
+    pair = join([proposal, identity(1)])
     if config.elitist:
-        keep_better = compose(projection(2, [0]), sort_kernel(problem, 2))
-        chain = compose(keep_better, join([sa_proposal(problem, config), identity(1)]))
+        next_pop = _elitist_step(problem, config, proposal)
+        chain = compose(compose(projection(2, [0]), sort_kernel(problem, 2)), pair)
+    else:
+        next_pop, chain = compose(metropolis_kernel(problem, config), pair), None
 
     return Algorithm(
         name="sa-elitist" if config.elitist else "sa",
         problem=problem,
         init=init,
-        next_pop=sa_next_pop(problem, config),
+        next_pop=next_pop,
         param_fn=lambda pop, state: config.schedule.temperature(state.t),
         chain_kernel=chain,
     )

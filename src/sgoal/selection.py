@@ -11,7 +11,6 @@ that member's point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,6 +44,8 @@ class SelectionScheme:
             raise UsageError(f"unknown selection scheme {self.kind!r}")
         if self.kind == "tournament" and self.m < 1:
             raise UsageError("tournament size must be >= 1")
+        if self.rate_fn is not None and self.kind not in ("roulette", "proportional"):
+            raise UsageError(f"{self.kind} selection reads no rate_fn")
 
 
 def uniform() -> SelectionScheme:
@@ -131,9 +132,8 @@ def _tournament_probs(f: np.ndarray, relation: Relation, m: int) -> np.ndarray:
     class_count = np.bincount(members, minlength=g).astype(float)
     log_share = (np.log(class_count) - math.log(lam)).tolist()
     class_mass = [0.0] * g
-    for combo in itertools.combinations_with_replacement(range(g), m):
-        # the multiset's classes, best first, with their entrant counts k_j
-        counts = [(j, len(list(run))) for j, run in itertools.groupby(combo)]
+    counts = [(0, m)]  # an entrant multiset: its classes, best first, with counts k_j > 0
+    while counts:
         # multinomial(m; k) * prod (n_j / lam)^k_j
         log_p = math.lgamma(m + 1) + sum(k * log_share[j] - math.lgamma(k + 1) for j, k in counts)
         # each entrant's rate is 1 + the number of entrants in worse classes
@@ -144,6 +144,12 @@ def _tournament_probs(f: np.ndarray, relation: Relation, m: int) -> np.ndarray:
         scale = math.exp(log_p) / sum(w for _, w in weights)
         for j, w in weights:
             class_mass[j] += scale * w
+        # the next multiset in combinations_with_replacement order: one entrant of
+        # the last class below g - 1 moves up a class, and class g - 1's join it
+        tail = counts.pop()[1] if counts[-1][0] == g - 1 else 0
+        if counts:
+            j, k = counts.pop()
+            counts += [(j, k - 1), (j + 1, tail + 1)] if k > 1 else [(j + 1, tail + 1)]
     return (np.array(class_mass) / class_count)[members]
 
 

@@ -584,6 +584,20 @@ class TestSelectTest:
         assert main(["select-test", *args]) == 2
         assert "over the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--fitness", "1,2", "--m", "20000", "--samples", "10"],
+         ["--fitness", "1,1", "--m", "10000000"]],
+        ids=["wide", "one_class"],
+    )
+    def test_draw_cap_is_checked_before_the_enumeration(self, monkeypatch, capsys, args):
+        def enumerate_anyway(*call):
+            raise AssertionError("exact_probs ran before the draw cap refused")
+
+        monkeypatch.setattr("sgoal.cli.exact_probs", enumerate_anyway)
+        assert main(["select-test", "--scheme", "tournament", *args]) == 2
+        assert "draws are over the cap" in capsys.readouterr().err
+
     def test_infinite_roulette_rate_exits_2(self, capsys):
         # an infinite rate, and finite rates whose total overflows
         cases = [("1,inf", "selection rates must be finite"),

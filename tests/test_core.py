@@ -480,3 +480,25 @@ def test_public_names_resolve():
 
     missing = [name for name in sgoal.__all__ if not hasattr(sgoal, name)]
     assert missing == []
+
+
+def test_iterated_products_is_not_exported_from_the_root():
+    # nothing in sgoal calls it; it stays in sgoal.kernels and, for tracing,
+    # in sgoal.verify
+    import sgoal
+    import sgoal.kernels
+    import sgoal.verify
+
+    assert not hasattr(sgoal, "iterated_products")
+    assert sgoal.verify.iterated_products is sgoal.kernels.iterated_products
+
+
+def test_the_suite_finds_the_sources_without_an_install():
+    # bare ``python -m pytest`` from a checkout imports sgoal from src/
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    root = Path(__file__).resolve().parents[1]
+    options = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["pytest"]
+    assert options["ini_options"]["pythonpath"] == ["src"]

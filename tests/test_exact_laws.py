@@ -2,17 +2,20 @@
 
 A ``ScriptedRng`` replays every branch of a sampler's draws, so the law
 of its output is computed exactly, not estimated: the kernel that runs
-is checked to be the kernel that is verified, to 1e-12.
+is checked to be the kernel that is verified, to 1e-12.  The elitist
+annealer's (walker, best) step is checked against its composition from the
+combinators, and the law of its best against the greedy chain it verifies.
 """
 
 import numpy as np
 import pytest
 
-from conftest import exact_law, line_problem, population, sampler_law
+from conftest import exact_law, line_problem, population, sampler_law, tuple_index
 
 from sgoal.bench import make_benchmark
+from sgoal.kernels import ClassSpace, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
-from sgoal.sa import SAConfig, geometric, linear, logarithmic, sa_next_pop
+from sgoal.sa import SAConfig, geometric, linear, logarithmic, make_sa, metropolis_kernel
 
 
 def problems():
@@ -32,6 +35,13 @@ def spec(kind: str, n: int):
         return v / v.sum()
     m = rng.random((n, n)) + 0.1
     return m / m.sum(axis=1, keepdims=True)
+
+
+COOLINGS = pytest.mark.parametrize(
+    "schedule",
+    [geometric(2.0, 0.9), linear(2.0, step=0.3), logarithmic(1.0)],
+    ids=["geometric", "linear", "logarithmic"],
+)
 
 
 def assert_laws_are_rows(kernel, problem, t=0):
@@ -65,13 +75,84 @@ def test_proposal_law_is_its_row(name, kind):
 
 
 @pytest.mark.parametrize("t", [0, 5])
-@pytest.mark.parametrize(
-    "schedule",
-    [geometric(2.0, 0.9), linear(2.0, step=0.3), logarithmic(1.0)],
-    ids=["geometric", "linear", "logarithmic"],
-)
+@COOLINGS
 def test_annealer_step_law_is_its_row(schedule, t):
     # the non-elitist step: proposal, then Metropolis at temperature(t)
     problem = make_benchmark("onemax", 3).problem
-    kernel = sa_next_pop(problem, SAConfig(schedule=schedule, elitist=False))
+    kernel = make_sa(problem, SAConfig(schedule=schedule, elitist=False)).next_pop
     assert_laws_are_rows(kernel, problem, t)
+
+
+def pair_step(problem, config):
+    """The elitist (walker, best) step composed from the combinators: from
+    (candidate, walker, best), the walker takes the Metropolis survivor of
+    (candidate, walker), and the best takes the first of a stable sort of
+    (best, candidate, walker), so a tie keeps the best."""
+    proposal = proposal_kernel(problem, config.mutation)
+    walker = compose(metropolis_kernel(problem, config), projection(3, [0, 1]))
+    best = compose(projection(3, [0]), compose(sort_kernel(problem, 3), projection(3, [2, 0, 1])))
+    draw = join([compose(proposal, projection(2, [0])), projection(2, [0]), projection(2, [1])])
+    return compose(join([walker, best]), draw)
+
+
+def reachable_pairs(space, problem):
+    """The (walker, best) pairs a run reaches: the best is at least as good."""
+    f = space.fitness(problem)
+    n = len(space)
+    return [(w, b) for w in range(n) for b in range(n) if problem.relation.better_eq(f[b], f[w])]
+
+
+def best_law_gap(problem, config, t=0):
+    """The largest gap, over the class pairs a run reaches, between the
+    composed step's law of the next best and the greedy chain's row of the
+    best, on the fitness-class space."""
+    classes = ClassSpace(problem.space, problem)
+    k = len(classes)
+    pair = pair_step(problem, config).exact_matrix(classes, t)
+    best = pair.reshape(k * k, k, k).sum(axis=1)  # summed over the next walker
+    greedy = make_sa(problem, config).chain_kernel.exact_matrix(classes, t)
+    return max(
+        float(np.max(np.abs(best[w * k + b] - greedy[b])))
+        for w, b in reachable_pairs(classes, problem)
+    )
+
+
+@pytest.mark.parametrize("t", [0, 5])
+@COOLINGS
+@pytest.mark.parametrize("kind", ["uniform", "vector"])
+@pytest.mark.parametrize("name", ["onemax3", "line5"])
+def test_elitist_step_law_is_the_composed_row(name, kind, schedule, t):
+    # (a) the sampler that runs equals the composition, from every pair it reaches
+    problem = problems()[name]
+    space = problem.space
+    config = SAConfig(schedule=schedule, mutation=spec(kind, len(space)))
+    rows = pair_step(problem, config).exact_matrix(space, t)
+    step = make_sa(problem, config).next_pop
+    for w, b in reachable_pairs(space, problem):
+        pair = (space.points[w], space.points[b])
+        law = sampler_law(step, space, population(pair, problem), t)
+        row = rows[tuple_index(space, pair)]
+        assert np.max(np.abs(law - row)) <= 1e-12, (pair, law, row)
+
+
+@pytest.mark.parametrize("t", [0, 5])
+@COOLINGS
+@pytest.mark.parametrize("kind", ["uniform", "vector"])
+@pytest.mark.parametrize("name", ["onemax3", "line5"])
+def test_greedy_chain_is_the_law_of_the_best(name, kind, schedule, t):
+    # (b) on fitness classes, the best-so-far of the composition moves by the
+    # verified greedy chain: it holds because this proposal ignores the walker
+    problem = problems()[name]
+    config = SAConfig(schedule=schedule, mutation=spec(kind, len(problem.space)))
+    assert best_law_gap(problem, config, t) <= 1e-12
+
+
+def test_greedy_chain_is_not_the_law_of_the_best_under_a_per_point_proposal():
+    # the scope of (b): a bit-flip proposal (p = 0.25) draws from the walker's
+    # row, so the best moves by another chain than the one verified, the chain
+    # of a search that proposes from its best
+    problem = make_benchmark("onemax", 3).problem
+    bits = np.array(problem.space.points)
+    flips = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+    config = SAConfig(schedule=geometric(2.0, 0.9), mutation=0.25**flips * 0.75 ** (3 - flips))
+    assert best_law_gap(problem, config) == pytest.approx(0.1875, abs=1e-12)

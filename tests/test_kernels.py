@@ -74,6 +74,11 @@ class TestFiniteSpace:
         assert tuple_index(sp, (1, 0)) == 2
         assert sp.n_tuples(3) == 8
 
+    def test_tuples_are_built_per_call(self):
+        # a space keeps no tuple list: the chain that asks for it holds it
+        sp = FiniteSpace((0, 1))
+        assert sp.tuples(2) == sp.tuples(2) and sp.tuples(2) is not sp.tuples(2)
+
     @pytest.mark.parametrize(
         "points, message",
         [((), "at least one point"), ((0, 1, 0), "distinct"), (([0], [1]), "hashable")],

@@ -349,6 +349,40 @@ class TestChainKernel:
         assert peak < 3 * m.nbytes
 
 
+class TestOneProposal:
+    @pytest.mark.parametrize("elitist", [True, False])
+    @pytest.mark.parametrize("name, dim", [("onemax", 3), ("sphere", 2)])
+    def test_make_sa_builds_one_proposal(self, monkeypatch, name, dim, elitist):
+        # the run step and the verified chain share one proposal kernel
+        import sgoal.sa
+
+        calls = []
+
+        def counted(problem, config):
+            calls.append(problem)
+            return sa_proposal(problem, config)
+
+        monkeypatch.setattr(sgoal.sa, "sa_proposal", counted)
+        problem = make_benchmark(name, dim).problem
+        make_sa(problem, SAConfig(schedule=geometric(1.0), elitist=elitist))
+        assert calls == [problem]
+
+    def test_make_sa_keeps_one_proposal_table(self):
+        # onemax d10 with a 1024 x 1024 mutation matrix: the elitist annealer
+        # keeps one normalized 8 MiB row table, not one per kernel
+        problem = make_benchmark("onemax", 10).problem
+        rows = np.random.default_rng(0).random((1024, 1024)) + 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            algo = make_sa(problem, SAConfig(schedule=geometric(1.0), mutation=rows))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert algo.chain_kernel is not algo.next_pop
+        assert kept < 1.5 * rows.nbytes
+
+
 class TestAcceptanceBands:
     @pytest.mark.parametrize("temperature", [0.1, 1.0, 10.0])
     def test_three_sigma_band_small(self, temperature):

@@ -162,6 +162,16 @@ class TestErrors:
         with pytest.raises(UsageError):
             tournament(0)
 
+    @pytest.mark.parametrize("kind", ["uniform", "ranking", "tournament"])
+    def test_rate_fn_refused_where_unread(self, kind):
+        with pytest.raises(UsageError, match="rate_fn"):
+            SelectionScheme(kind, rate_fn=lambda v: v)
+
+    @pytest.mark.parametrize("kind", ["roulette", "proportional"])
+    def test_rate_fn_taken_where_read(self, kind):
+        scheme = SelectionScheme(kind, rate_fn=lambda v: v * v)
+        assert exact_probs(scheme, np.array([1.0, 2.0]), MIN).tolist() == [0.2, 0.8]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(UsageError):
             SelectionScheme("lottery")
@@ -193,6 +203,18 @@ class TestSampling:
                         call()
                 else:
                     call()
+
+    def test_tournament_enumeration_costs_per_class(self):
+        # one class, m = 10**6 entrants: a single multiset, held as one class
+        # count, not as a tuple of m entrants
+        tracemalloc.start()
+        try:
+            probs = exact_probs(tournament(10**6), np.array([1.0, 1.0]), MIN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.tolist() == [0.5, 0.5]
+        assert peak < 2**20
 
     def test_singleton_always_zero(self, rng):
         problem = line_problem([3.0])
