@@ -3,8 +3,11 @@
 Subcommands: ``run`` (replicated optimizer runs with CSV traces and a
 JSON summary), ``verify`` (exact finite-space premise and bound report),
 ``select-test`` (exact selection probabilities against sampled
-frequencies).  Configuration is a flat key=value file plus KEY=VALUE
-command-line overrides; unknown keys are rejected before anything runs.
+frequencies).  Configuration is a flat key=value file, then KEY=VALUE
+overrides, then the ``--seed``/``--replicates``/``--out`` flags, each value
+parsed at load by its key's type.  All settings are checked before the
+benchmark is enumerated, except three that need the built problem: the
+trace-bytes cap, ``rho = 1`` on a finite space and the chain caps.
 
 Exit codes: 0 success/verified, 1 runtime or verification failure,
 2 usage/configuration error.
@@ -35,7 +38,7 @@ _DEFAULTS = {
     "replicates": 1,
     "seed": 0,
     "budget": 100,
-    "eps": "0.1",
+    "eps": (0.1,),
     "out": "out",
     "verify.t_max": 50,
     "sa.T0": 1.0,
@@ -75,15 +78,29 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    out = []
+    for token in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            out.append(float(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad eps threshold {token!r}") from exc
+        if not 0 < out[-1] < math.inf:
+            raise ConfigError("eps thresholds must be positive and finite")
+    if not out:
+        raise ConfigError("at least one eps threshold is required")
+    return tuple(out)
+
+
 def _assign(values: dict, item: str, where: str = "") -> None:
-    """Store one ``key=value`` item in ``values``, typed by the key's schema
-    entry; ``where`` prefixes the unknown-key error with its location."""
+    """Store one ``key=value`` item in ``values``, parsed by its key's type (or
+    that type's parser); ``where`` prefixes the unknown-key error with its location."""
     key, raw = (part.strip() for part in item.split("=", 1))
     if key not in _ALL_KEYS:
         raise ConfigError(f"{where}unknown config key {key!r}")
     kind = _ALL_KEYS[key]
     try:
-        value = _parse_bool(raw) if kind is bool else kind(raw)
+        value = {bool: _parse_bool, tuple: _parse_thresholds}.get(kind, kind)(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if kind is float and not math.isfinite(value):
@@ -107,30 +124,16 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str | None, overrides: list[str]) -> dict:
     values = dict(_DEFAULTS)
     if path is not None:
-        values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
+        values.update(parse_config_text(text))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
         _assign(values, item)
     return values
-
-
-def _eps_list(values: dict) -> list[float]:
-    out = []
-    for token in str(values["eps"]).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            eps = float(token)
-        except ValueError as exc:
-            raise ConfigError(f"bad eps threshold {token!r}") from exc
-        if not 0 < eps < math.inf:
-            raise ConfigError("eps thresholds must be positive and finite")
-        out.append(eps)
-    if not out:
-        raise ConfigError("at least one eps threshold is required")
-    return out
 
 
 def _cooling(values: dict) -> sa_mod.Cooling:
@@ -153,8 +156,8 @@ def _cooling(values: dict) -> sa_mod.Cooling:
 
 
 def build_algorithm(values: dict) -> Algorithm:
-    """Assemble the configured algorithm on a fresh benchmark problem; this
-    validates every setting but the eps thresholds, sizes before allocating."""
+    """Assemble the configured algorithm on a fresh benchmark problem; every
+    setting but ``rho = 1`` on a finite space is checked first."""
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
@@ -171,19 +174,19 @@ def build_algorithm(values: dict) -> Algorithm:
     if not 1 <= values["verify.t_max"] <= T_MAX_CAP:
         raise ConfigError(f"verify.t_max must lie in [1, {T_MAX_CAP}]")
     algorithm = values["algorithm"].strip().lower()
+    if algorithm not in ("sa", "es"):
+        raise ConfigError(f"unknown algorithm {values['algorithm']!r} (expected sa or es)")
     entries = values["dim"]  # numbers in the largest population or child batch
     if algorithm == "es":
         entries *= max(1, values["es.mu"], values["es.lambda"] * values["es.rho"])
     check_cap(8 * entries, MATRIX_BYTES_CAP, "bytes of population arrays")
-    problem = make_benchmark(values["problem"], values["dim"]).problem
     if algorithm == "sa":
         config = sa_mod.SAConfig(
             schedule=_cooling(values),
             sigma=values["sa.sigma"],
             elitist=values["sa.elitist"],
         )
-        return sa_mod.make_sa(problem, config)
-    if algorithm == "es":
+    else:
         config = es_mod.ESConfig(
             mu=values["es.mu"],
             rho=values["es.rho"],
@@ -196,8 +199,8 @@ def build_algorithm(values: dict) -> Algorithm:
             recomb_y=values["es.recomb_y"],
             recomb_s=values["es.recomb_s"],
         )
-        return es_mod.make_es(problem, config)
-    raise ConfigError(f"unknown algorithm {values['algorithm']!r} (expected sa or es)")
+    make = sa_mod.make_sa if algorithm == "sa" else es_mod.make_es
+    return make(make_benchmark(values["problem"], values["dim"]).problem, config)
 
 
 TRACE_BLOCK_ROWS = 2048  # rows formatted per write; bounds the text held at once
@@ -259,7 +262,7 @@ def _dump_indented(fh, value, newline: str) -> None:
 
 def cmd_run(values: dict) -> int:
     algo = build_algorithm(values)  # a run resets its count: one serves every replicate
-    eps_list = _eps_list(values)
+    eps_list = values["eps"]
     replicates = values["replicates"]
     base_seed = values["seed"]
     budget = values["budget"]
@@ -302,7 +305,7 @@ def cmd_run(values: dict) -> int:
 def cmd_verify(values: dict) -> int:
     """Exact report at the first ``eps`` threshold; later ones are ignored."""
     algo = build_algorithm(values)
-    eps = _eps_list(values)[0]
+    eps = values["eps"][0]
     t_max = values["verify.t_max"]
     chain = extract_chain(algo, eps, t_max=t_max, lump=True)
     report = check_bound(chain, t_max)
@@ -381,13 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "select-test":
             return cmd_select_test(args)
-        values = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            values["seed"] = args.seed
-        if args.replicates is not None:
-            values["replicates"] = args.replicates
-        if args.out is not None:
-            values["out"] = args.out
+        flags = [f"{key}={getattr(args, key)}" for key in ("seed", "replicates", "out")
+                 if getattr(args, key) is not None]  # last: a flag wins over KEY=VALUE
+        values = load_config(args.config, [*args.overrides, *flags])
         if args.command == "run":
             return cmd_run(values)
         return cmd_verify(values)

@@ -160,11 +160,14 @@ class ScriptedRng:
     """A generator that replays a prefix of draw outcomes and branches at
     the first new draw (exhaustive enumeration, Ramsey & Pfeffer 2002).
 
-    ``integers(n)`` opens n branches of mass 1/n, ``choice(n, p=p)`` n
-    branches of masses p, and ``random()`` returns a uniform whose ``< x``
-    opens two branches, True of mass x and False of mass 1 - x.  Any other
-    draw raises, rather than guess its law.  ``mass`` is the product of
-    the masses of the outcomes replayed so far.
+    ``integers(low, high=None, size=None)`` takes numpy's arguments (one
+    bound draws from [0, low)) and opens high - low branches of mass
+    1 / (high - low) per element, one element after another when ``size``
+    asks for an array; ``choice(n, p=p)`` opens n branches of masses p, and
+    ``random()`` returns a uniform whose ``< x`` opens two branches, True
+    of mass x and False of mass 1 - x.  Any other draw raises, rather than
+    guess its law.  ``mass`` is the product of the masses of the outcomes
+    replayed so far.
     """
 
     def __init__(self, prefix: tuple) -> None:
@@ -180,8 +183,13 @@ class ScriptedRng:
         self.mass *= masses[k]
         return k
 
-    def integers(self, n):
-        return np.int64(self._draw([1.0 / n] * int(n)))
+    def integers(self, low, high=None, size=None):
+        low, high = (0, low) if high is None else (low, high)
+        masses = [1.0 / (high - low)] * int(high - low)
+        if size is None:
+            return np.int64(low + self._draw(masses))
+        draws = [low + self._draw(masses) for _ in range(int(np.prod(size)))]
+        return np.array(draws, dtype=np.int64).reshape(size)
 
     def choice(self, n, p):
         return np.int64(self._draw(np.asarray(p, dtype=float).tolist()))

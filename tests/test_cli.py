@@ -82,11 +82,67 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, ["dim"])
 
+    def test_eps_is_parsed_at_load(self):
+        assert load_config(None, [])["eps"] == (0.1,)
+        assert load_config(None, ["eps = 0.5, ,1.5"])["eps"] == (0.5, 1.5)
+        assert parse_config_text("eps = 2\n") == {"eps": (2.0,)}
+
+    def test_a_flag_wins_over_key_value(self, tmp_path):
+        cfg = write_cfg(tmp_path, SA_CFG)
+        out = tmp_path / "out"
+        args = ["run", "--config", cfg, "--seed", "99", "--replicates", "1", "--out", str(out),
+                "seed=3", "replicates=2", f"out={tmp_path / 'other'}"]
+        assert main(args) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace_99.csv"]
+        assert not (tmp_path / "other").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        # a stray 0xff byte is a configuration error that names the file
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"algorithm = sa\nproblem = onemax # \xff\ndim = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not UTF-8")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_readme_lists_the_algorithm_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme.split("Algorithm keys:", 1)[1].split("\n\n", 1)[0]
         listed = set(re.findall(r"\b(?:sa|es)\.\w+", paragraph))
         assert listed == {key for key in _ALL_KEYS if key.startswith(("sa.", "es."))}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["algorithm=sa", "eps=abc"], "bad eps threshold 'abc'"),
+        (["algorithm=sa", "eps=inf"], "eps thresholds must be positive and finite"),
+        (["algorithm=sa", "eps=,"], "at least one eps threshold is required"),
+        (["algorithm=bogus"], "unknown algorithm 'bogus' (expected sa or es)"),
+        (["algorithm=sa", "sa.gamma=1.5"], "geometric cooling needs gamma in (0, 1)"),
+        (["algorithm=sa", "sa.cooling=boltzmann"], "unknown cooling 'boltzmann'"),
+        (["algorithm=es", "es.mode=bogus"], "mode must be 'plus' or 'comma'"),
+        (["algorithm=es", "es.sigma_init=1e9"], "sigma_init must lie in [sigma_min, sigma_max]"),
+    ],
+    ids=["eps_abc", "eps_inf", "eps_empty", "algorithm", "gamma", "cooling", "mode", "sigma_init"],
+)
+def test_settings_are_checked_before_the_benchmark_is_enumerated(
+    tmp_path, monkeypatch, capsys, command, overrides, message
+):
+    import sgoal.cli as cli
+
+    def enumerate_anyway(*call):
+        raise AssertionError(f"make_benchmark{call} was called")
+
+    monkeypatch.setattr(cli, "make_benchmark", enumerate_anyway)
+    out = tmp_path / "out"
+    args = [command, "--out", str(out), "problem=onemax", "dim=20", *overrides]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestRunCommand:
@@ -170,6 +226,8 @@ class TestRunCommand:
             (["algorithm=es", "es.sigma_init=5000", "budget=3"], "sigma_init"),
             (["algorithm=es", "es.sigma_init=1e-12", "budget=3"], "sigma_init"),
             (["algorithm=sa", "budget=3", "seed=-1"], "seed"),
+            (["algorithm=sa", "budget=3", "--seed", "-1"], "seed"),
+            (["algorithm=sa", "--replicates", "0"], "replicates must be >= 1"),
             (["algorithm=es", "es.tau=1e308", "budget=3"], "tau"),
             (["algorithm=sa", "verify.t_max=2000000"], "t_max"),
             (["algorithm=sa", f"verify.t_max={T_MAX_CAP + 1}"], "t_max"),
@@ -187,12 +245,12 @@ class TestRunCommand:
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, overrides, key):
         # a linear floor above T0 would raise the temperature; a sigma_init
         # outside [sigma_min, sigma_max] would start the run elsewhere; a
-        # negative seed cannot seed the generator; a tau of 1e308 would make
-        # NaN step sizes (inf + -inf); a step scale above 1e300 could step a
-        # box point to inf, and is refused on a finite problem too; a t_max
-        # above the cap would build and multiply one matrix per step in
-        # verify; population arrays and traces over the byte cap would fail
-        # only once allocated
+        # negative seed cannot seed the generator, and a flag is checked like
+        # its key; a tau of 1e308 would make NaN step sizes (inf + -inf); a
+        # step scale above 1e300 could step a box point to inf, and is refused
+        # on a finite problem too; a t_max above the cap would build and
+        # multiply one matrix per step in verify; population arrays and traces
+        # over the byte cap would fail only once allocated
         out = tmp_path / "out"
         args = ["run", "--out", str(out), "problem=sphere", "dim=2", *overrides]
         assert main(args) == 2

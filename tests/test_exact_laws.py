@@ -5,14 +5,24 @@ of its output is computed exactly, not estimated: the kernel that runs
 is checked to be the kernel that is verified, to 1e-12.  The elitist
 annealer's (walker, best) step is checked against its composition from the
 combinators, and the law of its best against the greedy chain it verifies.
+A finite strategy's generation law is checked against its row and against
+an independent enumeration of every child tuple.
 """
 
 import numpy as np
 import pytest
 
-from conftest import exact_law, line_problem, population, sampler_law, tuple_index
+from conftest import (
+    brute_es_matrix,
+    exact_law,
+    line_problem,
+    population,
+    sampler_law,
+    tuple_index,
+)
 
 from sgoal.bench import make_benchmark
+from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ClassSpace, compose, join, projection, sort_kernel
 from sgoal.mutation import proposal_kernel
 from sgoal.sa import SAConfig, geometric, linear, logarithmic, make_sa, metropolis_kernel
@@ -59,6 +69,14 @@ def test_the_enumeration_is_a_law():
 
     law = exact_law(draw)
     assert law == {(0, True): 0.125, (0, False): 0.375, (1, True): 0.125, (1, False): 0.375}
+
+
+def test_integers_take_numpy_arguments():
+    # integers(low, high, size): one branch set per element, in order
+    law = exact_law(lambda rng: (int(rng.integers(3)), tuple(rng.integers(1, 3, size=2))))
+    pairs = [(a, b) for a in (1, 2) for b in (1, 2)]
+    assert law == pytest.approx({(i, pair): 1 / 12 for i in range(3) for pair in pairs})
+    assert exact_law(lambda rng: rng.integers(0, 2, size=(1, 2)).shape) == {(1, 2): 1.0}
 
 
 def test_an_unsupported_draw_is_refused():
@@ -156,3 +174,28 @@ def test_greedy_chain_is_not_the_law_of_the_best_under_a_per_point_proposal():
     flips = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
     config = SAConfig(schedule=geometric(2.0, 0.9), mutation=0.25**flips * 0.75 ** (3 - flips))
     assert best_law_gap(problem, config) == pytest.approx(0.1875, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vector", "matrix"])
+@pytest.mark.parametrize(
+    "mode, mu, lam",
+    [("plus", 1, 1), ("plus", 1, 3), ("plus", 2, 2), ("plus", 2, 3),
+     ("comma", 2, 2), ("comma", 2, 3)],
+    ids=["1+1", "1+3", "2+2", "2+3", "2,2", "2,3"],
+)
+def test_strategy_generation_law_is_its_row(mode, mu, lam, kind):
+    # points 0 and 2 tie: the survivors are the first mu of a stable sort of
+    # the parents, then the children (plus), or of the children (comma), so a
+    # tie keeps the earlier member
+    problem = line_problem([1.0, 0.0, 1.0])
+    space = problem.space
+    mutation = spec(kind, len(space))
+    config = ESConfig(mu=mu, rho=1, lam=lam, mode=mode, mutation=mutation)
+    step = make_es(problem, config).next_pop
+    rows = step.exact_matrix(space)
+    brute = brute_es_matrix(problem, mu, lam, mode, mutation)
+    for start in space.tuples(mu):
+        i = tuple_index(space, start)
+        law = sampler_law(step, space, population(start, problem))
+        assert np.max(np.abs(law - rows[i])) <= 1e-12, (start, law, rows[i])
+        assert np.max(np.abs(law - brute[i])) <= 1e-12, (start, law, brute[i])
