@@ -100,4 +100,5 @@ def make_benchmark(name: str, dim: int) -> BenchmarkProblem:
     raise UsageError(f"unknown benchmark {name!r}")
 
 
-BENCHMARKS = ("sphere", "rastrigin", "rosenbrock", "onemax", "trap5")
+FINITE_BENCHMARKS = ("onemax", "trap5")  # on enumerated bit strings
+BENCHMARKS = ("sphere", "rastrigin", "rosenbrock", *FINITE_BENCHMARKS)

@@ -5,9 +5,9 @@ JSON summary), ``verify`` (exact finite-space premise and bound report),
 ``select-test`` (exact selection probabilities against sampled
 frequencies).  Configuration is a flat key=value file, then KEY=VALUE
 overrides, then the ``--seed``/``--replicates``/``--out`` flags, each value
-parsed at load by its key's type.  All settings are checked before the
-benchmark is enumerated, except three that need the built problem: the
-trace-bytes cap, ``rho = 1`` on a finite space and the chain caps.
+parsed at load by its key's type.  Every setting, the trace-bytes cap and
+``rho = 1`` on a finite problem included, is checked before the benchmark
+is enumerated; only the chain caps of ``verify`` need the built kernel.
 
 Exit codes: 0 success/verified, 1 runtime or verification failure,
 2 usage/configuration error.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import es as es_mod
 from . import sa as sa_mod
-from .bench import BENCHMARKS, make_benchmark
+from .bench import BENCHMARKS, FINITE_BENCHMARKS, make_benchmark
 from .core import Algorithm, Relation, exceedance, max_iters, run_algorithm
 from .errors import ConfigError, SgoalError, UsageError, check_cap
 from .selection import SelectionScheme, exact_probs, select_many
@@ -157,7 +157,7 @@ def _cooling(values: dict) -> sa_mod.Cooling:
 
 def build_algorithm(values: dict) -> Algorithm:
     """Assemble the configured algorithm on a fresh benchmark problem; every
-    setting but ``rho = 1`` on a finite space is checked first."""
+    setting, the bytes of a run's traces included, is checked first."""
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
@@ -199,6 +199,18 @@ def build_algorithm(values: dict) -> Algorithm:
             recomb_y=values["es.recomb_y"],
             recomb_s=values["es.recomb_s"],
         )
+        if config.rho != 1 and values["problem"] in FINITE_BENCHMARKS:  # as es.child_kernel
+            raise ConfigError("finite-space strategies support rho = 1 only")
+    # bytes held per step, at the peak of a run or of the summary: the
+    # closeness rows (stacked, and copied for the median, in the summary);
+    # the last trace's 5 columns; a run's fitness buffer (3 rows of the
+    # step's population while it doubles) and 8 arrays at its end; 40-byte
+    # list items (slot and number), 2 in a run and 3 + len(eps) in the summary
+    arity = config.mu if algorithm == "es" else 2 if config.elitist else 1
+    run_bytes = 8 * (values["replicates"] + 5 + 3 * arity + 8) + 40 * 2
+    summary_bytes = 8 * (3 * values["replicates"] + 5) + 40 * (3 + len(values["eps"]))
+    per_step = max(run_bytes, summary_bytes)
+    check_cap(per_step * (values["budget"] + 1), MATRIX_BYTES_CAP, "bytes of traces")
     make = sa_mod.make_sa if algorithm == "sa" else es_mod.make_es
     return make(make_benchmark(values["problem"], values["dim"]).problem, config)
 
@@ -266,15 +278,6 @@ def cmd_run(values: dict) -> int:
     replicates = values["replicates"]
     base_seed = values["seed"]
     budget = values["budget"]
-    # bytes held per step, at the peak of a run or of the summary: the
-    # closeness rows (stacked, and copied for the median, in the summary);
-    # the last trace's 5 columns; a run's fitness buffer (3 rows while it
-    # doubles) and 8 arrays at its end; 40-byte list items (slot and
-    # number), 2 in a run and 3 + len(eps) in the summary
-    run_bytes = 8 * (replicates + 5 + 3 * algo.next_pop.arity_in + 8) + 40 * 2
-    summary_bytes = 8 * (3 * replicates + 5) + 40 * (3 + len(eps_list))
-    per_step = max(run_bytes, summary_bytes)
-    check_cap(per_step * (budget + 1), MATRIX_BYTES_CAP, "bytes of traces")
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -10,8 +10,9 @@ the sampler and the matrix.
 Matrix convention: distributions are row vectors, so applying kernel K1
 and then K2 multiplies as ``M1 @ M2``.  Inside the combinators a matrix
 travels as fixed-width sparse rows (width one for a deterministic
-kernel); ``exact_matrix`` builds the dense matrix once, and a kernel
-that does not read the time index keeps it for later steps.
+kernel).  Deterministic kernels compose as one map on point indices:
+decode once, encode once.  ``exact_matrix`` builds the dense matrix once,
+and a kernel that does not read the time index keeps it for later steps.
 """
 
 from __future__ import annotations
@@ -292,6 +293,20 @@ class Kernel:
         return m
 
 
+class DigitMap:
+    """Rows of a deterministic kernel from its map on point-index digit
+    arrays: ``fn(space, digits)`` sends the ``(k, arity_in)`` point indices
+    of k input tuples to those of their outputs.  A block of rows is
+    decoded once and encoded once, whatever ``fn`` composes."""
+
+    def __init__(self, arity_in: int, fn: Callable[[FiniteSpace, np.ndarray], np.ndarray]):
+        self.arity_in, self.fn = arity_in, fn
+
+    def __call__(self, space: FiniteSpace, state: ScheduleState, idx: np.ndarray) -> Rows:
+        cols = space.encode(self.fn(space, space.digits(idx, self.arity_in)))
+        return cols[:, None], np.ones((idx.size, 1))
+
+
 def check_row_stochastic(m: np.ndarray, tol: float = ROW_SUM_TOL, name: str = "matrix") -> None:
     """Raise unless every row is a probability vector within ``tol``."""
     m = np.asarray(m, dtype=float)
@@ -313,8 +328,9 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
     """Sequential composition: apply ``k1`` first, then ``k2``.
 
     The exact matrix, when both factors have one, is ``M1 @ M2``: each
-    entry of a ``k1`` row fans out into the ``k2`` row it lands on.  A
-    composed row wider than the output space is folded into a dense row.
+    entry of a ``k1`` row fans out into the ``k2`` row it lands on, and a
+    row wider than the output space is folded into a dense row.  Two
+    ``DigitMap`` factors compose as the ``DigitMap`` of their composed map.
     """
     if k1.arity_out != k2.arity_in:
         raise ConfigError(
@@ -326,7 +342,10 @@ def compose(k2: Kernel, k1: Kernel) -> Kernel:
         return k2.sample(k1.sample(pop, state, rng), state, rng)
 
     matrix_fn = None
-    if k1.matrix_fn is not None and k2.matrix_fn is not None:
+    if isinstance(k1.matrix_fn, DigitMap) and isinstance(k2.matrix_fn, DigitMap):
+        f1, f2 = k1.matrix_fn.fn, k2.matrix_fn.fn
+        matrix_fn = DigitMap(k1.arity_in, lambda space, digits: f2(space, f1(space, digits)))
+    elif k1.matrix_fn is not None and k2.matrix_fn is not None:
 
         def matrix_fn(space, state, idx):
             cols1, mass1 = k1.matrix_fn(space, state, idx)
@@ -412,17 +431,9 @@ def projection(arity_in: int, indices: Sequence[int]) -> Kernel:
         if i < 0 or i >= arity_in:
             raise ConfigError(f"projection index {i} out of range for arity {arity_in}")
 
-    def matrix_fn(space, state, idx):
-        cols = space.encode(space.digits(idx, arity_in)[:, indices])
-        return cols[:, None], np.ones((idx.size, 1))
-
-    return Kernel(
-        arity_in=arity_in,
-        arity_out=len(indices),
-        sample_fn=lambda pop, state, rng: pop.take(indices),
-        matrix_fn=matrix_fn,
-        name=f"proj{indices}",
-    )
+    take = DigitMap(arity_in, lambda space, digits: digits[:, indices])
+    return Kernel(arity_in, len(indices), lambda pop, state, rng: pop.take(indices), take,
+                  name=f"proj{indices}")
 
 
 def identity(arity: int) -> Kernel:
@@ -440,22 +451,11 @@ def sort_kernel(problem: "Problem", arity: int) -> Kernel:
         raise ConfigError("sort arity must be >= 1")
     order = problem.relation.order
 
-    def sample_fn(pop, state, rng):
-        return pop.take(order(pop.fitness))
+    def sort_digits(space, digits):
+        return np.take_along_axis(digits, order(space.fitness(problem)[digits], axis=1), axis=1)
 
-    def matrix_fn(space, state, idx):
-        digits = space.digits(idx, arity)
-        rank = order(space.fitness(problem)[digits], axis=1)
-        cols = space.encode(np.take_along_axis(digits, rank, axis=1))
-        return cols[:, None], np.ones((idx.size, 1))
-
-    return Kernel(
-        arity_in=arity,
-        arity_out=arity,
-        sample_fn=sample_fn,
-        matrix_fn=matrix_fn,
-        name=f"sort{arity}",
-    )
+    return Kernel(arity, arity, lambda pop, state, rng: pop.take(order(pop.fitness)),
+                  DigitMap(arity, sort_digits), name=f"sort{arity}")
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def selection_kernel(problem: Problem, scheme: SelectionScheme, arity: int) -> K
     The sampler runs the mechanism on the fitness the members carry and
     returns the selected member with its fitness.  A matrix row lists the
     tuple's points with their exact probabilities (a point that occurs
-    twice adds up); they are computed once per fitness pattern.
+    twice adds up), once per fitness pattern; uniform reads no fitness.
     """
 
     def sample_fn(pop, state, rng):
@@ -211,6 +211,8 @@ def selection_kernel(problem: Problem, scheme: SelectionScheme, arity: int) -> K
 
     def matrix_fn(space, state, idx):
         digits = space.digits(idx, arity)
+        if scheme.kind == "uniform":
+            return digits, np.full(digits.shape, 1.0 / arity)
         patterns, inverse = np.unique(
             space.fitness(problem)[digits], axis=0, return_inverse=True
         )

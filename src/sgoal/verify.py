@@ -301,8 +301,22 @@ def _overwrite(path, text: str) -> None:
         fh.truncate()
 
 
-def write_bound_json(report: BoundReport, path) -> None:  # one write: json.dump writes per token
-    _overwrite(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+_BOUND_JSON = ('{\n  "delta": %s,\n  "lumped": %s,\n  "per_t": %s,\n  "premise_absorbing": %s,\n'
+               '  "premise_reach": %s,\n  "states": %s\n}\n')
+_BOUND_ROW = ('    {\n      "bound": %s,\n      "margin": %s,\n      "min_mass": %s,\n'
+              '      "t": %s\n    }')
+
+
+def write_bound_json(report: BoundReport, path) -> None:
+    # the bytes of json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True) and a
+    # newline, in one write: json's C encoder spells the values, the layout is fixed
+    r = report
+    cells = [r.delta, r.lumped, r.premise_absorbing, r.premise_reach, r.states]
+    cells += [v for row in r.per_t for v in (row.bound, row.margin, row.min_mass, row.t)]
+    delta, lumped, absorbing, reach, states, *rows = json.dumps(cells)[1:-1].split(", ")
+    per_t = ",\n".join([_BOUND_ROW] * len(r.per_t)) % tuple(rows)
+    per_t = f"[\n{per_t}\n  ]" if rows else "[]"
+    _overwrite(path, _BOUND_JSON % (delta, lumped, per_t, absorbing, reach, states))
 
 
 def write_bound_csv(report: BoundReport, path) -> None:

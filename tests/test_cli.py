@@ -126,8 +126,12 @@ class TestConfigParsing:
         (["algorithm=sa", "sa.cooling=boltzmann"], "unknown cooling 'boltzmann'"),
         (["algorithm=es", "es.mode=bogus"], "mode must be 'plus' or 'comma'"),
         (["algorithm=es", "es.sigma_init=1e9"], "sigma_init must lie in [sigma_min, sigma_max]"),
+        (["algorithm=es", "es.rho=2"], "finite-space strategies support rho = 1 only"),
+        (["algorithm=sa", "budget=3000000000"],
+         "720,000,000,240 bytes of traces are over the cap of 1,073,741,824"),
     ],
-    ids=["eps_abc", "eps_inf", "eps_empty", "algorithm", "gamma", "cooling", "mode", "sigma_init"],
+    ids=["eps_abc", "eps_inf", "eps_empty", "algorithm", "gamma", "cooling", "mode", "sigma_init",
+         "rho", "trace_bytes"],
 )
 def test_settings_are_checked_before_the_benchmark_is_enumerated(
     tmp_path, monkeypatch, capsys, command, overrides, message

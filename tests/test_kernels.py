@@ -22,6 +22,7 @@ from conftest import (
 
 from sgoal.core import Problem, Relation
 from sgoal.errors import ConfigError, UsageError
+from sgoal.es import replace_es
 from sgoal.kernels import (
     FiniteSpace,
     Kernel,
@@ -295,6 +296,83 @@ class TestProjectionAndSort:
         p = line_problem([3.0, 1.0, 2.0], relation=Relation.MAXIMIZE)
         out = sort_kernel(p, 3).sample(population((0, 1, 2), p), ScheduleState(), rng)
         assert out.members == (0, 2, 1)
+
+
+@st.composite
+def projection_sort_chains(draw):
+    """A line problem with tied fitness values and either relation, and a
+    chain of 2-3 projections and sorts over at most 256 input tuples."""
+    n = draw(st.integers(2, 4))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    problem = line_problem(values, relation=draw(st.sampled_from(list(Relation))))
+    arity = draw(st.integers(1, {2: 5, 3: 5, 4: 4}[n]))
+    chain = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            chain.append(sort_kernel(problem, arity))
+        else:
+            picks = draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=arity))
+            chain.append(projection(arity, picks))
+            arity = len(picks)
+    return problem, chain
+
+
+class TestDeterministicComposition:
+    """Projections and sorts compose as one map on point indices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(projection_sort_chains())
+    def test_composed_maps_equal_the_matrix_product(self, instance):
+        problem, chain = instance
+        space = problem.space
+        want = chain[0].exact_matrix(space)
+        for k in chain[1:]:
+            want = want @ k.exact_matrix(space)
+        left = chain[0]
+        for k in chain[1:]:
+            left = compose(k, left)
+        right = chain[-1]
+        for k in reversed(chain[:-1]):
+            right = compose(right, k)
+        for composed in (left, right):
+            assert np.array_equal(composed.exact_matrix(space), want)
+
+    @pytest.mark.parametrize(
+        "relation, survivors", [(Relation.MINIMIZE, (1, 0)), (Relation.MAXIMIZE, (3, 3))]
+    )
+    def test_proj_sort_proj(self, relation, survivors, rng):
+        # (3, 1, 0) -> the pool (0, 3, 1, 3), sorted stably best first, and
+        # its first two kept; sorting before the first projection would not
+        # keep the same members
+        problem = line_problem([1.0, 0.0, 1.0, 2.5], relation=relation)
+        space = problem.space
+        parts = [projection(3, [2, 0, 1, 0]), sort_kernel(problem, 4), projection(4, [0, 1])]
+        chain = compose(parts[2], compose(parts[1], parts[0]))
+        assert chain.name == "(proj[0, 1] . (sort4 . proj[2, 0, 1, 0]))"
+        want = parts[0].exact_matrix(space) @ parts[1].exact_matrix(space)
+        m = chain.exact_matrix(space)
+        assert np.array_equal(m, want @ parts[2].exact_matrix(space))
+        assert m[tuple_index(space, (3, 1, 0)), tuple_index(space, survivors)] == 1.0
+        out = chain.sample(population((3, 1, 0), problem), ScheduleState(), rng)
+        assert out.members == survivors
+
+    def test_replace_es_decodes_each_block_once(self, monkeypatch):
+        problem = line_problem([1.0, 0.0, 1.0, 2.5])
+        space = problem.space
+        sort, first_two = sort_kernel(problem, 4), projection(4, [0, 1])
+        want = sort.exact_matrix(space) @ first_two.exact_matrix(space)
+        decoded = []
+        digits = FiniteSpace.digits
+
+        def counted(self, idx, arity):
+            decoded.append(arity)
+            return digits(self, idx, arity)
+
+        monkeypatch.setattr(FiniteSpace, "digits", counted)
+        monkeypatch.setattr("sgoal.kernels.BLOCK_ENTRIES", 16 * 32)  # 32 rows per block
+        got = replace_es(problem, 4, 2).exact_matrix(space)
+        assert decoded == [4] * 8  # 256 pool tuples in 8 blocks
+        assert np.array_equal(got, want)
 
 
 class TestRowStochasticityPreserved:

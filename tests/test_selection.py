@@ -304,6 +304,22 @@ class TestSelectionKernel:
         for built in (kernel, compose(identity(1), kernel)):
             assert np.max(np.abs(built.exact_matrix(space) - oracle)) <= 1e-12
 
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    @pytest.mark.parametrize("relation", [MIN, MAX])
+    def test_uniform_rows_equal_the_per_pattern_probabilities(self, arity, relation):
+        # uniform selection reads no fitness, so its rows skip the per-pattern
+        # pass; they must still hold exact_probs' values bit for bit
+        problem = line_problem([1.0, 0.0, 1.0, 2.5], relation=relation)
+        space = problem.space
+        idx = np.arange(space.n_tuples(arity))
+        digits = space.digits(idx, arity)
+        patterns = space.fitness(problem)[digits]
+        want = np.stack([exact_probs(uniform(), f, relation) for f in patterns])
+        cols, mass = selection_kernel(problem, uniform(), arity).matrix_fn(
+            space, ScheduleState(), idx
+        )
+        assert np.array_equal(cols, digits) and np.array_equal(mass, want)
+
     @pytest.mark.parametrize(
         "scheme", SCHEMES, ids=lambda s: s.kind + (str(s.m) if s.kind == "tournament" else "")
     )

@@ -516,18 +516,28 @@ class TestReports:
     def test_bytes_equal_the_csv_and_json_modules(self, tmp_path):
         rows = [(1, 0.1, 1 / 3, -0.0), (2, float("nan"), float("inf"), -float("inf")),
                 (3, 5e-324, 1.0, 1e300)]
-        report = BoundReport(0.25, True, False, tuple(BoundRow(*r) for r in rows), 7, True)
-        write_bound_json(report, tmp_path / "bound.json")
-        write_bound_csv(report, tmp_path / "bound.csv")
-        with open(tmp_path / "json.ref", "w", encoding="ascii") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(tmp_path / "csv.ref", "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "min_mass", "bound", "margin"])
-            writer.writerows([t, *(f"{v:.17g}" for v in vs)] for t, *vs in rows)
-        for name, ref in (("bound.json", "json.ref"), ("bound.csv", "csv.ref")):
-            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+        # state 0 leaks to 1, and 2 never reaches the set: both premises fail
+        neither = FiniteChain((0, 1, 2), {0}, (np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                                         [0.0, 0.0, 1.0]]),))
+        reports = [
+            BoundReport(0.25, True, False, tuple(BoundRow(*r) for r in rows), 7, True),
+            check_bound(two_state_chain(0.01), 1000),
+            check_bound(neither, 4),
+        ]
+        assert not reports[2].premise_absorbing and not reports[2].premise_reach
+        for report in reports:
+            write_bound_json(report, tmp_path / "bound.json")
+            write_bound_csv(report, tmp_path / "bound.csv")
+            with open(tmp_path / "json.ref", "w", encoding="ascii") as fh:
+                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            with open(tmp_path / "csv.ref", "w", encoding="ascii", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "min_mass", "bound", "margin"])
+                writer.writerows([r.t, *(f"{v:.17g}" for v in (r.min_mass, r.bound, r.margin))]
+                                 for r in report.per_t)
+            for name, ref in (("bound.json", "json.ref"), ("bound.csv", "csv.ref")):
+                assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
 
     def test_rewrite_cuts_a_longer_report_to_length(self, tmp_path):
         long_report = check_bound(two_state_chain(0.5), 9)
