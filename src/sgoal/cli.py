@@ -8,6 +8,8 @@ overrides, then the ``--seed``/``--replicates``/``--out`` flags, each value
 parsed at load by its key's type.  Every setting, the trace-bytes cap and
 ``rho = 1`` on a finite problem included, is checked before the benchmark
 is enumerated; only the chain caps of ``verify`` need the built kernel.
+The four report files share one writer, which writes over the old file in
+place; the CSVs share one ``%.17g`` formatter, the JSON files one encoder.
 
 Exit codes: 0 success/verified, 1 runtime or verification failure,
 2 usage/configuration error.
@@ -17,9 +19,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +34,9 @@ from . import sa as sa_mod
 from .bench import BENCHMARKS, FINITE_BENCHMARKS, make_benchmark
 from .core import Algorithm, Relation, exceedance, max_iters, run_algorithm
 from .errors import ConfigError, SgoalError, UsageError, check_cap
-from .selection import SelectionScheme, exact_probs, select_many
+from .selection import SCHEMES, SelectionScheme, exact_probs, select_many
 from .stats import chisquare_gof
-from .verify import MATRIX_BYTES_CAP, T_MAX_CAP, check_bound, extract_chain
-from .verify import write_bound_csv, write_bound_json
+from .verify import MATRIX_BYTES_CAP, T_MAX_CAP, BoundReport, check_bound, extract_chain
 
 _DEFAULTS = {
     "replicates": 1,
@@ -215,61 +219,93 @@ def build_algorithm(values: dict) -> Algorithm:
     return make(make_benchmark(values["problem"], values["dim"]).problem, config)
 
 
-TRACE_BLOCK_ROWS = 2048  # rows formatted per write; bounds the text held at once
-_TRACE_ROW = "%d,%.17g,%.17g,%d,%.17g\n"
+BLOCK = 2048  # CSV rows or JSON list items formatted per write; bounds the text held at once
+_CELLS = json.JSONEncoder(check_circular=False, separators=("\n", ": ")).encode
+
+
+def _write_blocks(path, blocks: Iterable[str]) -> None:
+    """Write ``blocks`` over the file at ``path`` in place, cut to length even
+    if a block fails: on ext4 a truncating open starts writeback at close."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for block in blocks:
+                fh.write(block.encode("ascii"))
+        finally:
+            fh.truncate()
+
+
+def _csv_blocks(header: str, row: str, columns) -> Iterator[str]:
+    """Yield ``header``, then the rows of ``columns`` as ``row % cells``, ``BLOCK`` at a time."""
+    yield header
+    for start in range(0, len(columns[0]), BLOCK):
+        cells = (c[start : start + BLOCK].tolist() for c in columns)
+        yield "".join([row % r for r in zip(*cells)])
+
+
+def _json_blocks(value, newline: str) -> Iterator[str]:
+    """Yield the text of ``json.dumps(value, indent=2, sort_keys=True)``, its
+    lines after the first starting with ``newline``'s indent.
+
+    Keys are strings; a list holds scalars and empty containers, or flat
+    dicts that share the first one's keys (rows).  One call of json's C
+    encoder spells the keys and scalars of a dict, or of all rows, split at
+    its newline separator, which no scalar's text holds; a list of scalars
+    is spelled ``BLOCK`` items at a time.  ``json.dump`` with an indent
+    would spell each item in Python.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        keys = sorted(value)
+        nested = [isinstance(value[k], (dict, list)) and bool(value[k]) for k in keys]
+        cells = _CELLS(keys + [None if n else value[k] for k, n in zip(keys, nested)])
+        cells, text = cells[1:-1].split("\n"), "{"
+        for i, key in enumerate(keys):
+            text += ("," if i else "") + inner + cells[i] + ": "
+            if nested[i]:
+                yield text
+                yield from _json_blocks(value[key], inner)
+                text = ""
+            else:
+                text += cells[len(keys) + i]
+        yield text + newline + "}"
+    elif isinstance(value, list) and value and isinstance(value[0], dict) and value[0]:
+        keys = sorted(value[0])
+        cells = _CELLS(keys + [r[k] for r in value for k in keys])[1:-1].split("\n")
+        row = ",".join([inner + "  " + c.replace("%", "%%") + ": %s" for c in cells[: len(keys)]])
+        rows = ("," + inner).join(["{" + row + inner + "}"] * len(value))
+        yield "[" + inner + rows % tuple(cells[len(keys) :]) + newline + "]"
+    elif isinstance(value, list) and value:
+        encode = json.JSONEncoder(check_circular=False, separators=("," + inner, ": ")).encode
+        yield "["
+        for start in range(0, len(value), BLOCK):
+            yield ("," if start else "") + inner + encode(value[start : start + BLOCK])[1:-1]
+        yield newline + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _write_json(path, value: dict) -> None:
+    """The bytes of ``json.dump(value, fh, indent=2, sort_keys=True)`` and a newline."""
+    _write_blocks(path, itertools.chain(_json_blocks(value, "\n"), ("\n",)))
 
 
 def _write_trace_csv(path: Path, trace) -> None:
-    """Write a ``ConvergenceTrace`` as CSV: a ``t,D,f_best,evals,T_or_sigma``
-    header, then one row per step with every float as ``%.17g``, which reads
-    back as the same double.
-
-    Rows are formatted and written ``TRACE_BLOCK_ROWS`` at a time, so the
-    text in memory is one block, however long the run.
-    """
+    """A ``ConvergenceTrace`` as ``t,D,f_best,evals,T_or_sigma`` rows, every
+    float as ``%.17g``, which reads back as the same double."""
     columns = (trace.t, trace.d, trace.f_best, trace.evals, trace.param)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,D,f_best,evals,T_or_sigma\n")
-        for start in range(0, len(trace), TRACE_BLOCK_ROWS):
-            block = (c[start : start + TRACE_BLOCK_ROWS].tolist() for c in columns)
-            fh.write("".join([_TRACE_ROW % row for row in zip(*block)]))
+    header, row = "t,D,f_best,evals,T_or_sigma\n", "%d,%.17g,%.17g,%d,%.17g\n"
+    _write_blocks(path, _csv_blocks(header, row, columns))
 
 
-SUMMARY_BLOCK_ITEMS = 2048  # list items encoded per write; bounds the text held at once
+def write_bound_json(report: BoundReport, path) -> None:
+    _write_json(path, report.to_json_dict())
 
 
-def _write_summary_json(path: Path, summary: dict) -> None:
-    """Write ``summary`` with the bytes of ``json.dump(summary, fh, indent=2,
-    sort_keys=True)`` and a final newline.
-
-    Its keys are strings and its lists hold no containers: each list is
-    encoded by the C encoder, ``SUMMARY_BLOCK_ITEMS`` items at a time, with
-    the indented item separator; ``json.dump`` with an indent would encode
-    every item in Python.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        _dump_indented(fh, summary, "\n")
-        fh.write("\n")
-
-
-def _dump_indented(fh, value, newline: str) -> None:
-    """Write one JSON value whose lines start with ``newline``'s indent."""
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        fh.write("{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(("," if i else "") + inner + json.dumps(key) + ": ")
-            _dump_indented(fh, value[key], inner)
-        fh.write(newline + "}")
-    elif isinstance(value, list) and value:
-        encode = json.JSONEncoder(check_circular=False, separators=("," + inner, ": ")).encode
-        fh.write("[")
-        for start in range(0, len(value), SUMMARY_BLOCK_ITEMS):
-            block = encode(value[start : start + SUMMARY_BLOCK_ITEMS])
-            fh.write(("," if start else "") + inner + block[1:-1])
-        fh.write(newline + "]")
-    else:
-        fh.write(json.dumps(value))
+def write_bound_csv(report: BoundReport, path) -> None:
+    """``t,min_mass,bound,margin`` rows in csv.writer's bytes: ``\\r\\n``, no quotes."""
+    names = ("t", "min_mass", "bound", "margin")
+    columns = [np.array([getattr(r, name) for r in report.per_t]) for name in names]
+    _write_blocks(path, _csv_blocks(",".join(names) + "\r\n", "%d,%.17g,%.17g,%.17g\r\n", columns))
 
 
 def cmd_run(values: dict) -> int:
@@ -300,7 +336,7 @@ def cmd_run(values: dict) -> int:
         "median_d": np.median(stacked, axis=0).tolist(),
         "pr_d_above": {f"{eps:.17g}": exceedance(stacked, eps).tolist() for eps in eps_list},
     }
-    _write_summary_json(out_dir / "summary.json", summary)
+    _write_json(out_dir / "summary.json", summary)
     print(f"wrote {replicates} trace file(s) and summary.json to {out_dir}")
     return 0
 
@@ -372,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(sub.add_parser("verify", help="exact premise/bound report"))
 
     st = sub.add_parser("select-test", help="exact vs sampled selection probabilities")
-    st.add_argument("--scheme", required=True,
-                    choices=["uniform", "proportional", "tournament", "roulette", "ranking"])
+    st.add_argument("--scheme", required=True, choices=SCHEMES)
     st.add_argument("--fitness", required=True, help="comma-separated fitness values")
     st.add_argument("--relation", default="min", help="min or max (default min)")
     st.add_argument("--samples", type=int, default=100_000)

@@ -30,8 +30,7 @@ from .errors import ConfigError, NotLumpable, UsageError
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Problem
 
-ROW_SUM_TOL = 1e-12
-LUMP_TOL = 1e-12  # the lumping certificate's tolerance on class masses
+EXACT_TOL = 1e-12  # row sums, lumping certificates, premises and bound margins
 JOIN_WIDTH_CAP = 4096  # joint outcomes per input tuple that ``join`` enumerates
 BLOCK_ENTRIES = 1 << 14  # dense matrix entries ``exact_matrix`` fills per block
 
@@ -183,7 +182,7 @@ class ClassSpace(FiniteSpace):
 
         ``rows`` holds one row per base point, or a single row that every
         point shares.  The lumping certificate: every point of a class
-        must put the same mass, within ``LUMP_TOL``, on every target
+        must put the same mass, within ``EXACT_TOL``, on every target
         class; otherwise this raises ``NotLumpable``.
         """
         lumped = _scatter_rows(np.broadcast_to(self.labels, rows.shape), rows, len(self))
@@ -191,7 +190,7 @@ class ClassSpace(FiniteSpace):
             return np.repeat(lumped, len(self), axis=0)
         first = lumped[self._first]
         worst = float(np.max(np.abs(lumped - first[self.labels])))
-        if worst > LUMP_TOL:
+        if worst > EXACT_TOL:
             raise NotLumpable(
                 f"points of one fitness class put masses {worst:.3e} apart on one class"
             )
@@ -307,15 +306,15 @@ class DigitMap:
         return cols[:, None], np.ones((idx.size, 1))
 
 
-def check_row_stochastic(m: np.ndarray, tol: float = ROW_SUM_TOL, name: str = "matrix") -> None:
-    """Raise unless every row is a probability vector within ``tol``."""
+def check_row_stochastic(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless every row is a probability vector within ``EXACT_TOL``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise UsageError(f"{name}: expected a 2-d matrix")
-    if np.any(m < -tol):
+    if np.any(m < -EXACT_TOL):
         raise UsageError(f"{name}: negative transition mass")
     sums = m.sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= tol):  # phrased so that a NaN row fails
+    if not np.all(np.abs(sums - 1.0) <= EXACT_TOL):  # phrased so that a NaN row fails
         worst = float(np.max(np.abs(sums - 1.0)))
         raise UsageError(f"{name}: rows must sum to 1 (worst deviation {worst:.3e})")
 

@@ -23,6 +23,7 @@ from .kernels import Kernel
 
 DRAW_CAP = 10**7  # entries a batch of draws allocates: 1 per draw, m * m per tournament
 MULTISET_CAP = 10**5  # entrant multisets an exact tournament enumerates in Python, one at a time
+SCHEMES = ("uniform", "proportional", "tournament", "roulette", "ranking")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SelectionScheme:
     rate_fn: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "proportional", "tournament", "roulette", "ranking"):
+        if self.kind not in SCHEMES:
             raise UsageError(f"unknown selection scheme {self.kind!r}")
         if self.kind == "tournament" and self.m < 1:
             raise UsageError("tournament size must be >= 1")

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import UsageError
 
+MIN_EXPECTED = 5.0  # the expected count below which a cell is pooled
+
 
 @dataclass(frozen=True)
 class GofResult:
@@ -22,19 +24,14 @@ class GofResult:
         return self.pvalue >= self.alpha
 
 
-def chisquare_gof(
-    counts,
-    probs,
-    alpha: float = 0.001,
-    min_expected: float = 5.0,
-) -> GofResult:
+def chisquare_gof(counts, probs, alpha: float = 0.001) -> GofResult:
     """Chi-square goodness of fit of observed counts against exact cell
     probabilities.
 
-    Cells whose expected count falls below ``min_expected`` are pooled
+    Cells whose expected count falls below ``MIN_EXPECTED`` are pooled
     into one bucket (standard practice for sparse tails).  When every cell
     falls below it, runs of consecutive cells are pooled instead, each
-    until it reaches ``min_expected``; a short last run joins the one
+    until it reaches ``MIN_EXPECTED``; a short last run joins the one
     before.  Cells with zero probability must hold zero counts; observing
     mass there is an immediate failure.
     """
@@ -56,7 +53,7 @@ def chisquare_gof(
     counts, probs = counts[~zero], probs[~zero]
 
     expected = probs * total
-    small = expected < min_expected
+    small = expected < MIN_EXPECTED
     if small.sum() >= 1 and (~small).sum() >= 1:
         counts = np.append(counts[~small], counts[small].sum())
         probs = np.append(probs[~small], probs[small].sum())
@@ -65,7 +62,7 @@ def chisquare_gof(
         starts, run = [0], 0.0
         for i, e in enumerate(expected.tolist(), 1):
             run += e
-            if run >= min_expected:
+            if run >= MIN_EXPECTED:
                 starts.append(i)
                 run = 0.0
         starts = starts[:-1] or [0]  # the last start is past the end or opens a short run

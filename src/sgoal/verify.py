@@ -5,24 +5,21 @@ traps whatever enters it, and every step reaches it from anywhere else
 with probability at least delta > 0.  Under those premises the t-step
 mass on the set is at least 1 - (1 - delta)^t.  On finite spaces this
 module checks the premises and the bound exactly from the transition
-matrices.
+matrices, into a ``BoundReport`` that ``cli`` writes out.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import Algorithm, Problem
 from .errors import ConfigError, NotLumpable, UsageError
-from .kernels import ClassSpace, FiniteSpace, Kernel, check_row_stochastic
+from .kernels import EXACT_TOL, ClassSpace, FiniteSpace, Kernel, check_row_stochastic
 from .kernels import iterated_products  # noqa: F401  (perfbench traces it here)
 
-EXACT_TOL = 1e-12
 STATE_CAP = 4096
 T_MAX_CAP = 1000  # a chain that reads t costs one dense n x n product per step
 MATRIX_BYTES_CAP = 1 << 30  # bytes a run's arrays may take; three STATE_CAP^2 matrices fit
@@ -136,7 +133,8 @@ class BoundReport:
         return self.premises_hold and all(row.margin >= -EXACT_TOL for row in self.per_t)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report as plain data: its fields, ``per_t`` a list of row dicts."""
+        return {**self.__dict__, "per_t": [row.__dict__.copy() for row in self.per_t]}
 
 
 def check_bound(chain: FiniteChain, t_max: int) -> BoundReport:
@@ -292,34 +290,3 @@ def chain_from_files(matrix_paths: Sequence, eps_set) -> FiniteChain:
     if not matrices:
         raise UsageError("need at least one matrix file")
     return FiniteChain(tuple(range(matrices[0].shape[0])), eps_set, matrices)
-
-
-def _overwrite(path, text: str) -> None:
-    # in place, then cut to length: on ext4 a truncating open starts writeback at close
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("ascii"))
-        fh.truncate()
-
-
-_BOUND_JSON = ('{\n  "delta": %s,\n  "lumped": %s,\n  "per_t": %s,\n  "premise_absorbing": %s,\n'
-               '  "premise_reach": %s,\n  "states": %s\n}\n')
-_BOUND_ROW = ('    {\n      "bound": %s,\n      "margin": %s,\n      "min_mass": %s,\n'
-              '      "t": %s\n    }')
-
-
-def write_bound_json(report: BoundReport, path) -> None:
-    # the bytes of json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True) and a
-    # newline, in one write: json's C encoder spells the values, the layout is fixed
-    r = report
-    cells = [r.delta, r.lumped, r.premise_absorbing, r.premise_reach, r.states]
-    cells += [v for row in r.per_t for v in (row.bound, row.margin, row.min_mass, row.t)]
-    delta, lumped, absorbing, reach, states, *rows = json.dumps(cells)[1:-1].split(", ")
-    per_t = ",\n".join([_BOUND_ROW] * len(r.per_t)) % tuple(rows)
-    per_t = f"[\n{per_t}\n  ]" if rows else "[]"
-    _overwrite(path, _BOUND_JSON % (delta, lumped, per_t, absorbing, reach, states))
-
-
-def write_bound_csv(report: BoundReport, path) -> None:
-    # csv.writer's bytes: its \r\n line ending, and no field that needs quotes
-    rows = [f"{r.t},{r.min_mass:.17g},{r.bound:.17g},{r.margin:.17g}\r\n" for r in report.per_t]
-    _overwrite(path, "t,min_mass,bound,margin\r\n" + "".join(rows))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -14,9 +16,9 @@ from hypothesis import strategies as st
 
 from sgoal.cli import (
     _ALL_KEYS,
-    SUMMARY_BLOCK_ITEMS,
-    TRACE_BLOCK_ROWS,
-    _write_summary_json,
+    BLOCK,
+    _DEFAULTS,
+    _write_json,
     _write_trace_csv,
     load_config,
     main,
@@ -24,6 +26,8 @@ from sgoal.cli import (
 )
 from sgoal.core import ConvergenceTrace
 from sgoal.errors import ConfigError
+from sgoal.es import ESConfig
+from sgoal.sa import SAConfig, geometric, linear
 from sgoal.verify import T_MAX_CAP
 
 SA_CFG = """
@@ -106,6 +110,19 @@ class TestConfigParsing:
         assert err.startswith(f"error: config file {cfg} is not UTF-8")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_defaults_equal_the_library_defaults(self):
+        sa = {field.name: field.default for field in dataclasses.fields(SAConfig)}
+        es = {field.name: field.default for field in dataclasses.fields(ESConfig)}
+        library = {
+            "sa.sigma": sa["sigma"],
+            "sa.elitist": sa["elitist"],
+            "sa.gamma": inspect.signature(geometric).parameters["gamma"].default,
+            "sa.floor": inspect.signature(linear).parameters["floor"].default,
+            **{f"es.{name}": es[name] for name in
+               ("mode", "sigma_init", "sigma_min", "sigma_max", "recomb_y", "recomb_s")},
+        }
+        assert {key: _DEFAULTS[key] for key in library} == library
 
     def test_readme_lists_the_algorithm_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -384,7 +401,7 @@ def special_trace(rows: int) -> ConvergenceTrace:
 class TestTraceCsv:
     @pytest.mark.parametrize(
         "rows",
-        [1, TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, TRACE_BLOCK_ROWS + 1, 2 * TRACE_BLOCK_ROWS + 1],
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
     )
     def test_bytes_equal_the_per_value_writer(self, tmp_path, rows):
         trace = special_trace(rows)
@@ -438,7 +455,7 @@ class TestSummaryJson:
     @settings(max_examples=30, deadline=None)
     @given(
         rows=st.sampled_from(
-            [0, 1, SUMMARY_BLOCK_ITEMS - 1, SUMMARY_BLOCK_ITEMS, SUMMARY_BLOCK_ITEMS + 1]
+            [0, 1, BLOCK - 1, BLOCK, BLOCK + 1]
         ),
         eps_keys=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
@@ -446,20 +463,26 @@ class TestSummaryJson:
     def test_bytes_equal_json_dump(self, tmp_path_factory, rows, eps_keys, seed):
         summary = special_summary(rows, eps_keys, seed)
         path = tmp_path_factory.mktemp("summary") / "summary.json"
-        _write_summary_json(path, summary)
+        _write_json(path, summary)
         assert path.read_bytes() == json_dump_bytes(summary)
 
     def test_special_values_and_empty_containers(self, tmp_path):
         summary = {"a": [], "b": {}, "c": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3],
                    "d": {"x": [1], "w": []}, "e": "text", "f": True, "g": None}
-        _write_summary_json(tmp_path / "s.json", summary)
+        _write_json(tmp_path / "s.json", summary)
         assert (tmp_path / "s.json").read_bytes() == json_dump_bytes(summary)
+
+    def test_rows_take_their_layout_from_their_keys(self, tmp_path):
+        rows = [{"t": i, "%s": "a\nb, %d", "e": [], "f": {}, "z": math.nan} for i in range(3)]
+        value = {"rows": rows, "one": [{"k": None}], "empty": [], "nested": {"rows": rows}}
+        _write_json(tmp_path / "r.json", value)
+        assert (tmp_path / "r.json").read_bytes() == json_dump_bytes(value)
 
     def test_memory_stays_one_block(self, tmp_path):
         summary = special_summary(20_001, 1, seed=0)
         tracemalloc.start()
         try:
-            _write_summary_json(tmp_path / "summary.json", summary)
+            _write_json(tmp_path / "summary.json", summary)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -697,3 +720,19 @@ def test_readme_quick_start_runs(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0.00390625 True"
+
+
+def test_readme_command_line_runs(tmp_path):
+    # the README's command-line block runs as printed, sgoal standing for python -m sgoal
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"```sh\n(cat > anneal\.cfg.*?)```", (root / "README.md").read_text(), re.S)
+    script = 'sgoal() { "$PYTHON" -m sgoal "$@"; }\n' + block.group(1)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHON=sys.executable)
+    out = subprocess.run(
+        ["sh", "-e", "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert out.returncode == 0, out.stderr
+    written = sorted(p.name for p in (tmp_path / "results").iterdir())
+    traces = [f"trace_{seed}.csv" for seed in range(1, 21)]
+    assert written == sorted([*traces, "summary.json", "bound.json", "bound.csv"])
+    assert re.search(r"^delta=.* verified=True states=9 ", out.stdout, re.M)

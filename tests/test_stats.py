@@ -32,7 +32,7 @@ def test_chisquare_gof_pvalue_is_chi2_sf():
 
 
 def test_sparse_tail_is_pooled_into_one_cell():
-    # some cell reaches min_expected: the cells below it form one bucket
+    # some cell reaches MIN_EXPECTED: the cells below it form one bucket
     counts, probs = np.array([50.0, 45.0, 3.0, 2.0]), np.array([0.5, 0.46, 0.02, 0.02])
     expected = np.array([50.0, 46.0, 4.0])
     result = chisquare_gof(counts, probs)

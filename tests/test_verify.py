@@ -19,9 +19,10 @@ from conftest import (
 )
 
 from sgoal.bench import make_benchmark
-from sgoal.cli import build_algorithm, load_config
+from sgoal.cli import _write_json, _write_trace_csv, build_algorithm, load_config
 from sgoal.cli import main as cli_main
-from sgoal.core import exceedance, max_iters, run_algorithm
+from sgoal.cli import write_bound_csv, write_bound_json
+from sgoal.core import ConvergenceTrace, exceedance, max_iters, run_algorithm
 from sgoal.errors import ConfigError, UsageError
 from sgoal.es import ESConfig, make_es
 from sgoal.kernels import ScheduleState, iterated_products, save_matrix
@@ -37,8 +38,6 @@ from sgoal.verify import (
     check_bound,
     check_premises,
     extract_chain,
-    write_bound_csv,
-    write_bound_json,
 )
 
 
@@ -491,6 +490,20 @@ class TestExceedance:
             assert summary["pr_d_above"][f"{eps:.17g}"] == exceedance(d, eps).tolist()
 
 
+def steps_trace(steps: int) -> ConvergenceTrace:
+    ones = np.ones(steps)
+    return ConvergenceTrace(np.arange(steps), ones / 3, ones, np.arange(steps), ones)
+
+
+# each report's writer, called with a path and a number of steps
+REPORT_WRITERS = {
+    "bound.json": lambda path, t: write_bound_json(check_bound(two_state_chain(0.5), t), path),
+    "bound.csv": lambda path, t: write_bound_csv(check_bound(two_state_chain(0.5), t), path),
+    "trace.csv": lambda path, t: _write_trace_csv(path, steps_trace(t)),
+    "summary.json": lambda path, t: _write_json(path, {"t": list(range(t)), "d": [1 / 3] * t}),
+}
+
+
 class TestReports:
     def test_json_fields(self, tmp_path):
         report = check_bound(two_state_chain(0.5), 3)
@@ -539,15 +552,25 @@ class TestReports:
             for name, ref in (("bound.json", "json.ref"), ("bound.csv", "csv.ref")):
                 assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
 
-    def test_rewrite_cuts_a_longer_report_to_length(self, tmp_path):
-        long_report = check_bound(two_state_chain(0.5), 9)
-        short_report = check_bound(two_state_chain(0.5), 1)
-        for write in (write_bound_json, write_bound_csv):
-            fresh, reused = tmp_path / "fresh", tmp_path / "reused"
-            write(short_report, fresh)
-            write(long_report, reused)
-            write(short_report, reused)
-            assert reused.read_bytes() == fresh.read_bytes()
+    def test_a_new_row_field_needs_no_writer_edit(self, tmp_path):
+        names = [field.name for field in dataclasses.fields(BoundRow)] + ["gap"]
+        Row = dataclasses.make_dataclass("Row", names, frozen=True)
+        base = check_bound(two_state_chain(0.25), 4)
+        rows = tuple(Row(*dataclasses.astuple(r), gap=1.0 - r.min_mass) for r in base.per_t)
+        report = dataclasses.replace(base, per_t=rows)
+        write_bound_json(report, tmp_path / "bound.json")
+        expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert '"gap": ' in expected
+        assert (tmp_path / "bound.json").read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("report", sorted(REPORT_WRITERS))
+    def test_rewrite_cuts_a_longer_report_to_length(self, tmp_path, report):
+        write = REPORT_WRITERS[report]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        write(fresh, 1)
+        write(reused, 9)
+        write(reused, 1)
+        assert reused.read_bytes() == fresh.read_bytes()
 
     def test_chain_from_matrix_files(self, tmp_path):
         m1 = np.array([[1.0, 0.0], [0.3, 0.7]])
